@@ -31,6 +31,46 @@ func baseConfig(seed int64) Config {
 	}
 }
 
+// stragglerConfig is the gray-failure fixture: bounded stall bursts
+// against the active replica under a 5-round deadline SLO, with no
+// chip faults, kills or corruption.
+func stragglerConfig(seed int64) Config {
+	cfg := baseConfig(seed)
+	cfg.Faults = 0
+	cfg.Kills = 0
+	cfg.Corruptions = 0
+	cfg.Stalls = 5
+	cfg.Deadline = 5
+	cfg.CheckSLO = true
+	return cfg
+}
+
+// surgeConfig is the overload fixture: three bounded surge bursts
+// against a 2-replica closed-loop pool.
+func surgeConfig(seed int64) Config {
+	return Config{
+		Replicas:    2,
+		Rounds:      120,
+		Load:        0.5,
+		PayloadBits: 4,
+		Seed:        seed,
+		Surges:      3,
+		Pool: pool.Config{
+			TripThreshold: 1, ProbeAfter: 1,
+			Overload: &overload.Config{},
+		},
+	}
+}
+
+// corruptionConfig is the data-plane fixture: corruption bursts only.
+func corruptionConfig(seed int64) Config {
+	cfg := baseConfig(seed)
+	cfg.Faults = 0
+	cfg.Kills = 0
+	cfg.Corruptions = 4
+	return cfg
+}
+
 func mustSchedule(t *testing.T, cfg Config) []Event {
 	t.Helper()
 	sw, err := buildColumnsort()
@@ -178,10 +218,7 @@ func TestChaosAcceptance(t *testing.T) {
 // round failed over in-round) and leave no wire quarantines behind
 // once the bounded bursts end.
 func TestCorruptionBurstChaos(t *testing.T) {
-	cfg := baseConfig(21)
-	cfg.Faults = 0
-	cfg.Kills = 0
-	cfg.Corruptions = 4
+	cfg := corruptionConfig(21)
 	events := mustSchedule(t, cfg)
 	if len(events) == 0 {
 		t.Fatal("no corruption events scheduled")
@@ -224,13 +261,7 @@ func TestCorruptionBurstChaos(t *testing.T) {
 func TestStragglerChaosAcceptance(t *testing.T) {
 	totalStalled := 0
 	for _, seed := range []int64{11, 1987, 0xFADE} {
-		cfg := baseConfig(seed)
-		cfg.Faults = 0
-		cfg.Kills = 0
-		cfg.Corruptions = 0
-		cfg.Stalls = 5
-		cfg.Deadline = 5
-		cfg.CheckSLO = true
+		cfg := stragglerConfig(seed)
 		events := mustSchedule(t, cfg)
 		stalls := 0
 		for _, ev := range events {
@@ -279,13 +310,7 @@ func TestStragglerChaosAcceptance(t *testing.T) {
 // report deadline-SLO regressions (proving the bursts actually bite
 // and the harness actually checks).
 func TestStragglerChaosUnhedged(t *testing.T) {
-	cfg := baseConfig(11)
-	cfg.Faults = 0
-	cfg.Kills = 0
-	cfg.Corruptions = 0
-	cfg.Stalls = 5
-	cfg.Deadline = 5
-	cfg.CheckSLO = true
+	cfg := stragglerConfig(11)
 	// A single replica has no spare to hedge to (the runner only
 	// defaults hedging on for ≥ 2), so every stalled round must miss.
 	cfg.Replicas = 1
@@ -408,18 +433,7 @@ func TestSurgeChaosAcceptance(t *testing.T) {
 	for _, seed := range []int64{7, 99, 2026} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			cfg := Config{
-				Replicas:    2,
-				Rounds:      120,
-				Load:        0.5,
-				PayloadBits: 4,
-				Seed:        seed,
-				Surges:      3,
-				Pool: pool.Config{
-					TripThreshold: 1, ProbeAfter: 1,
-					Overload: &overload.Config{},
-				},
-			}
+			cfg := surgeConfig(seed)
 			events := mustSchedule(t, cfg)
 			surges := 0
 			for _, ev := range events {

@@ -60,12 +60,21 @@ func runScenario(t *testing.T, cfg Config, seed int64, rounds int) ([]RoundResul
 	return rrs, p.Stats()
 }
 
+// legacyScenario and leasedScenario are the pool configurations the
+// dispatch-equivalence suites and the golden transcripts run runScenario
+// under: the legacy arbiter with hedging and a deadline SLO, and the
+// lease-fenced arbiter.
+var (
+	legacyScenario = Config{TripThreshold: 2, ProbeAfter: 1, HedgeQuantile: 0.9, Deadline: 3}
+	leasedScenario = Config{TripThreshold: 2, ProbeAfter: 1, Lease: LeaseConfig{Rounds: 4}}
+)
+
 // TestParallelDispatchEquivalence is the determinism satellite for the
 // concurrent data plane: a pool with speculative parallel dispatch must
 // produce transcripts bit-identical to the sequential pool across
 // faults, corruption, stragglers, hedging, and a kill/revive cycle.
 func TestParallelDispatchEquivalence(t *testing.T) {
-	base := Config{TripThreshold: 2, ProbeAfter: 1, HedgeQuantile: 0.9, Deadline: 3}
+	base := legacyScenario
 	for _, seed := range []int64{1, 7, 1234} {
 		seq, seqStats := runScenario(t, base, seed, 80)
 		par := base
@@ -89,7 +98,7 @@ func TestParallelDispatchEquivalence(t *testing.T) {
 // under the lease-fenced arbiter, whose serving paths (heard, dark,
 // shadow believers) also consume speculative attempts.
 func TestParallelDispatchEquivalenceLeased(t *testing.T) {
-	base := Config{TripThreshold: 2, ProbeAfter: 1, Lease: LeaseConfig{Rounds: 4}}
+	base := leasedScenario
 	seq, seqStats := runScenario(t, base, 99, 80)
 	par := base
 	par.Parallel = 3
