@@ -82,73 +82,10 @@ type Result struct {
 // Run simulates the given messages through the switch: one setup cycle
 // establishes paths, then payload bits stream along them. Messages may
 // have different lengths; shorter streams idle at 0 after their last
-// bit, exactly as a real wire would.
+// bit, exactly as a real wire would. It is one round of a fresh Runner,
+// so the caller owns everything the Result references.
 func Run(sw core.Concentrator, msgs []Message) (*Result, error) {
-	n, m := sw.Inputs(), sw.Outputs()
-	valid := bitvec.New(n)
-	byInput := make(map[int]*Message, len(msgs))
-	maxLen := 0
-	for i := range msgs {
-		msg := &msgs[i]
-		if msg.Input < 0 || msg.Input >= n {
-			return nil, fmt.Errorf("switchsim: message input %d out of range [0,%d)", msg.Input, n)
-		}
-		if byInput[msg.Input] != nil {
-			return nil, fmt.Errorf("switchsim: two messages on input %d", msg.Input)
-		}
-		byInput[msg.Input] = msg
-		valid.Set(msg.Input, true)
-		if len(msg.Payload) > maxLen {
-			maxLen = len(msg.Payload)
-		}
-	}
-
-	var routing []int
-	var err error
-	if ri, ok := sw.(core.RouterInto); ok {
-		routing = make([]int, n)
-		err = ri.RouteInto(routing, valid)
-	} else {
-		routing, err = sw.Route(valid)
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	res := &Result{
-		Cycles:       1 + maxLen,
-		OutputStream: make([][]byte, m),
-		Valid:        valid,
-		Routing:      routing,
-	}
-	for o := range res.OutputStream {
-		res.OutputStream[o] = make([]byte, maxLen)
-	}
-
-	// Stream payload bits cycle by cycle along the established paths.
-	for c := 0; c < maxLen; c++ {
-		for in, msg := range byInput {
-			o := routing[in]
-			if o < 0 || c >= len(msg.Payload) {
-				continue
-			}
-			res.OutputStream[o][c] = msg.Payload[c] & 1
-		}
-	}
-
-	for i := range msgs {
-		msg := &msgs[i]
-		if o := routing[msg.Input]; o >= 0 {
-			res.Delivered = append(res.Delivered, Delivery{
-				Input:   msg.Input,
-				Output:  o,
-				Payload: res.OutputStream[o][:len(msg.Payload)],
-			})
-		} else {
-			res.DroppedInputs = append(res.DroppedInputs, msg.Input)
-		}
-	}
-	return res, nil
+	return NewRunner(sw).Run(msgs)
 }
 
 // CheckGuarantee verifies the §1 partial-concentrator delivery
