@@ -29,11 +29,12 @@ package pool
 //     the equivocator thereby stops being servable and loses the lease
 //     at the next maintenance pass, fenced behind a bumped token.
 //
-// Scope: the settle path covers the Run payload rounds (legacy and
-// lease-heard). The payloadless Route facade has no frames to stamp;
-// dark/shadow partition serving books through the fencing ledger whose
-// acks are already provenance of a different kind (the chaos harness
-// never combines the byzantine and partition planes).
+// Scope: the settle path covers every round the serving loop accepts,
+// under either arbiter — Route rounds included, whose frames carry
+// empty payloads. Dark and shadow partition serving books through the
+// fencing ledger, whose acks are already provenance of a different kind
+// (the chaos harness never combines the byzantine and partition
+// planes).
 
 import (
 	"fmt"

@@ -3,22 +3,24 @@ package pool
 // Speculative concurrent replica dispatch. With Config.Parallel ≥ 2
 // the pool routes each round's admitted batch through every live
 // replica's serving contract on a bounded worker pool BEFORE the
-// arbiter starts consuming results. The arbiter's control flow —
-// election order, failover order, hedging, lease handoffs, ledger
-// bookings — is untouched: it consumes the precomputed attempts in
+// arbiter starts consuming results. The round's control flow — the
+// serving loop's failover order, hedging, lease handoffs, dark and
+// shadow serving, ledger bookings — is untouched: every attempt goes
+// through attemptLocked, which hands out the precomputed attempts in
 // exactly the order the sequential path would have routed them, so
 // ledgers, chaos trajectories, and seeded schedules stay bit-identical
 // to Parallel == 0.
 //
-// The determinism argument: switchsim.Run(contract, admitted) is a
-// pure function of its arguments (the routing kernels share only a
-// sync.Pool of scratch buffers), and every round-mutating side effect
-// (wire noise, link escalation, breaker bookkeeping, stats) happens at
-// consumption time, sequentially, under the pool lock. A consumption
-// whose replica contract was rebuilt mid-round (wire escalation swaps
-// in a new DegradedSwitch) detects the stale attempt by interface
-// pointer inequality and reroutes inline — again exactly what the
-// sequential path computes.
+// The determinism argument: switchsim.Run(contract, admitted) — one
+// round of a fresh Runner — is a pure function of its arguments (the
+// routing kernels share only a sync.Pool of scratch buffers), and
+// every round-mutating side effect (wire noise, link escalation,
+// breaker bookkeeping, stats) happens at consumption time,
+// sequentially, under the pool lock. A consumption whose replica
+// contract was rebuilt mid-round (wire escalation swaps in a new
+// DegradedSwitch) detects the stale attempt by interface pointer
+// inequality and reroutes inline — again exactly what the sequential
+// path computes.
 //
 // Speculation trades work for wall-clock: rounds that would have tried
 // one replica still route on all of them. That is the right trade for
@@ -43,7 +45,7 @@ type routeAttempt struct {
 	res *switchsim.Result
 	err error
 	// used marks a consumed attempt: a second consumption (a replica
-	// tried by the failover loop and again as a stale shadow believer)
+	// tried by the serving loop and again as a stale shadow believer)
 	// reroutes inline, matching the sequential path's fresh call.
 	used bool
 }

@@ -68,6 +68,55 @@ func (p *Pool) ClearPartitions() error {
 	return nil
 }
 
+// leaseStepLocked is the lease arbiter's per-round step. It decides
+// which replicas the arbiter hears (vis: the replica→arbiter direction,
+// observations and acks) and reaches (reach: arbiter→replica, grants),
+// freezes membership without a quorum, books acks from healed edges,
+// lands probe verdicts and maintains the lease. It returns that view
+// and the holder allowed to serve: the lease holder while its own
+// belief is live — a board whose grant lapsed self-fences even if the
+// arbiter still counts it as the holder — and −1 otherwise.
+func (p *Pool) leaseStepLocked(round int64, rr *RoundResult) (vis, reach []bool, holder int) {
+	vis = make([]bool, len(p.replicas))
+	reach = make([]bool, len(p.replicas))
+	heard := 0
+	for i := range p.replicas {
+		vis[i] = p.pplane.Visible(int(round), i, partition.FromReplica)
+		reach[i] = p.pplane.Visible(int(round), i, partition.ToReplica)
+		if vis[i] {
+			heard++
+		}
+	}
+	frozen := heard < len(p.replicas)/2+1
+	if frozen {
+		p.stats.FrozenRounds++
+		rr.Frozen = true
+	}
+
+	// Heal-side bookkeeping first: late acks land before this round's
+	// decisions, so a re-heard replica's history informs them.
+	p.flushAcksLocked(vis, rr)
+	for i, r := range p.replicas {
+		if vis[i] {
+			p.susp.Hear(i, r.threshold())
+		} else {
+			p.susp.Miss(i)
+		}
+	}
+	p.probeDueLocked(round, vis, frozen)
+	p.leaseMaintainLocked(round, vis, reach, frozen)
+	rr.LeaseToken = p.fenceToken
+
+	holder = -1
+	if h := p.leaseHolder; h >= 0 {
+		r := p.replicas[h]
+		if !r.killed && r.leaseToken == p.fenceToken && round <= r.leaseUntil {
+			holder = h
+		}
+	}
+	return vis, reach, holder
+}
+
 // bookAcksLocked lands one delivery acknowledgement at the ledger: a
 // current fencing token books Delivered; a stale one books Fenced —
 // unless the unfenced control is on, which accepts it (StaleDelivered)
@@ -105,55 +154,6 @@ func (p *Pool) flushAcksLocked(vis []bool, rr *RoundResult) {
 		}
 	}
 	p.inflight = kept
-}
-
-// probeDueLeasedLocked lands due half-open probe verdicts, gated on
-// quorum and per-replica visibility: a verdict the arbiter cannot hear
-// (or must not act on from a minority view) is deferred one round
-// without touching the backoff — a deferral is not a failed probe.
-func (p *Pool) probeDueLeasedLocked(round int64, vis []bool, frozen bool) {
-	for _, r := range p.replicas {
-		if !r.pendingScan || r.probeAt < 0 || round < r.probeAt {
-			continue
-		}
-		if frozen || !vis[r.id] {
-			r.probeAt = round + 1
-			continue
-		}
-		p.probeOneLocked(r, round)
-	}
-}
-
-// bestVisibleLocked elects the best servable replica the arbiter can
-// currently both hear and reach — same ordering as bestLocked (state
-// rank, live threshold, incumbency, index) over the visible set only:
-// granting a lease to a board that cannot receive it, or whose health
-// is hearsay, is how split brains start.
-func (p *Pool) bestVisibleLocked(skip map[int]bool, vis, reach []bool) int {
-	best := -1
-	for i, r := range p.replicas {
-		if skip[i] || !vis[i] || !reach[i] || !r.servable() {
-			continue
-		}
-		if best == -1 {
-			best = i
-			continue
-		}
-		b := p.replicas[best]
-		switch {
-		case r.rank() != b.rank():
-			if r.rank() < b.rank() {
-				best = i
-			}
-		case r.threshold() != b.threshold():
-			if r.threshold() > b.threshold() {
-				best = i
-			}
-		case i == p.leaseHolder && best != p.leaseHolder:
-			best = i
-		}
-	}
-	return best
 }
 
 // grantLocked moves the primary lease to replica next under a bumped
@@ -219,7 +219,7 @@ func (p *Pool) leaseMaintainLocked(round int64, vis, reach []bool, frozen bool) 
 			}
 		}
 	}
-	if next := p.bestVisibleLocked(nil, vis, reach); next >= 0 {
+	if next := p.bestLocked(nil, vis, reach); next >= 0 {
 		p.grantLocked(round, next, reach)
 	}
 	// Nothing electable: the incumbent (if any) keeps coasting on its
@@ -260,175 +260,6 @@ func (p *Pool) shadowServeLocked(round int64, admitted []switchsim.Message, rr *
 	}
 	if dual {
 		p.stats.DualPrimaryRounds++
-	}
-}
-
-// runLeasedLocked executes one pool round under the partition-safe
-// lease arbiter. The caller validated the messages and holds the lock.
-func (p *Pool) runLeasedLocked(byInput map[int]switchsim.Message, inputs []int) *RoundResult {
-	round := p.round
-	p.round++
-	p.stats.Rounds++
-	p.stats.Offered += len(inputs)
-
-	rr := &RoundResult{Round: round, ServedBy: -1}
-
-	// What can the arbiter see this round? vis is the replica→arbiter
-	// direction (observations, acks); reach is arbiter→replica (grants).
-	vis := make([]bool, len(p.replicas))
-	reach := make([]bool, len(p.replicas))
-	heard := 0
-	for i := range p.replicas {
-		vis[i] = p.pplane.Visible(int(round), i, partition.FromReplica)
-		reach[i] = p.pplane.Visible(int(round), i, partition.ToReplica)
-		if vis[i] {
-			heard++
-		}
-	}
-	frozen := heard < len(p.replicas)/2+1
-	if frozen {
-		p.stats.FrozenRounds++
-		rr.Frozen = true
-	}
-
-	// Heal-side bookkeeping first: late acks land before this round's
-	// decisions, so a re-heard replica's history informs them.
-	p.flushAcksLocked(vis, rr)
-	for i, r := range p.replicas {
-		if vis[i] {
-			p.susp.Hear(i, r.threshold())
-		} else {
-			p.susp.Miss(i)
-		}
-	}
-	p.probeDueLeasedLocked(round, vis, frozen)
-	p.leaseMaintainLocked(round, vis, reach, frozen)
-	rr.LeaseToken = p.fenceToken
-
-	// The holder serves only while its own belief is live: a board
-	// whose grant lapsed self-fences even if the arbiter still counts
-	// it as the holder.
-	holder := -1
-	if p.leaseHolder >= 0 {
-		r := p.replicas[p.leaseHolder]
-		if !r.killed && r.leaseToken == p.fenceToken && round <= r.leaseUntil {
-			holder = p.leaseHolder
-		}
-	}
-	if holder < 0 {
-		_, rr.Shed = p.admit(inputs, 0, round)
-		p.stats.Shed += len(rr.Shed)
-		if len(inputs) > 0 {
-			rr.Violated = true
-			p.stats.Violations++
-		}
-		return rr
-	}
-
-	// Admission against the holder's live contract — or, while the
-	// holder is dark, its last-known-good contract: graceful
-	// degradation to the most recent real threshold, not a guess.
-	hr := p.replicas[holder]
-	rawThr := hr.threshold()
-	if !vis[holder] {
-		if lkg, ok := p.susp.LastKnownGood(holder); ok {
-			rawThr = lkg
-		}
-	}
-	thr := p.effectiveThresholdLocked(rawThr)
-	admittedInputs, shed := p.admit(inputs, thr, round)
-	rr.Threshold = thr
-	rr.Shed = shed
-	p.stats.Admitted += len(admittedInputs)
-	p.stats.Shed += len(shed)
-	admitted := make([]switchsim.Message, 0, len(admittedInputs))
-	for _, in := range admittedInputs {
-		admitted = append(admitted, byInput[in])
-	}
-	p.spec = p.dispatchLocked(admitted)
-
-	primaryFrames := 0
-	if vis[holder] && !frozen {
-		primaryFrames = p.serveHeardLocked(round, admitted, rr, rawThr, vis, reach)
-	} else {
-		primaryFrames = p.serveDarkLocked(round, admitted, rr, vis)
-	}
-	p.shadowServeLocked(round, admitted, rr, vis, primaryFrames)
-	return rr
-}
-
-// serveHeardLocked routes the round on a fully observed holder: the
-// legacy contract check, breaker, hedging, and SLO machinery all apply,
-// and a directly observed violation hands the lease off within the
-// round under a bumped fencing token.
-func (p *Pool) serveHeardLocked(round int64, admitted []switchsim.Message, rr *RoundResult, rawThr int, vis, reach []bool) int {
-	tried := make(map[int]bool)
-	for {
-		r := p.replicas[p.leaseHolder]
-		c, res, err := p.attemptLocked(r, admitted)
-		corrupt := 0
-		if err == nil {
-			res, corrupt = p.applyWireNoiseLocked(r, round, res)
-			p.escalateLinksLocked(r)
-		}
-		if err == nil && corrupt == 0 && switchsim.CheckGuarantee(c, admitted, res) == nil {
-			r.consecViol = 0
-			if r.state == Suspect {
-				if r.degraded != nil {
-					r.state = Repaired
-				} else {
-					r.state = Healthy
-				}
-			}
-			lat := 1 + p.timingDelayLocked(r, round)
-			winner, wlat, wres := r, lat, res
-			if p.shouldHedgeLocked(lat) {
-				if s, sres, slat := p.hedgeLocked(r, tried, admitted, round); s != nil {
-					rr.Hedged = true
-					if slat < wlat {
-						winner, wlat, wres = s, slat, sres
-						rr.HedgeWon = true
-						p.stats.HedgeWins++
-					}
-				}
-			}
-			r.lat.Observe(lat)
-			p.slow.Observe(r.id, lat)
-			winner.roundsServed++
-			p.lat.Observe(wlat)
-			rr.Latency = wlat
-			rr.Result = wres
-			rr.ServedBy = winner.id
-			rr.Threshold = p.effectiveThresholdLocked(winner.threshold())
-			p.settleClaimsLocked(winner, round, wres, admitted, rr)
-			if p.cfg.Deadline > 0 && wlat > p.cfg.Deadline {
-				rr.DeadlineMissed = true
-				p.stats.DeadlineMissed += len(wres.Delivered)
-			}
-			p.sweepSlowLocked(round)
-			p.observeOverloadLocked(rawThr, rr.DeadlineMissed, false)
-			return len(wres.Delivered)
-		}
-		p.noteViolation(r, round)
-		tried[r.id] = true
-		next := p.bestVisibleLocked(tried, vis, reach)
-		if next < 0 {
-			// Every hearable replica violated: best effort, flagged.
-			rr.Violated = true
-			p.stats.Violations++
-			frames := 0
-			if err == nil {
-				rr.Result = res
-				rr.ServedBy = r.id
-				frames = len(res.Delivered)
-				p.bookAcksLocked(r.leaseToken, frames, rr)
-			}
-			p.observeOverloadLocked(rawThr, false, true)
-			return frames
-		}
-		p.grantLocked(round, next, reach)
-		rr.FailedOver = true
-		p.stats.SameRoundFailovers++
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 
+	"concentrators/internal/bitvec"
+	"concentrators/internal/core"
 	"concentrators/internal/partition"
 )
 
@@ -307,5 +309,46 @@ func TestLeaseConfigValidation(t *testing.T) {
 	q := newPool(t, Config{Lease: LeaseConfig{Rounds: 4}}, 2)
 	if err := q.InjectPartition(partition.Fault{Mode: partition.SymmetricCut, Replica: 5, From: 0, Until: 4}); err == nil {
 		t.Error("injected a partition for a replica the pool does not have")
+	}
+}
+
+// TestRouteServesUnderTheLease: Route is one Run round, so on a lease
+// pool it serves under a granted lease — the holder and the primary
+// agree and the delivered frames book under a live fencing token —
+// instead of moving the primary behind the lease's back.
+func TestRouteServesUnderTheLease(t *testing.T) {
+	sws := make([]core.FaultInjectable, 3)
+	for i := range sws {
+		sw, err := core.NewColumnsortSwitchBeta(256, 128, 0.75)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sws[i] = sw
+	}
+	p, err := New(Config{Lease: LeaseConfig{Rounds: 2}}, sws...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid := bitvec.New(p.Inputs())
+	for i := 0; i < 40; i++ {
+		valid.Set(i*6, true)
+	}
+	out, err := p.Route(valid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	routed := 0
+	for _, o := range out {
+		if o >= 0 {
+			routed++
+		}
+	}
+	s := p.Stats()
+	if routed != 40 || s.Delivered != 40 {
+		t.Fatalf("routed %d, booked %d, want 40 each", routed, s.Delivered)
+	}
+	if s.FenceToken < 1 || s.LeaseHolder != p.Active() {
+		t.Fatalf("Route served without a lease: fence token %d, lease holder %d, active %d",
+			s.FenceToken, s.LeaseHolder, p.Active())
 	}
 }

@@ -50,7 +50,6 @@ import (
 	"concentrators/internal/core"
 	"concentrators/internal/health"
 	"concentrators/internal/link"
-	"concentrators/internal/nearsort"
 	"concentrators/internal/overload"
 	"concentrators/internal/partition"
 	"concentrators/internal/switchsim"
@@ -693,7 +692,7 @@ func (p *Pool) Active() int {
 func (p *Pool) Threshold() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if best := p.bestLocked(nil); best >= 0 {
+	if best := p.bestLocked(nil, nil, nil); best >= 0 {
 		return p.effectiveThresholdLocked(p.replicas[best].threshold())
 	}
 	return 0
@@ -864,12 +863,20 @@ func (p *Pool) noteViolation(r *replica, round int64) {
 	}
 }
 
-// probeDue completes due half-open probe scans: a BIST scan against the
-// replica's live plane decides re-admission (full or degraded contract)
-// or another quarantine period with doubled backoff.
-func (p *Pool) probeDue(round int64) {
+// probeDueLocked completes due half-open probe scans: a BIST scan
+// against the replica's live plane decides re-admission (full or
+// degraded contract) or another quarantine period with doubled backoff.
+// A verdict the arbiter cannot hear (vis false), or must not act on
+// from a minority view (frozen), is deferred one round without touching
+// the backoff — a deferral is not a failed probe. A nil vis hears every
+// replica.
+func (p *Pool) probeDueLocked(round int64, vis []bool, frozen bool) {
 	for _, r := range p.replicas {
 		if !r.pendingScan || r.probeAt < 0 || round < r.probeAt {
+			continue
+		}
+		if frozen || (vis != nil && !vis[r.id]) {
+			r.probeAt = round + 1
 			continue
 		}
 		p.probeOneLocked(r, round)
@@ -953,13 +960,18 @@ func (p *Pool) probeOneLocked(r *replica, round int64) {
 	// trips again waits longer before its next re-admission.
 }
 
-// bestLocked elects the best servable replica not in skip: best state
-// rank (Healthy/Repaired before Suspect), then highest live threshold,
-// then — for stability — the current active, then lowest index.
-func (p *Pool) bestLocked(skip map[int]bool) int {
+// bestLocked elects the best servable replica not in skip that the
+// arbiter can both hear (vis) and reach (reach): best state rank
+// (Healthy/Repaired before Suspect), then highest live threshold, then
+// — for stability — the current active (under the lease arbiter, the
+// lease holder: grantLocked moves both), then lowest index. Nil vis and
+// reach see every replica. The lease arbiter passes its round's view:
+// granting a lease to a board that cannot receive it, or whose health
+// is hearsay, is how split brains start.
+func (p *Pool) bestLocked(skip map[int]bool, vis, reach []bool) int {
 	best := -1
 	for i, r := range p.replicas {
-		if skip[i] || !r.servable() {
+		if skip[i] || !r.servable() || (vis != nil && (!vis[i] || !reach[i])) {
 			continue
 		}
 		if best == -1 {
@@ -986,7 +998,7 @@ func (p *Pool) bestLocked(skip map[int]bool) int {
 // electLocked makes active the best servable replica, counting a
 // between-rounds failover when the primary changes.
 func (p *Pool) electLocked() {
-	best := p.bestLocked(nil)
+	best := p.bestLocked(nil, nil, nil)
 	if best >= 0 && best != p.active {
 		p.active = best
 		p.stats.Failovers++
@@ -1062,10 +1074,14 @@ func (p *Pool) observeOverloadLocked(thr int, deadlineMissed, violated bool) {
 	p.brown.Observe(congested)
 }
 
-// Run executes one pool round over the given messages: half-open
-// probes complete, the arbiter elects a primary, admission control
-// sheds load above the live ⌊α′m′⌋, and the round is routed — failing
-// over within the round if the serving replica violates its contract.
+// Run executes one pool round over the given messages. Both arbiters
+// share the round: the arbiter's step picks the serving replica
+// (legacy: land due probes and elect the best servable replica; lease:
+// see leaseStepLocked), admission control sheds load above its live
+// ⌊α′m′⌋, and serveLocked routes the round — failing over within the
+// round if the serving replica violates its contract. Under the lease
+// arbiter a holder the arbiter cannot hear serves dark, and stale
+// believers shadow-serve.
 func (p *Pool) Run(msgs []switchsim.Message) (*RoundResult, error) {
 	byInput := make(map[int]switchsim.Message, len(msgs))
 	inputs := make([]int, 0, len(msgs))
@@ -1085,30 +1101,45 @@ func (p *Pool) Run(msgs []switchsim.Message) (*RoundResult, error) {
 	defer p.mu.Unlock()
 	defer func() { p.spec = nil }()
 
-	if p.cfg.Lease.Rounds > 0 {
-		return p.runLeasedLocked(byInput, inputs), nil
-	}
-
 	round := p.round
 	p.round++
 	p.stats.Rounds++
-	p.stats.Offered += len(msgs)
-	p.probeDue(round)
-	p.electLocked()
-
+	p.stats.Offered += len(inputs)
 	rr := &RoundResult{Round: round, ServedBy: -1}
-	if !p.replicas[p.active].servable() {
-		// No servable replica at all: everything is refused.
+
+	leased := p.cfg.Lease.Rounds > 0
+	var vis, reach []bool // the lease arbiter's view; nil sees everything
+	holder := -1
+	if leased {
+		vis, reach, holder = p.leaseStepLocked(round, rr)
+	} else {
+		p.probeDueLocked(round, nil, false)
+		p.electLocked()
+		if p.replicas[p.active].servable() {
+			holder = p.active
+		}
+	}
+	if holder < 0 {
+		// No replica can serve: everything is refused.
 		_, rr.Shed = p.admit(inputs, 0, round)
 		p.stats.Shed += len(rr.Shed)
-		if len(msgs) > 0 {
+		if len(inputs) > 0 {
 			rr.Violated = true
 			p.stats.Violations++
 		}
 		return rr, nil
 	}
 
-	rawThr := p.replicas[p.active].threshold()
+	// Admission against the holder's live contract — or, while a lease
+	// holder is dark, its last-known-good contract: graceful degradation
+	// to the most recent real threshold, not a guess.
+	rawThr := p.replicas[holder].threshold()
+	heard := vis == nil || vis[holder]
+	if !heard {
+		if lkg, ok := p.susp.LastKnownGood(holder); ok {
+			rawThr = lkg
+		}
+	}
 	thr := p.effectiveThresholdLocked(rawThr)
 	admittedInputs, shed := p.admit(inputs, thr, round)
 	rr.Threshold = thr
@@ -1121,13 +1152,32 @@ func (p *Pool) Run(msgs []switchsim.Message) (*RoundResult, error) {
 	}
 	p.spec = p.dispatchLocked(admitted)
 
-	// Route with in-round failover: try the primary, then — on a
-	// contract violation — replay the setup on the next-best replica.
-	// Wire corruption counts as a violation: the corrupted deliveries
-	// are stripped (never counted Delivered) and the round retargets.
+	var frames int
+	if heard && !rr.Frozen {
+		frames = p.serveLocked(round, holder, admitted, rr, rawThr, vis, reach)
+	} else {
+		frames = p.serveDarkLocked(round, admitted, rr, vis)
+	}
+	if leased {
+		p.shadowServeLocked(round, admitted, rr, vis, frames)
+	}
+	return rr, nil
+}
+
+// serveLocked routes the round on replica cur with in-round failover:
+// on a contract violation the round's setup is replayed on the
+// next-best replica the arbiter can hear and reach, until one satisfies
+// its contract. Wire corruption counts as a violation: the corrupted
+// deliveries are stripped (never counted Delivered) and the round
+// retargets. The legacy arbiter retargets the primary; the lease
+// arbiter hands the lease off under a bumped fencing token. An accepted
+// round may be hedged, then settles its claims and feeds the deadline,
+// slow-replica and overload loops. Returns the frames physically
+// delivered.
+func (p *Pool) serveLocked(round int64, cur int, admitted []switchsim.Message, rr *RoundResult, rawThr int, vis, reach []bool) int {
 	tried := make(map[int]bool)
 	for {
-		r := p.replicas[p.active]
+		r := p.replicas[cur]
 		// The contract is captured before wire escalation, which may
 		// rebuild it mid-iteration: the round is judged against the
 		// contract it actually ran under (attemptLocked reroutes a
@@ -1179,108 +1229,63 @@ func (p *Pool) Run(msgs []switchsim.Message) (*RoundResult, error) {
 			}
 			p.sweepSlowLocked(round)
 			p.observeOverloadLocked(rawThr, rr.DeadlineMissed, false)
-			return rr, nil
+			return len(wres.Delivered)
 		}
 		p.noteViolation(r, round)
 		tried[r.id] = true
-		next := p.bestLocked(tried)
+		next := p.bestLocked(tried, vis, reach)
 		if next < 0 {
 			// Every servable replica violated: best effort, flagged.
 			rr.Violated = true
 			p.stats.Violations++
+			frames := 0
 			if err == nil {
 				rr.Result = res
 				rr.ServedBy = r.id
-				p.stats.Delivered += len(res.Delivered)
+				frames = len(res.Delivered)
+				p.bookAcksLocked(r.leaseToken, frames, rr)
 			}
 			p.observeOverloadLocked(rawThr, false, true)
-			return rr, nil
+			return frames
 		}
-		p.active = next
-		p.stats.Failovers++
+		if p.cfg.Lease.Rounds > 0 {
+			p.grantLocked(round, next, reach)
+		} else {
+			p.active = next
+			p.stats.Failovers++
+		}
 		p.stats.SameRoundFailovers++
 		rr.FailedOver = true
+		cur = next
 	}
 }
 
-// Route implements core.Concentrator: one pool round without payload
-// streaming. Shed and unrouted inputs map to −1.
+// Route implements core.Concentrator: one Run round of payload-free
+// messages, so it takes the same arbiter, failover, hedging and ledger
+// path as any other round. Shed and undelivered inputs map to −1.
 func (p *Pool) Route(valid *bitvec.Vector) ([]int, error) {
 	if valid.Len() != p.n {
 		return nil, fmt.Errorf("pool: valid vector has %d bits, want %d", valid.Len(), p.n)
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-
-	round := p.round
-	p.round++
-	p.stats.Rounds++
-	inputs := valid.Ones()
-	p.stats.Offered += len(inputs)
-	p.probeDue(round)
-	p.electLocked()
-
-	if !p.replicas[p.active].servable() {
-		_, shed := p.admit(inputs, 0, round)
-		p.stats.Shed += len(shed)
-		if len(inputs) > 0 {
-			p.stats.Violations++
-		}
-		out := make([]int, p.n)
-		for i := range out {
-			out[i] = -1
-		}
-		return out, nil
+	ones := valid.Ones()
+	msgs := make([]switchsim.Message, len(ones))
+	for i, in := range ones {
+		msgs[i].Input = in
 	}
-
-	rawThr := p.replicas[p.active].threshold()
-	thr := p.effectiveThresholdLocked(rawThr)
-	admittedInputs, shed := p.admit(inputs, thr, round)
-	p.stats.Admitted += len(admittedInputs)
-	p.stats.Shed += len(shed)
-	admitted := bitvec.New(p.n)
-	for _, in := range admittedInputs {
-		admitted.Set(in, true)
+	rr, err := p.Run(msgs)
+	if err != nil {
+		return nil, err
 	}
-
-	tried := make(map[int]bool)
-	for {
-		r := p.replicas[p.active]
-		c := r.contract()
-		out, err := c.Route(admitted)
-		if err == nil && nearsort.CheckPartialConcentration(admitted, out, c.Outputs(), c.EpsilonBound()) == nil {
-			r.consecViol = 0
-			if r.state == Suspect {
-				if r.degraded != nil {
-					r.state = Repaired
-				} else {
-					r.state = Healthy
-				}
-			}
-			r.roundsServed++
-			for _, o := range out {
-				if o >= 0 {
-					p.stats.Delivered++
-				}
-			}
-			p.observeOverloadLocked(rawThr, false, false)
-			return out, nil
-		}
-		p.noteViolation(r, round)
-		tried[r.id] = true
-		next := p.bestLocked(tried)
-		if next < 0 {
-			p.stats.Violations++
-			p.observeOverloadLocked(rawThr, false, true)
-			if err != nil {
-				return nil, err
-			}
-			return out, nil
-		}
-		p.active = next
-		p.stats.Failovers++
-		p.stats.SameRoundFailovers++
+	out := make([]int, p.n)
+	for i := range out {
+		out[i] = -1
 	}
+	if rr.Result != nil {
+		for _, d := range rr.Result.Delivered {
+			out[d.Input] = d.Output
+		}
+	}
+	return out, nil
 }
 
 // Name implements core.Concentrator.

@@ -101,7 +101,7 @@ func (p *Pool) hedgeLocked(primary *replica, tried map[int]bool, admitted []swit
 	for id := range tried {
 		skip[id] = true
 	}
-	si := p.bestLocked(skip)
+	si := p.bestLocked(skip, nil, nil)
 	if si < 0 {
 		return nil, nil, 0
 	}
