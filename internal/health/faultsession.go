@@ -89,11 +89,27 @@ type FaultSessionConfig struct {
 }
 
 // Validate rejects malformed configurations with an error instead of
-// silently clamping: the embedded SessionConfig checks (rounds, load,
+// silently clamping: the session layers a fault session does not run
+// (Deadline, Surge, CoDel, RetryBudget, Integrity — set, they would be
+// silently ignored), the embedded SessionConfig checks (rounds, load,
 // payload bits, ack delay), negative scan periods or backoff caps, and
 // scheduled faults that fall outside the session or name a chip the
 // switch does not have.
 func (cfg FaultSessionConfig) Validate(sw core.FaultInjectable) error {
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"Deadline", cfg.Deadline != 0},
+		{"Surge", cfg.Surge != nil},
+		{"CoDel", cfg.CoDel != nil},
+		{"RetryBudget", cfg.RetryBudget != nil},
+		{"Integrity", cfg.Integrity != nil},
+	} {
+		if f.set {
+			return fmt.Errorf("health: fault sessions do not run SessionConfig.%s; leave it unset", f.name)
+		}
+	}
 	if err := cfg.SessionConfig.Validate(); err != nil {
 		return err
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"concentrators/internal/core"
+	"concentrators/internal/overload"
 	"concentrators/internal/switchsim"
 )
 
@@ -84,6 +85,43 @@ func TestFaultSessionConfigValidate(t *testing.T) {
 				t.Errorf("RunFaultAwareSession accepted %+v", cfg)
 			}
 		})
+	}
+}
+
+// TestFaultSessionConfigRejectsIgnoredFields: RunFaultAwareSession
+// reads none of the deadline, surge, CoDel, retry-budget or integrity
+// session layers, so setting any of them is an error rather than a
+// session that silently runs without it.
+func TestFaultSessionConfigRejectsIgnoredFields(t *testing.T) {
+	sw := newColumnsort1024(t)
+	for _, tc := range []struct {
+		mutate func(*FaultSessionConfig)
+		want   string
+	}{
+		{func(c *FaultSessionConfig) { c.Deadline = 3 },
+			"health: fault sessions do not run SessionConfig.Deadline; leave it unset"},
+		{func(c *FaultSessionConfig) { c.Surge = overload.NewPlane(1) },
+			"health: fault sessions do not run SessionConfig.Surge; leave it unset"},
+		{func(c *FaultSessionConfig) { c.CoDel = &overload.CoDelConfig{Target: 2, Interval: 4} },
+			"health: fault sessions do not run SessionConfig.CoDel; leave it unset"},
+		{func(c *FaultSessionConfig) { c.RetryBudget = &overload.RetryConfig{Budget: 0.1} },
+			"health: fault sessions do not run SessionConfig.RetryBudget; leave it unset"},
+		{func(c *FaultSessionConfig) { c.Integrity = &switchsim.IntegrityConfig{} },
+			"health: fault sessions do not run SessionConfig.Integrity; leave it unset"},
+	} {
+		cfg := FaultSessionConfig{
+			SessionConfig: switchsim.SessionConfig{
+				Policy: switchsim.Resend, Load: 0.5, Rounds: 10, PayloadBits: 1, AckDelay: 1,
+			},
+			ScanEvery: 5,
+		}
+		tc.mutate(&cfg)
+		if err := cfg.Validate(sw); err == nil || err.Error() != tc.want {
+			t.Errorf("Validate: got %v, want %q", err, tc.want)
+		}
+		if _, err := RunFaultAwareSession(sw, cfg); err == nil || err.Error() != tc.want {
+			t.Errorf("RunFaultAwareSession: got %v, want %q", err, tc.want)
+		}
 	}
 }
 
