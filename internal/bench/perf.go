@@ -173,8 +173,9 @@ func routeKernelPerf(minTime time.Duration, out *[]PerfResult) error {
 }
 
 // sessionRoundPerf measures a steady-state bit-serial session round:
-// the reusable zero-alloc Runner against the allocating package-level
-// switchsim.Run.
+// the reusable zero-alloc Runner against the package-level
+// switchsim.Run, which runs one round of a fresh Runner — so the
+// session_legacy case times what buffer reuse saves.
 func sessionRoundPerf(minTime time.Duration, out *[]PerfResult) error {
 	rng := rand.New(rand.NewSource(72))
 	for _, n := range perfSizes {
