@@ -11,10 +11,10 @@
 //	concbench -bench -baseline BENCH_10.json   # exit 2 on regression
 //
 // Experiment ids follow the per-experiment index in DESIGN.md. The
-// perf suite measures the word-parallel route kernel vs the legacy
-// tracker, the zero-alloc session round, and sequential vs parallel
-// pool dispatch; -baseline gates ns/op within +20% of the committed
-// baseline and forbids allocs/op growth.
+// perf suite measures the word-parallel route kernel, healthy and with
+// a one-chip fault plane installed, the zero-alloc session round, and
+// sequential vs parallel pool dispatch; -baseline gates ns/op within
+// +20% of the committed baseline and forbids allocs/op growth.
 package main
 
 import (

@@ -1,12 +1,12 @@
 package bench
 
 // The perf suite: machine-readable micro-benchmarks of the data-plane
-// hot paths — the word-parallel route kernel against its legacy per-bit
-// tracker, the zero-alloc session round against the allocating one, and
-// the pool's failover round under sequential vs speculative parallel
-// replica dispatch. cmd/concbench serializes a PerfReport to JSON
-// (BENCH_10.json) and ComparePerf gates CI on regressions against a
-// committed baseline.
+// hot paths — the word-parallel route kernel, healthy and with a
+// one-chip fault plane installed, the zero-alloc session round against
+// the allocating one, and the pool's failover round under sequential vs
+// speculative parallel replica dispatch. cmd/concbench serializes a
+// PerfReport to JSON (BENCH_10.json) and ComparePerf gates CI on
+// regressions against a committed baseline.
 
 import (
 	"encoding/json"
@@ -141,8 +141,11 @@ func routeCases(n int) (map[string]core.RouterInto, error) {
 	}, nil
 }
 
-// routeKernelPerf measures RouteInto (word kernel) against TrackerRoute
-// (legacy per-bit pipeline) for every switch family and width.
+// routeKernelPerf measures RouteInto (word kernel) for every switch
+// family and width, and — as route_plane — the two partial
+// concentrators with a one-chip fault plane installed: a pass-through
+// stage-1 chip, the bypass a degraded replica routes through every
+// round.
 func routeKernelPerf(minTime time.Duration, out *[]PerfResult) error {
 	rng := rand.New(rand.NewSource(71))
 	for _, n := range perfSizes {
@@ -150,23 +153,32 @@ func routeKernelPerf(minTime time.Duration, out *[]PerfResult) error {
 		if err != nil {
 			return err
 		}
+		faulted, err := routeCases(n)
+		if err != nil {
+			return err
+		}
 		v := randomValidPerf(rng, n, 0.6)
 		dst := make([]int, n)
-		for _, key := range []string{"revsort", "columnsort", "full_revsort", "full_columnsort"} {
-			sw := cases[key]
-			*out = append(*out, measure(fmt.Sprintf("route_kernel/%s/%d", key, n), n, minTime, func() {
+		route := func(sw core.RouterInto) func() {
+			return func() {
 				if err := sw.RouteInto(dst, v); err != nil {
 					panic(err)
 				}
 				perfSink += dst[0]
-			}))
-			*out = append(*out, measure(fmt.Sprintf("route_legacy/%s/%d", key, n), n, minTime, func() {
-				o, err := core.TrackerRoute(sw, v)
-				if err != nil {
-					panic(err)
-				}
-				perfSink += o[0]
-			}))
+			}
+		}
+		for _, key := range []string{"revsort", "columnsort", "full_revsort", "full_columnsort"} {
+			*out = append(*out, measure(fmt.Sprintf("route_kernel/%s/%d", key, n), n, minTime, route(cases[key])))
+			fi, ok := faulted[key].(core.FaultInjectable)
+			if !ok {
+				continue
+			}
+			plane := core.NewFaultPlane()
+			plane.Add(core.ChipFault{Stage: 0, Chip: 1, Mode: core.ChipPassThrough})
+			if err := fi.SetFaultPlane(plane); err != nil {
+				return err
+			}
+			*out = append(*out, measure(fmt.Sprintf("route_plane/%s/%d", key, n), n, minTime, route(faulted[key])))
 		}
 	}
 	return nil
@@ -275,7 +287,8 @@ func RunPerfSuite(minTime time.Duration) (*PerfReport, error) {
 }
 
 // WritePerf renders the report: a human table to w with the
-// kernel-vs-legacy and parallel-vs-sequential ratios called out.
+// faulted-vs-healthy route, session reuse and parallel-vs-sequential
+// ratios called out.
 func WritePerf(w io.Writer, rep *PerfReport) {
 	fmt.Fprintf(w, "perf suite (GOMAXPROCS=%d)\n", rep.GoMaxProcs)
 	fmt.Fprintf(w, "%-36s %14s %14s %12s\n", "case", "ns/op", "B/op", "allocs/op")
@@ -288,8 +301,8 @@ func WritePerf(w io.Writer, rep *PerfReport) {
 	for _, r := range rep.Results {
 		var base string
 		switch {
-		case len(r.Name) > len("route_kernel/") && r.Name[:len("route_kernel/")] == "route_kernel/":
-			base = "route_legacy/" + r.Name[len("route_kernel/"):]
+		case strings.HasPrefix(r.Name, "route_plane/"):
+			base = "route_kernel/" + strings.TrimPrefix(r.Name, "route_plane/")
 		case len(r.Name) > len("session_round/") && r.Name[:len("session_round/")] == "session_round/":
 			base = "session_legacy/" + r.Name[len("session_round/"):]
 		case len(r.Name) > len("pool_round_par/") && r.Name[:len("pool_round_par/")] == "pool_round_par/":

@@ -236,9 +236,11 @@ func (s *Crossbar) DataPinsPerChip() int { return s.n + s.m }
 // in row-major order.
 type RevsortSwitch struct {
 	n, m, side int
-	// plane holds the live chip faults injected into the switch (nil
-	// when healthy); see faultplane.go.
-	plane *FaultPlane
+	// stages describes the chip stages (StageChips); plane holds the
+	// live chip faults injected into the switch (nil when healthy).
+	// See faultplane.go.
+	stages []StageInfo
+	plane  *FaultPlane
 	// scratch pools the word-parallel kernel state (kernel.go).
 	scratch routeScratch
 }
@@ -253,7 +255,12 @@ func NewRevsortSwitch(n, m int) (*RevsortSwitch, error) {
 	if !ok || !isPow2(side) {
 		return nil, fmt.Errorf("core: Revsort switch requires n a perfect square with power-of-two side, got n=%d", n)
 	}
-	return &RevsortSwitch{n: n, m: m, side: side}, nil
+	return &RevsortSwitch{n: n, m: m, side: side, stages: []StageInfo{
+		{Name: "stage1 column chips", Chips: side, Ports: side, ChipsAreColumns: true},
+		{Name: "stage2 row chips", Chips: side, Ports: side, ChipsAreColumns: false},
+		{Name: "stage2 barrel shifters", Chips: side, Ports: side, ChipsAreColumns: false},
+		{Name: "stage3 column chips", Chips: side, Ports: side, ChipsAreColumns: true},
+	}}, nil
 }
 
 // Name implements Concentrator.
@@ -276,24 +283,6 @@ func (s *RevsortSwitch) Route(valid *bitvec.Vector) ([]int, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// routeTracker is the legacy per-bit tracker pipeline, retained as the
-// reference implementation for the kernel's equivalence tests.
-func (s *RevsortSwitch) routeTracker(valid *bitvec.Vector) ([]int, error) {
-	if err := checkValid(valid, s.n); err != nil {
-		return nil, err
-	}
-	t := newTracker(s.side, s.side)
-	t.loadRowMajor(valid.Get, s.n)
-	q := ceilLg(s.side)
-	t.sortColumnsStable() // stage 1 chips
-	t.sortRowsStable()    // stage 2 chips
-	for i := 0; i < s.side; i++ {
-		t.rotateRowRight(i, mesh.Rev(i, q)) // stage 2 barrel shifters (hardwired)
-	}
-	t.sortColumnsStable() // stage 3 chips
-	return t.outRowMajor(s.n, s.m), nil
 }
 
 // EpsilonBound implements Concentrator: Theorem 3's
@@ -344,9 +333,11 @@ func (s *RevsortSwitch) DataPinsPerChip() int {
 // outputs are the first m matrix positions in row-major order.
 type ColumnsortSwitch struct {
 	n, m, r, s int
-	// plane holds the live chip faults injected into the switch (nil
-	// when healthy); see faultplane.go.
-	plane *FaultPlane
+	// stages describes the chip stages (StageChips); plane holds the
+	// live chip faults injected into the switch (nil when healthy).
+	// See faultplane.go.
+	stages []StageInfo
+	plane  *FaultPlane
 	// scratch pools the word-parallel kernel state (kernel.go).
 	scratch routeScratch
 }
@@ -360,7 +351,10 @@ func NewColumnsortSwitch(r, s, m int) (*ColumnsortSwitch, error) {
 	if err := checkDims(n, m); err != nil {
 		return nil, err
 	}
-	return &ColumnsortSwitch{n: n, m: m, r: r, s: s}, nil
+	return &ColumnsortSwitch{n: n, m: m, r: r, s: s, stages: []StageInfo{
+		{Name: "stage1 column chips", Chips: s, Ports: r, ChipsAreColumns: true},
+		{Name: "stage2 column chips", Chips: s, Ports: r, ChipsAreColumns: true},
+	}}, nil
 }
 
 // NewColumnsortSwitchBeta builds the switch with the β parameterization
@@ -417,20 +411,6 @@ func (c *ColumnsortSwitch) Route(valid *bitvec.Vector) ([]int, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// routeTracker is the legacy per-bit tracker pipeline, retained as the
-// reference implementation for the kernel's equivalence tests.
-func (c *ColumnsortSwitch) routeTracker(valid *bitvec.Vector) ([]int, error) {
-	if err := checkValid(valid, c.n); err != nil {
-		return nil, err
-	}
-	t := newTracker(c.r, c.s)
-	t.loadRowMajor(valid.Get, c.n)
-	t.sortColumnsStable() // stage 1 chips
-	t.reshapeCMtoRM()     // interstage wiring (RM⁻¹ ∘ CM)
-	t.sortColumnsStable() // stage 2 chips
-	return t.outRowMajor(c.n, c.m), nil
 }
 
 // EpsilonBound implements Concentrator: Theorem 4's ε = (s−1)².

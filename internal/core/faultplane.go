@@ -5,9 +5,11 @@ package core
 // thousands of small hyperconcentrator chips (Table 1); this file makes
 // per-chip failure a first-class, addressable event: a ChipFault names
 // (stage, chip, failure mode) and a FaultPlane carries the set of live
-// faults through the switch's Route path. The chip boundaries are the
-// per-stage column/row sorts of the tracker — exactly the physical chip
-// partitioning of Figures 3 and 6.
+// faults through the switch's Route path. A chip serves one column or
+// row of the wire matrix (Figures 3 and 6), so a failed chip changes
+// only its own line: the word kernel (kernel.go) runs every route, and
+// after each stage it fixes up the positions on the faulty chips' lines
+// (pass-through, dead, stuck-output phantom, swapped pair).
 //
 // The fault-aware path is also the substrate of the health plane
 // (internal/health): TraceWithPlane exposes the wire matrix after every
@@ -20,7 +22,6 @@ import (
 	"sort"
 
 	"concentrators/internal/bitvec"
-	"concentrators/internal/mesh"
 )
 
 // ChipFaultMode selects the failure mode of one chip in a multichip
@@ -209,147 +210,36 @@ func ValidateFaultPlane(sw FaultInjectable, p *FaultPlane) error {
 	}
 	stages := sw.StageChips()
 	for _, f := range p.Faults() {
-		if f.Stage < 0 || f.Stage >= len(stages) {
-			return fmt.Errorf("core: fault %v: switch has %d stages", f, len(stages))
-		}
-		st := stages[f.Stage]
-		if f.Chip < 0 || f.Chip >= st.Chips {
-			return fmt.Errorf("core: fault %v: stage %q has %d chips", f, st.Name, st.Chips)
-		}
-		switch f.Mode {
-		case ChipStuckOutput:
-			if f.A < 0 || f.A >= st.Ports {
-				return fmt.Errorf("core: fault %v: stage %q chips have %d ports", f, st.Name, st.Ports)
-			}
-		case ChipSwappedPair:
-			if f.A < 0 || f.A >= st.Ports || f.B < 0 || f.B >= st.Ports || f.A == f.B {
-				return fmt.Errorf("core: fault %v: ports must be distinct and within %d", f, st.Ports)
-			}
-		case ChipDead, ChipPassThrough:
-		default:
-			return fmt.Errorf("core: fault %v: unknown mode", f)
+		if err := checkFault(f, stages); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// ---------------------------------------------------------------------------
-// Fault-aware tracker stage operations. Chips are independent: a fault
-// on chip c touches only its own column (or row) of the wire matrix.
-
-// sortColumnsWithFaults runs a stage of column-assigned chips with the
-// stage's faults applied.
-func (t *tracker) sortColumnsWithFaults(p *FaultPlane, stage int) {
-	for j := 0; j < t.cols; j++ {
-		f, ok := p.Get(stage, j)
-		if !ok {
-			t.sortColumnStable(j)
-			continue
-		}
-		switch f.Mode {
-		case ChipPassThrough:
-			// Control logic dead, pass transistors straight through.
-		case ChipDead:
-			for i := 0; i < t.rows; i++ {
-				t.set(i, j, cellEmpty)
-			}
-		case ChipStuckOutput:
-			t.sortColumnStable(j)
-			t.set(f.A, j, cellPhantom)
-		case ChipSwappedPair:
-			t.sortColumnStable(j)
-			a, b := t.at(f.A, j), t.at(f.B, j)
-			t.set(f.A, j, b)
-			t.set(f.B, j, a)
-		}
+// checkFault checks one fault's address, mode and ports against stages.
+func checkFault(f ChipFault, stages []StageInfo) error {
+	if f.Stage < 0 || f.Stage >= len(stages) {
+		return fmt.Errorf("core: fault %v: switch has %d stages", f, len(stages))
 	}
-}
-
-// sortRowsWithFaults runs a stage of row-assigned chips with the
-// stage's faults applied.
-func (t *tracker) sortRowsWithFaults(p *FaultPlane, stage int) {
-	for i := 0; i < t.rows; i++ {
-		f, ok := p.Get(stage, i)
-		if !ok {
-			t.sortRowStable(i, true)
-			continue
-		}
-		switch f.Mode {
-		case ChipPassThrough:
-		case ChipDead:
-			for j := 0; j < t.cols; j++ {
-				t.set(i, j, cellEmpty)
-			}
-		case ChipStuckOutput:
-			t.sortRowStable(i, true)
-			t.set(i, f.A, cellPhantom)
-		case ChipSwappedPair:
-			t.sortRowStable(i, true)
-			a, b := t.at(i, f.A), t.at(i, f.B)
-			t.set(i, f.A, b)
-			t.set(i, f.B, a)
-		}
+	st := stages[f.Stage]
+	if f.Chip < 0 || f.Chip >= st.Chips {
+		return fmt.Errorf("core: fault %v: stage %q has %d chips", f, st.Name, st.Chips)
 	}
-}
-
-// rotateRowsWithFaults runs the Revsort stage-2 barrel shifters (row i
-// rotates right by rev(i)) with the stage's faults applied.
-func (t *tracker) rotateRowsWithFaults(p *FaultPlane, stage, q int) {
-	for i := 0; i < t.rows; i++ {
-		f, ok := p.Get(stage, i)
-		if !ok {
-			t.rotateRowRight(i, mesh.Rev(i, q))
-			continue
+	switch f.Mode {
+	case ChipStuckOutput:
+		if f.A < 0 || f.A >= st.Ports {
+			return fmt.Errorf("core: fault %v: stage %q chips have %d ports", f, st.Name, st.Ports)
 		}
-		switch f.Mode {
-		case ChipPassThrough:
-			// A shifter with dead control rotates by nothing.
-		case ChipDead:
-			for j := 0; j < t.cols; j++ {
-				t.set(i, j, cellEmpty)
-			}
-		case ChipStuckOutput:
-			t.rotateRowRight(i, mesh.Rev(i, q))
-			t.set(i, f.A, cellPhantom)
-		case ChipSwappedPair:
-			t.rotateRowRight(i, mesh.Rev(i, q))
-			a, b := t.at(i, f.A), t.at(i, f.B)
-			t.set(i, f.A, b)
-			t.set(i, f.B, a)
+	case ChipSwappedPair:
+		if f.A < 0 || f.A >= st.Ports || f.B < 0 || f.B >= st.Ports || f.A == f.B {
+			return fmt.Errorf("core: fault %v: ports must be distinct and within %d", f, st.Ports)
 		}
+	case ChipDead, ChipPassThrough:
+	default:
+		return fmt.Errorf("core: fault %v: unknown mode", f)
 	}
-}
-
-// phantomOutputs lists the row-major positions < m occupied by phantom
-// (stuck-at-1) cells after the final stage.
-func (t *tracker) phantomOutputs(m int) []int {
-	var out []int
-	for x, v := range t.cell {
-		if v == cellPhantom && x < m {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-// attributePhantoms surfaces phantom-occupied output wires through the
-// out mapping so the concentration oracles can flag the fault: each
-// phantom output is attributed to an invalid input, which
-// CheckPartialConcentration rejects as "invalid input was routed".
-// When every input is valid no attribution is possible; the message the
-// phantom destroyed still surfaces as an unexplained drop.
-func attributePhantoms(valid *bitvec.Vector, out []int, phantoms []int) {
-	next := 0
-	for _, p := range phantoms {
-		for next < valid.Len() && (valid.Get(next) || out[next] != -1) {
-			next++
-		}
-		if next == valid.Len() {
-			return
-		}
-		out[next] = p
-		next++
-	}
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -366,12 +256,7 @@ const (
 // StageChips implements FaultInjectable: 3√n hyperconcentrator chips in
 // stages 1–3 plus the √n hardwired barrel shifters of stage 2.
 func (s *RevsortSwitch) StageChips() []StageInfo {
-	return []StageInfo{
-		{Name: "stage1 column chips", Chips: s.side, Ports: s.side, ChipsAreColumns: true},
-		{Name: "stage2 row chips", Chips: s.side, Ports: s.side, ChipsAreColumns: false},
-		{Name: "stage2 barrel shifters", Chips: s.side, Ports: s.side, ChipsAreColumns: false},
-		{Name: "stage3 column chips", Chips: s.side, Ports: s.side, ChipsAreColumns: true},
-	}
+	return append([]StageInfo(nil), s.stages...)
 }
 
 // SetFaultPlane implements FaultInjectable.
@@ -391,12 +276,10 @@ func (s *RevsortSwitch) RouteWithPlane(valid *bitvec.Vector, p *FaultPlane) ([]i
 	if err := checkValid(valid, s.n); err != nil {
 		return nil, err
 	}
-	t, err := s.runStages(valid, p, nil)
-	if err != nil {
+	out := make([]int, s.n)
+	if err := s.route(out, valid, p, nil); err != nil {
 		return nil, err
 	}
-	out := t.outRowMajor(s.n, s.m)
-	attributePhantoms(valid, out, t.phantomOutputs(s.m))
 	return out, nil
 }
 
@@ -406,59 +289,33 @@ func (s *RevsortSwitch) TraceWithPlane(valid *bitvec.Vector, p *FaultPlane) ([]S
 		return nil, nil, err
 	}
 	var snaps []Snapshot
-	t, err := s.runStages(valid, p, &snaps)
-	if err != nil {
+	out := make([]int, s.n)
+	if err := s.route(out, valid, p, &snaps); err != nil {
 		return nil, nil, err
 	}
-	out := t.outRowMajor(s.n, s.m)
-	attributePhantoms(valid, out, t.phantomOutputs(s.m))
 	return snaps, out, nil
-}
-
-// runStages walks the three chip stages and the shifters, applying p
-// and capturing snapshots when snaps is non-nil.
-func (s *RevsortSwitch) runStages(valid *bitvec.Vector, p *FaultPlane, snaps *[]Snapshot) (*tracker, error) {
-	t := newTracker(s.side, s.side)
-	t.loadRowMajor(valid.Get, s.n)
-	capture := func(label string) {
-		if snaps != nil {
-			*snaps = append(*snaps, t.snapshot(label))
-		}
-	}
-	capture("inputs (row-major matrix)")
-	q := ceilLg(s.side)
-	t.sortColumnsWithFaults(p, RevsortStage1Columns)
-	capture("after stage 1 (column chips)")
-	t.sortRowsWithFaults(p, RevsortStage2Rows)
-	capture("after stage 2 chips (row sort)")
-	t.rotateRowsWithFaults(p, RevsortStage2Shifter, q)
-	capture("after rev(i) barrel shifters")
-	t.sortColumnsWithFaults(p, RevsortStage3Columns)
-	capture("after stage 3 (column chips)")
-	return t, nil
 }
 
 // GoldenStage implements FaultInjectable: the fault-free transform of
 // each Revsort stage.
 func (s *RevsortSwitch) GoldenStage(stage int, prev Snapshot) (Snapshot, error) {
-	t, err := trackerFromSnapshot(prev, s.side, s.side)
-	if err != nil {
+	if err := checkSnapshot(prev, s.side, s.side); err != nil {
 		return Snapshot{}, err
 	}
+	ks := s.scratch.get(s.side, s.side, 0)
+	defer s.scratch.put(ks)
+	ks.loadSnapshot(prev)
 	switch stage {
 	case RevsortStage1Columns, RevsortStage3Columns:
-		t.sortColumnsStable()
+		ks.colSort()
 	case RevsortStage2Rows:
-		t.sortRowsStable()
+		ks.rowSort(false)
 	case RevsortStage2Shifter:
-		q := ceilLg(s.side)
-		for i := 0; i < s.side; i++ {
-			t.rotateRowRight(i, mesh.Rev(i, q))
-		}
+		ks.rotateRev(ceilLg(s.side))
 	default:
 		return Snapshot{}, fmt.Errorf("core: revsort has no stage %d", stage)
 	}
-	return t.snapshot(fmt.Sprintf("golden after stage %d", stage)), nil
+	return ks.snapshot(fmt.Sprintf("golden after stage %d", stage), prev.Cell), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -473,10 +330,7 @@ const (
 // StageChips implements FaultInjectable: two stages of s chips of
 // r-by-r each; the interstage CM→RM wiring is passive (not a stage).
 func (c *ColumnsortSwitch) StageChips() []StageInfo {
-	return []StageInfo{
-		{Name: "stage1 column chips", Chips: c.s, Ports: c.r, ChipsAreColumns: true},
-		{Name: "stage2 column chips", Chips: c.s, Ports: c.r, ChipsAreColumns: true},
-	}
+	return append([]StageInfo(nil), c.stages...)
 }
 
 // SetFaultPlane implements FaultInjectable.
@@ -496,9 +350,10 @@ func (c *ColumnsortSwitch) RouteWithPlane(valid *bitvec.Vector, p *FaultPlane) (
 	if err := checkValid(valid, c.n); err != nil {
 		return nil, err
 	}
-	t := c.runStages(valid, p, nil)
-	out := t.outRowMajor(c.n, c.m)
-	attributePhantoms(valid, out, t.phantomOutputs(c.m))
+	out := make([]int, c.n)
+	if err := c.route(out, valid, p, nil, false); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 
@@ -508,53 +363,40 @@ func (c *ColumnsortSwitch) TraceWithPlane(valid *bitvec.Vector, p *FaultPlane) (
 		return nil, nil, err
 	}
 	var snaps []Snapshot
-	t := c.runStages(valid, p, &snaps)
-	out := t.outRowMajor(c.n, c.m)
-	attributePhantoms(valid, out, t.phantomOutputs(c.m))
-	return snaps, out, nil
-}
-
-func (c *ColumnsortSwitch) runStages(valid *bitvec.Vector, p *FaultPlane, snaps *[]Snapshot) *tracker {
-	t := newTracker(c.r, c.s)
-	t.loadRowMajor(valid.Get, c.n)
-	capture := func(label string) {
-		if snaps != nil {
-			*snaps = append(*snaps, t.snapshot(label))
-		}
+	out := make([]int, c.n)
+	if err := c.route(out, valid, p, &snaps, false); err != nil {
+		return nil, nil, err
 	}
-	capture("inputs (row-major matrix)")
-	t.sortColumnsWithFaults(p, ColumnsortStage1)
-	capture("after stage 1 (column chips)")
-	t.reshapeCMtoRM() // passive interstage wiring: assumed fault-free
-	t.sortColumnsWithFaults(p, ColumnsortStage2)
-	capture("after stage 2 (column chips)")
-	return t
+	return snaps, out, nil
 }
 
 // GoldenStage implements FaultInjectable. Stage 2's golden transform
 // includes the passive CM→RM interstage wiring on its input side.
 func (c *ColumnsortSwitch) GoldenStage(stage int, prev Snapshot) (Snapshot, error) {
-	t, err := trackerFromSnapshot(prev, c.r, c.s)
-	if err != nil {
+	if err := checkSnapshot(prev, c.r, c.s); err != nil {
 		return Snapshot{}, err
 	}
+	ks := c.scratch.get(c.r, c.s, 0)
+	defer c.scratch.put(ks)
+	ks.loadSnapshot(prev)
 	switch stage {
 	case ColumnsortStage1:
-		t.sortColumnsStable()
+		ks.colSort()
 	case ColumnsortStage2:
-		t.reshapeCMtoRM()
-		t.sortColumnsStable()
+		ks.reshapeCMtoRM()
+		ks.colSort()
 	default:
 		return Snapshot{}, fmt.Errorf("core: columnsort has no stage %d", stage)
 	}
-	return t.snapshot(fmt.Sprintf("golden after stage %d", stage)), nil
+	return ks.snapshot(fmt.Sprintf("golden after stage %d", stage), prev.Cell), nil
 }
 
-// trackerFromSnapshot rebuilds a tracker from a traced snapshot.
-func trackerFromSnapshot(s Snapshot, rows, cols int) (*tracker, error) {
+// checkSnapshot rejects a snapshot whose shape is not the switch's
+// rows×cols wire matrix.
+func checkSnapshot(s Snapshot, rows, cols int) error {
 	if s.Rows != rows || s.Cols != cols || len(s.Cell) != rows*cols {
-		return nil, fmt.Errorf("core: snapshot is %d×%d (%d cells), switch matrix is %d×%d",
+		return fmt.Errorf("core: snapshot is %d×%d (%d cells), switch matrix is %d×%d",
 			s.Rows, s.Cols, len(s.Cell), rows, cols)
 	}
-	return &tracker{rows: rows, cols: cols, cell: append([]int(nil), s.Cell...)}, nil
+	return nil
 }

@@ -58,71 +58,6 @@ func (s *FullRevsortHyper) Route(valid *bitvec.Vector) ([]int, error) {
 	return out, nil
 }
 
-// routeTracker is the legacy per-bit tracker pipeline, retained as the
-// reference implementation for the kernel's equivalence tests.
-func (s *FullRevsortHyper) routeTracker(valid *bitvec.Vector) ([]int, error) {
-	if err := checkValid(valid, s.n); err != nil {
-		return nil, err
-	}
-	t := newTracker(s.side, s.side)
-	t.loadRowMajor(valid.Get, s.n)
-	q := ceilLg(s.side)
-	stages := 0
-	phases := mesh.RevsortPhaseCount(s.side)
-	for p := 0; p < phases; p++ {
-		t.sortColumnsStable()
-		t.sortRowsStable()
-		for i := 0; i < s.side; i++ {
-			t.rotateRowRight(i, mesh.Rev(i, q))
-		}
-		stages += 2
-	}
-	t.sortColumnsStable()
-	stages++
-	for iter := 0; iter < s.side+3 && !s.snakeSorted(t); iter++ {
-		t.sortRowsSnake()
-		t.sortColumnsStable()
-		stages += 2
-	}
-	t.sortRowsStable()
-	stages++
-	s.lastStages = stages
-	out := t.outRowMajor(s.n, s.m)
-	// Hyperconcentrator postcondition: the valid bits are fully sorted.
-	if !s.sortedPrefix(t, valid.Count()) {
-		return nil, fmt.Errorf("core: full Revsort did not fully sort (internal error)")
-	}
-	return out, nil
-}
-
-func (s *FullRevsortHyper) snakeSorted(t *tracker) bool {
-	prev := true
-	for i := 0; i < t.rows; i++ {
-		for jj := 0; jj < t.cols; jj++ {
-			j := jj
-			if i%2 == 1 {
-				j = t.cols - 1 - jj
-			}
-			b := t.validAt(i, j)
-			if b && !prev {
-				return false
-			}
-			prev = b
-		}
-	}
-	return true
-}
-
-func (s *FullRevsortHyper) sortedPrefix(t *tracker, k int) bool {
-	for x := 0; x < s.n; x++ {
-		i, j := x/s.side, x%s.side
-		if t.validAt(i, j) != (x < k) {
-			return false
-		}
-	}
-	return true
-}
-
 // StagesLastRoute returns the number of chip stages the previous Route
 // call actually used (for comparison with ChipsTraversed's worst-case
 // formula).
@@ -208,69 +143,6 @@ func (c *FullColumnsortHyper) Route(valid *bitvec.Vector) ([]int, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// routeTracker is the legacy per-bit tracker pipeline, retained as the
-// reference implementation for the kernel's equivalence tests.
-func (c *FullColumnsortHyper) routeTracker(valid *bitvec.Vector) ([]int, error) {
-	if err := checkValid(valid, c.n); err != nil {
-		return nil, err
-	}
-	r, s := c.r, c.s
-	t := newTracker(r, s)
-	t.loadRowMajor(valid.Get, c.n)
-	// Steps 1–5.
-	t.sortColumnsStable()
-	t.reshapeCMtoRM()
-	t.sortColumnsStable()
-	t.reshapeRMtoCM()
-	t.sortColumnsStable()
-	// Steps 6–8: the shift stage. The padded mesh is r×(s+1); the
-	// front pad is r/2 hardwired always-valid dummy inputs occupying
-	// the lowest-numbered ports of the first padded column, the back
-	// pad is r/2 grounded (invalid) inputs. Because the
-	// hyperconcentrator chips are stable and the dummies sit on the
-	// lowest ports, the dummies exit on the first r/2 outputs of the
-	// first column and the unshift wiring drops exactly them.
-	h := r / 2
-	pt := newTracker(r, s+1)
-	for u := 0; u < r*(s+1); u++ {
-		var v int
-		switch {
-		case u < h:
-			v = cellPadOne
-		case u < h+c.n:
-			dt := u - h // data column-major index
-			i, j := dt%r, dt/r
-			v = t.at(i, j)
-		default:
-			v = cellEmpty
-		}
-		i, j := u%r, u/r
-		pt.set(i, j, v)
-	}
-	pt.sortColumnsStable() // step 7
-	// Step 8: unshift, dropping the pads.
-	for dt := 0; dt < c.n; dt++ {
-		u := h + dt
-		pi, pj := u%r, u/r
-		i, j := dt%r, dt/r
-		t.set(i, j, pt.at(pi, pj))
-	}
-	// Internal check: no dummy survived the unshift and the valid bits
-	// are fully sorted column-major.
-	k := valid.Count()
-	for x := 0; x < c.n; x++ {
-		i, j := x%r, x/r
-		v := t.at(i, j)
-		if v == cellPadOne {
-			return nil, fmt.Errorf("core: full Columnsort leaked a pad dummy (internal error)")
-		}
-		if (v >= 0) != (x < k) {
-			return nil, fmt.Errorf("core: full Columnsort did not fully sort (internal error)")
-		}
-	}
-	return t.outColMajor(c.n, c.m), nil
 }
 
 // EpsilonBound implements Concentrator: full sorting, ε = 0.

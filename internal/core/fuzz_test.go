@@ -80,3 +80,68 @@ func FuzzRevsortRoute(f *testing.F) {
 		}
 	})
 }
+
+// FuzzFaultPlaneRoute checks the kernel's chip-fault fixups against the
+// tracker reference on Revsort n=16 and Columnsort 8×4: the first four
+// bytes are the valid bits, each following group of five bytes one
+// fault (mode, stage, chip, ports A and B, reduced into range), up to
+// three faults. RouteWithPlane and TraceWithPlane must equal the
+// tracker's.
+func FuzzFaultPlaneRoute(f *testing.F) {
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 2, 3, 1, 0, 0})
+	f.Add([]byte{0x5A, 0x0F, 0x33, 0x81, 1, 0, 2, 7, 3, 0, 1, 0, 0, 0, 3, 2, 1, 0, 0})
+	f.Add([]byte{0x12, 0x34, 0x56, 0x78, 2, 1, 0, 0, 9, 2, 0, 3, 5, 2})
+	rev, err := NewRevsortSwitch(16, 10)
+	if err != nil {
+		f.Fatal(err)
+	}
+	col, err := NewColumnsortSwitch(8, 4, 18)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if len(raw) < 4 {
+			return
+		}
+		for _, sw := range []trackedSwitch{rev, col} {
+			n := sw.Inputs()
+			v := bitvec.New(n)
+			for i := 0; i < n; i++ {
+				v.Set(i, raw[i/8%4]&(1<<uint(i%8)) != 0)
+			}
+			stages := sw.StageChips()
+			p := NewFaultPlane()
+			for rest := raw[4:]; len(rest) >= 5 && p.Len() < 3; rest = rest[5:] {
+				si := int(rest[1]) % len(stages)
+				st := stages[si]
+				a := int(rest[3]) % st.Ports
+				p.Add(ChipFault{
+					Stage: si,
+					Chip:  int(rest[2]) % st.Chips,
+					Mode:  ChipFaultMode(rest[0] % 4),
+					A:     a,
+					B:     (a + 1 + int(rest[4])%(st.Ports-1)) % st.Ports,
+				})
+			}
+			want, err := sw.trackerRouteWithPlane(v, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := sw.RouteWithPlane(v, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameRoute(t, sw.Name()+" RouteWithPlane", got, want)
+			wantSnaps, want, err := sw.trackerTraceWithPlane(v, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotSnaps, got, err := sw.TraceWithPlane(v, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameRoute(t, sw.Name()+" TraceWithPlane", got, want)
+			requireSameSnapshots(t, sw.Name()+" TraceWithPlane", gotSnaps, wantSnaps)
+		}
+	})
+}

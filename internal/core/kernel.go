@@ -1,23 +1,36 @@
 package core
 
-// kernel.go is the word-parallel routing kernel. The legacy tracker
-// (tracker.go) simulates a stage by scanning every matrix cell one at a
-// time and allocating per stage; the kernel instead tracks only the k
-// live messages' coordinates and reconstructs each stage's 0/1 matrix
-// as packed words (mesh.BitMatrix). A hyperconcentrator stage then
-// costs one word-parallel plane rebuild plus a TrailingZeros64 sweep
-// that hands out ranks in port order — O(n/64 + k) per stage instead of
-// O(n) cell scans — and the whole Route path performs zero heap
-// allocations in steady state (scratch is pooled per switch).
+// kernel.go is the word-parallel routing kernel, the one route pipeline
+// of the multichip switches. Instead of scanning every matrix cell, it
+// tracks only the k live entries' coordinates and reconstructs each
+// stage's 0/1 matrix as packed words (mesh.BitMatrix). A
+// hyperconcentrator stage then costs one word-parallel plane rebuild
+// plus a TrailingZeros64 sweep that hands out ranks in port order —
+// O(n/64 + k) per stage instead of O(n) cell scans — and the whole
+// Route path performs zero heap allocations in steady state (scratch
+// is pooled per switch).
+//
+// Chip faults ride the same pipeline. A chip serves one line (column or
+// row) of the wire matrix, so after each stage the kernel fixes up the
+// positions on the faulty chips' lines (fix): a pass-through chip
+// restores the line's pre-stage positions, a dead chip drops the line's
+// entries, a stuck output turns the entry on its port into a phantom
+// (id CellPhantom) or adds one there, and a swapped pair exchanges the
+// entries on its two ports. Phantoms are routed like messages and, at
+// the outputs, attributed to invalid inputs (attributePhantoms). Every
+// entry point — RouteInto, RouteWithPlane, TraceWithPlane (snapshots
+// from the entries), GoldenStage (entries loaded from a snapshot) and
+// Trace — runs on this kernel; a nil or empty plane adds no work.
 //
 // Scratch-buffer ownership rules (see DESIGN.md §14): a kscratch is
-// owned by exactly one Route call between get and put; switches hand
+// owned by exactly one route call between get and put; switches hand
 // them out through a sync.Pool so concurrent Route calls on one switch
 // remain safe; dst is caller-owned and only written.
 
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"concentrators/internal/bitvec"
@@ -26,8 +39,8 @@ import (
 
 // RouterInto is implemented by every switch in this package: RouteInto
 // is Route writing into a caller-owned dst of length Inputs(),
-// performing no heap allocations in steady state (healthy switch, no
-// fault plane).
+// performing no heap allocations in steady state, with or without a
+// fault plane installed.
 type RouterInto interface {
 	Concentrator
 	RouteInto(dst []int, valid *bitvec.Vector) error
@@ -40,25 +53,16 @@ func checkDst(dst []int, n int) error {
 	return nil
 }
 
-// copyRouting copies a fault-plane route into dst (the plane path keeps
-// the allocating tracker pipeline; only the healthy path is hot).
-func copyRouting(dst, src []int, n int) error {
-	if err := checkDst(dst, n); err != nil {
-		return err
-	}
-	copy(dst, src)
-	return nil
-}
-
 // kscratch is the reusable state of one in-flight kernel route: the
-// tracked messages, the cell→message index map, and the packed bit
-// planes for column- and row-oriented stages.
+// tracked entries (messages and phantoms), the cell→entry index map,
+// the packed bit planes for column- and row-oriented stages, and the
+// route's chip faults.
 type kscratch struct {
 	rows, cols int
 	colSh      int             // log2(cols) when cols is a power of two, else −1
 	rowSh      int             // log2(rows) when rows is a power of two, else −1
-	ids        []int32         // ids[t] = switch input that injected message t
-	pos        []int32         // pos[t] = current row-major cell of message t
+	ids        []int32         // ids[t] = switch input that injected entry t, or CellPhantom
+	pos        []int32         // pos[t] = current row-major cell of entry t
 	cell       []int32         // cell index → t; valid only where a plane bit is set
 	rev        []int32         // cached Rev(i, q) per row (Revsort rotations)
 	cnt        []int32         // per-column scratch: heights after colSort, cursors in colSortSorted
@@ -67,6 +71,25 @@ type kscratch struct {
 	planeR     *mesh.BitMatrix // row-major plane (rows×cols): row ops, snake checks
 	planeP     *mesh.BitMatrix // padded transposed plane ((s+1)×r), Columnsort steps 6–8
 	k          int
+
+	// Chip faults, allocated on the first faulted route.
+	fx         []kfix  // the route's chip faults, resolved onto the matrix
+	stuck      bool    // fx has a stuck output, so phantoms may exist
+	lf         []int32 // line → index in fx of the armed stage's fault on it, or −1
+	prev       []int32 // pre-stage positions, saved for pass-through chips
+	ph         []int   // phantom output wires < m, ascending
+	armed      bool    // the stage being run has faults to fix
+	armedCols  bool    // the armed stage's chips serve columns
+	armedStage int     // the stage arm last prepared
+}
+
+// kfix is one chip fault resolved onto the kernel's wire matrix.
+type kfix struct {
+	stage, line int
+	mode        ChipFaultMode
+	cols        bool  // the chip serves a column (else a row)
+	a, b        int32 // row-major cells of output ports A and B
+	hit         bool  // stuck output: an entry sat on port A
 }
 
 // pow2Shift returns log2(v) when v > 0 is a power of two, else −1. The
@@ -439,6 +462,201 @@ func (ks *kscratch) scatter(dst []int, m int) {
 	}
 }
 
+// loadFaults resolves p's chip faults onto the matrix for one route. A
+// plane that ValidateFaultPlane rejects is refused with its error: the
+// fixups index ports directly.
+func (ks *kscratch) loadFaults(sw FaultInjectable, stages []StageInfo, p *FaultPlane) error {
+	ks.fx, ks.stuck = ks.fx[:0], false
+	if p.Len() == 0 {
+		return nil
+	}
+	if ks.lf == nil {
+		ks.lf = make([]int32, max(ks.rows, ks.cols))
+		for i := range ks.lf {
+			ks.lf[i] = -1
+		}
+		ks.prev = make([]int32, len(ks.pos))
+	}
+	for _, f := range p.faults {
+		if checkFault(f, stages) != nil {
+			return ValidateFaultPlane(sw, p)
+		}
+		kf := kfix{stage: f.Stage, line: f.Chip, mode: f.Mode, cols: stages[f.Stage].ChipsAreColumns}
+		if kf.cols {
+			kf.a, kf.b = int32(f.A*ks.cols+f.Chip), int32(f.B*ks.cols+f.Chip)
+		} else {
+			kf.a, kf.b = int32(f.Chip*ks.cols+f.A), int32(f.Chip*ks.cols+f.B)
+		}
+		ks.fx = append(ks.fx, kf)
+		ks.stuck = ks.stuck || f.Mode == ChipStuckOutput
+	}
+	return nil
+}
+
+// arm prepares the fixups of stage before it runs: it maps each faulty
+// chip's line to its fault and saves the pre-stage positions when a
+// chip passes through. It reports whether the stage has a fault.
+func (ks *kscratch) arm(stage int) bool {
+	ks.armed = false
+	pass := false
+	for i, f := range ks.fx {
+		if f.stage != stage {
+			continue
+		}
+		ks.lf[f.line] = int32(i)
+		ks.armed, ks.armedCols, ks.armedStage = true, f.cols, stage
+		pass = pass || f.mode == ChipPassThrough
+	}
+	if pass {
+		copy(ks.prev[:ks.k], ks.pos[:ks.k])
+	}
+	return ks.armed
+}
+
+// fix applies the armed stage's chip faults to the positions the stage
+// produced. Each touches only its chip's line: pass-through restores
+// the line's pre-stage positions, dead drops the line's entries,
+// stuck-output turns the entry on port A into a phantom (or adds one
+// there), and swapped-pair exchanges the entries on ports A and B.
+func (ks *kscratch) fix() {
+	if !ks.armed {
+		return
+	}
+	ks.armed = false
+	ids, pos := ks.ids[:ks.k], ks.pos[:ks.k]
+	lf, fx, prev, cols := ks.lf, ks.fx, ks.prev, ks.armedCols
+	drop := false
+	for t, x := range pos {
+		i, j := ks.splitCols(int(x))
+		if cols {
+			i = j
+		}
+		fi := lf[i]
+		if fi < 0 {
+			continue
+		}
+		switch f := &fx[fi]; f.mode {
+		case ChipDead:
+			pos[t], drop = -1, true
+		case ChipPassThrough:
+			pos[t] = prev[t]
+		case ChipStuckOutput:
+			if x == f.a {
+				ids[t], f.hit = CellPhantom, true
+			}
+		case ChipSwappedPair:
+			if x == f.a {
+				pos[t] = f.b
+			} else if x == f.b {
+				pos[t] = f.a
+			}
+		}
+	}
+	if drop {
+		ks.keep(func(t int) bool { return pos[t] >= 0 })
+	}
+	for i := range ks.fx {
+		f := &ks.fx[i]
+		if f.stage != ks.armedStage {
+			continue
+		}
+		ks.lf[f.line] = -1
+		if f.mode == ChipStuckOutput && !f.hit {
+			ks.ids[ks.k], ks.pos[ks.k] = CellPhantom, f.a
+			ks.k++
+		}
+	}
+}
+
+// keep drops every entry t for which ok(t) is false, preserving the
+// order of the rest.
+func (ks *kscratch) keep(ok func(t int) bool) {
+	w := 0
+	for t := 0; t < ks.k; t++ {
+		if ok(t) {
+			ks.ids[w], ks.pos[w] = ks.ids[t], ks.pos[t]
+			w++
+		}
+	}
+	ks.k = w
+}
+
+// finish writes the routing into dst. Phantoms carry no message: they
+// leave the entries, and the output wires < m they occupy are
+// attributed to invalid inputs in ascending order.
+func (ks *kscratch) finish(dst []int, valid *bitvec.Vector, m int) {
+	ks.ph = ks.ph[:0]
+	if ks.stuck {
+		for t := 0; t < ks.k; t++ {
+			if x := int(ks.pos[t]); ks.ids[t] == CellPhantom && x < m {
+				ks.ph = append(ks.ph, x)
+			}
+		}
+		ks.keep(func(t int) bool { return ks.ids[t] != CellPhantom })
+		slices.Sort(ks.ph)
+	}
+	ks.scatter(dst, m)
+	attributePhantoms(valid, dst, ks.ph)
+}
+
+// attributePhantoms surfaces phantom-occupied output wires through the
+// out mapping so the concentration oracles can flag the fault: each
+// phantom output is attributed to an invalid input, which
+// CheckPartialConcentration rejects as "invalid input was routed".
+// When every input is valid no attribution is possible; the message the
+// phantom destroyed still surfaces as an unexplained drop.
+func attributePhantoms(valid *bitvec.Vector, out []int, phantoms []int) {
+	next := 0
+	for _, p := range phantoms {
+		for next < valid.Len() && (valid.Get(next) || out[next] != -1) {
+			next++
+		}
+		if next == valid.Len() {
+			return
+		}
+		out[next] = p
+		next++
+	}
+}
+
+// capture appends the wire matrix to snaps, when non-nil.
+func (ks *kscratch) capture(snaps *[]Snapshot, label string) {
+	if snaps != nil {
+		*snaps = append(*snaps, ks.snapshot(label, nil))
+	}
+}
+
+// snapshot renders the entries as a wire matrix: the cell of entry t
+// holds ids[t], or src[ids[t]] when src is non-nil (loadSnapshot's ids
+// index the source snapshot's cells).
+func (ks *kscratch) snapshot(label string, src []int) Snapshot {
+	cell := make([]int, ks.rows*ks.cols)
+	for x := range cell {
+		cell[x] = CellEmpty
+	}
+	for t := 0; t < ks.k; t++ {
+		id := int(ks.ids[t])
+		if src != nil {
+			id = src[id]
+		}
+		cell[ks.pos[t]] = id
+	}
+	return Snapshot{Label: label, Rows: ks.rows, Cols: ks.cols, Cell: cell}
+}
+
+// loadSnapshot makes every occupied cell x of s an entry at x whose id
+// is x itself, so snapshot(label, s.Cell) carries the cells through.
+func (ks *kscratch) loadSnapshot(s Snapshot) {
+	t := 0
+	for x, v := range s.Cell {
+		if v != CellEmpty {
+			ks.ids[t], ks.pos[t] = int32(x), int32(x)
+			t++
+		}
+	}
+	ks.k = t
+}
+
 // ---------------------------------------------------------------------------
 // Per-switch kernels.
 
@@ -482,56 +700,92 @@ func (s *Crossbar) RouteInto(dst []int, valid *bitvec.Vector) error {
 }
 
 // RouteInto implements RouterInto with the word-parallel kernel
-// (Algorithm 1's three chip stages plus the barrel shifters). With a
-// fault plane installed it falls back to the tracker pipeline.
+// (Algorithm 1's three chip stages plus the barrel shifters), fixing up
+// the installed fault plane's chips after each stage.
 func (s *RevsortSwitch) RouteInto(dst []int, valid *bitvec.Vector) error {
-	if s.plane.Len() > 0 {
-		out, err := s.RouteWithPlane(valid, s.plane)
-		if err != nil {
-			return err
-		}
-		return copyRouting(dst, out, s.n)
-	}
 	if err := checkValid(valid, s.n); err != nil {
 		return err
 	}
 	if err := checkDst(dst, s.n); err != nil {
 		return err
 	}
+	return s.route(dst, valid, s.plane, nil)
+}
+
+// route runs Algorithm 1 on the kernel with p's chip faults fixed up
+// after each stage and writes the routing into dst; snaps, when
+// non-nil, collects the wire matrix at the inputs and after each stage.
+func (s *RevsortSwitch) route(dst []int, valid *bitvec.Vector, p *FaultPlane, snaps *[]Snapshot) error {
 	ks := s.scratch.get(s.side, s.side, 0)
 	defer s.scratch.put(ks)
+	if err := ks.loadFaults(s, s.stages, p); err != nil {
+		return err
+	}
 	ks.load(valid)
-	ks.colSortSorted()           // stage 1 chips (input is in port order)
-	ks.rowSort(false)            // stage 2 chips
+	ks.capture(snaps, "inputs (row-major matrix)")
+	ks.arm(RevsortStage1Columns)
+	ks.colSortSorted() // stage 1 chips (input is in port order)
+	ks.fix()
+	ks.capture(snaps, "after stage 1 (column chips)")
+	ks.arm(RevsortStage2Rows)
+	ks.rowSort(false) // stage 2 chips
+	ks.fix()
+	ks.capture(snaps, "after stage 2 chips (row sort)")
+	ks.arm(RevsortStage2Shifter)
 	ks.rotateRev(ceilLg(s.side)) // stage 2 barrel shifters (hardwired)
-	ks.colSort()                 // stage 3 chips
-	ks.scatter(dst, s.m)
+	ks.fix()
+	ks.capture(snaps, "after rev(i) barrel shifters")
+	ks.arm(RevsortStage3Columns)
+	ks.colSort() // stage 3 chips
+	ks.fix()
+	ks.capture(snaps, "after stage 3 (column chips)")
+	ks.finish(dst, valid, s.m)
 	return nil
 }
 
 // RouteInto implements RouterInto with the word-parallel kernel
-// (Algorithm 2's two chip stages and the interstage wiring). With a
-// fault plane installed it falls back to the tracker pipeline.
+// (Algorithm 2's two chip stages and the interstage wiring), fixing up
+// the installed fault plane's chips after each stage.
 func (c *ColumnsortSwitch) RouteInto(dst []int, valid *bitvec.Vector) error {
-	if c.plane.Len() > 0 {
-		out, err := c.RouteWithPlane(valid, c.plane)
-		if err != nil {
-			return err
-		}
-		return copyRouting(dst, out, c.n)
-	}
 	if err := checkValid(valid, c.n); err != nil {
 		return err
 	}
 	if err := checkDst(dst, c.n); err != nil {
 		return err
 	}
+	return c.route(dst, valid, c.plane, nil, false)
+}
+
+// route runs Algorithm 2 on the kernel with p's chip faults fixed up
+// after each stage and writes the routing into dst; snaps, when
+// non-nil, collects the wire matrix at the inputs and after each stage,
+// and after the interstage wiring too when wiring is set (Figure 6).
+// Stage 1 fuses with the wiring unless it has a fault to fix or a
+// snapshot to take in between.
+func (c *ColumnsortSwitch) route(dst []int, valid *bitvec.Vector, p *FaultPlane, snaps *[]Snapshot, wiring bool) error {
 	ks := c.scratch.get(c.r, c.s, 0)
 	defer c.scratch.put(ks)
+	if err := ks.loadFaults(c, c.stages, p); err != nil {
+		return err
+	}
 	ks.load(valid)
-	ks.colSortSortedCM() // stage 1 chips + interstage wiring (RM⁻¹ ∘ CM)
-	ks.colSort()         // stage 2 chips
-	ks.scatter(dst, c.m)
+	ks.capture(snaps, "inputs (row-major matrix)")
+	if ks.arm(ColumnsortStage1) || snaps != nil {
+		ks.colSortSorted() // stage 1 chips (input is in port order)
+		ks.fix()
+		ks.capture(snaps, "after stage 1 (column chips)")
+		ks.reshapeCMtoRM() // interstage wiring (RM⁻¹ ∘ CM)
+		if wiring {
+			ks.capture(snaps, "after interstage wiring (CM→RM)")
+		}
+	} else {
+		ks.colSortSortedCM() // stage 1 chips + interstage wiring (RM⁻¹ ∘ CM)
+	}
+	ks.arm(ColumnsortStage2)
+	ks.colSort() // stage 2 chips
+	ks.fix()
+	ks.capture(snaps, "after stage 2 (column chips)")
+	ks.finish(dst, valid, c.m)
 	return nil
 }
 
@@ -641,22 +895,4 @@ func (c *FullColumnsortHyper) RouteInto(dst []int, valid *bitvec.Vector) error {
 	// pos now holds column-major output indices; scatter directly.
 	ks.scatter(dst, c.m)
 	return nil
-}
-
-// TrackerRoute routes via the legacy per-bit tracker pipeline — the
-// word kernel's reference implementation — kept exported for
-// equivalence testing and before/after benchmarking. Switch types
-// without a tracker pipeline fall back to Route.
-func TrackerRoute(sw Concentrator, valid *bitvec.Vector) ([]int, error) {
-	switch s := sw.(type) {
-	case *RevsortSwitch:
-		return s.routeTracker(valid)
-	case *ColumnsortSwitch:
-		return s.routeTracker(valid)
-	case *FullRevsortHyper:
-		return s.routeTracker(valid)
-	case *FullColumnsortHyper:
-		return s.routeTracker(valid)
-	}
-	return sw.Route(valid)
 }

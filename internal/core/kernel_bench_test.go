@@ -80,7 +80,38 @@ func BenchmarkRouteLegacy(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%d", key, n), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := TrackerRoute(sw, v); err != nil {
+					if _, err := trackerRoute(sw, v); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkRoutePlane measures RouteInto with a one-chip fault plane
+// installed (a pass-through stage-1 chip, the bypass of a degraded
+// replica); steady state must report 0 allocs/op.
+func BenchmarkRoutePlane(b *testing.B) {
+	for _, n := range []int{256, 1024, 4096} {
+		families := benchFamilies(b, n)
+		v := randomValidVec(rand.New(rand.NewSource(71)), n, 0.6)
+		dst := make([]int, n)
+		for _, key := range []string{"revsort", "columnsort"} {
+			sw := families[key]
+			plane := NewFaultPlane()
+			plane.Add(ChipFault{Stage: 0, Chip: 1, Mode: ChipPassThrough})
+			if err := sw.(FaultInjectable).SetFaultPlane(plane); err != nil {
+				b.Fatal(err)
+			}
+			b.Run(fmt.Sprintf("%s/%d", key, n), func(b *testing.B) {
+				if err := sw.RouteInto(dst, v); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := sw.RouteInto(dst, v); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -132,7 +163,7 @@ func TestRouteKernelSpeedup(t *testing.T) {
 				}
 			})
 			legacy := timeRoute(10*time.Millisecond, func() {
-				if _, err := TrackerRoute(sw, v); err != nil {
+				if _, err := trackerRoute(sw, v); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -5,13 +5,21 @@ import (
 	"strings"
 
 	"concentrators/internal/bitvec"
-	"concentrators/internal/mesh"
+)
+
+// Snapshot cell markers. Non-negative cells are message ids (the switch
+// input index that injected the message).
+const (
+	CellEmpty   = -1 // an idle wire: an invalid input, a 0 valid bit
+	CellPadOne  = -2 // a hardwired always-valid dummy input (Columnsort step 6 pads)
+	CellPhantom = -3 // a stuck-at-1 chip output: asserts valid but carries no message
 )
 
 // Snapshot is the wire occupancy of the switch's underlying matrix at
 // one point of the setup: Cell[i·Cols+j] holds the id of the message on
-// the wire at row i, column j, or −1 for an idle wire. Snapshots are
-// what Figures 3 and 6 draw as heavy lines.
+// the wire at row i, column j, CellEmpty (−1) for an idle wire, or
+// CellPhantom for a stuck-at-1 output. Snapshots are what Figures 3 and
+// 6 draw as heavy lines.
 type Snapshot struct {
 	Label      string
 	Rows, Cols int
@@ -41,54 +49,24 @@ func glyph(id int) byte {
 	return alpha[id%len(alpha)]
 }
 
-func (t *tracker) snapshot(label string) Snapshot {
-	return Snapshot{
-		Label: label,
-		Rows:  t.rows,
-		Cols:  t.cols,
-		Cell:  append([]int(nil), t.cell...),
-	}
-}
-
 // Trace runs the Revsort switch's setup and returns the matrix
 // occupancy after every stage, plus the final routing — the executable
 // form of Figure 3's path drawing.
 func (s *RevsortSwitch) Trace(valid *bitvec.Vector) ([]Snapshot, []int, error) {
-	if err := checkValid(valid, s.n); err != nil {
-		return nil, nil, err
-	}
-	t := newTracker(s.side, s.side)
-	t.loadRowMajor(valid.Get, s.n)
-	q := ceilLg(s.side)
-	snaps := []Snapshot{t.snapshot("inputs (row-major matrix)")}
-	t.sortColumnsStable()
-	snaps = append(snaps, t.snapshot("after stage 1 (column chips)"))
-	t.sortRowsStable()
-	snaps = append(snaps, t.snapshot("after stage 2 chips (row sort)"))
-	for i := 0; i < s.side; i++ {
-		t.rotateRowRight(i, mesh.Rev(i, q))
-	}
-	snaps = append(snaps, t.snapshot("after rev(i) barrel shifters"))
-	t.sortColumnsStable()
-	snaps = append(snaps, t.snapshot("after stage 3 (column chips)"))
-	return snaps, t.outRowMajor(s.n, s.m), nil
+	return s.TraceWithPlane(valid, nil)
 }
 
 // Trace runs the Columnsort switch's setup and returns the matrix
-// occupancy after every stage, plus the final routing — the executable
-// form of Figure 6's path drawing.
+// occupancy after every stage and after the interstage wiring, plus the
+// final routing — the executable form of Figure 6's path drawing.
 func (c *ColumnsortSwitch) Trace(valid *bitvec.Vector) ([]Snapshot, []int, error) {
 	if err := checkValid(valid, c.n); err != nil {
 		return nil, nil, err
 	}
-	t := newTracker(c.r, c.s)
-	t.loadRowMajor(valid.Get, c.n)
-	snaps := []Snapshot{t.snapshot("inputs (row-major matrix)")}
-	t.sortColumnsStable()
-	snaps = append(snaps, t.snapshot("after stage 1 (column chips)"))
-	t.reshapeCMtoRM()
-	snaps = append(snaps, t.snapshot("after interstage wiring (CM→RM)"))
-	t.sortColumnsStable()
-	snaps = append(snaps, t.snapshot("after stage 2 (column chips)"))
-	return snaps, t.outRowMajor(c.n, c.m), nil
+	var snaps []Snapshot
+	out := make([]int, c.n)
+	if err := c.route(out, valid, nil, &snaps, true); err != nil {
+		return nil, nil, err
+	}
+	return snaps, out, nil
 }

@@ -50,7 +50,6 @@ type DegradedSwitch struct {
 	repairChips map[[2]int]bool // bypassed final-stage chips with full-line repair taps
 
 	quarantined []int // masked inner output wires, ascending
-	qset        map[int]bool
 	remap       []int // inner output -> degraded output (-1 when quarantined)
 	epsPenalty  int
 }
@@ -68,7 +67,7 @@ func NewDegradedSwitch(sw core.FaultInjectable, faults []LocalizedFault) (*Degra
 		cleared:     make(map[[2]int]bool),
 		bypassed:    make(map[[2]int]int),
 		repairChips: make(map[[2]int]bool),
-		qset:        make(map[int]bool),
+		remap:       make([]int, sw.Outputs()),
 	}
 	for _, f := range faults {
 		if f.Stage < 0 || f.Stage >= len(stages) || f.Chip < 0 || f.Chip >= stages[f.Stage].Chips {
@@ -77,8 +76,8 @@ func NewDegradedSwitch(sw core.FaultInjectable, faults []LocalizedFault) (*Degra
 		st := stages[f.Stage]
 		if f.Stage == final && f.ModeKnown && f.Mode == core.ChipStuckOutput && len(f.Ports) == 1 {
 			d.cleared[f.key()] = true
-			if pos := wirePosition(st, f.Chip, f.Ports[0]); pos < d.m && !d.qset[pos] {
-				d.qset[pos] = true
+			if pos := wirePosition(st, f.Chip, f.Ports[0]); pos >= 0 && pos < d.m && d.remap[pos] != -1 {
+				d.remap[pos] = -1
 				d.quarantined = append(d.quarantined, pos)
 			}
 			continue
@@ -92,12 +91,9 @@ func NewDegradedSwitch(sw core.FaultInjectable, faults []LocalizedFault) (*Degra
 		}
 	}
 	sort.Ints(d.quarantined)
-	d.remap = make([]int, d.m)
 	next := 0
-	for o := 0; o < d.m; o++ {
-		if d.qset[o] {
-			d.remap[o] = -1
-		} else {
+	for o, r := range d.remap {
+		if r != -1 {
 			d.remap[o] = next
 			next++
 		}
@@ -155,7 +151,7 @@ func (d *DegradedSwitch) Route(valid *bitvec.Vector) ([]int, error) {
 	// stranded beyond the m-boundary on a bypassed final-stage chip.
 	var stranded []int
 	for i, o := range out {
-		if o >= 0 && d.qset[o] {
+		if o >= 0 && d.remap[o] == -1 {
 			out[i] = -1
 			owner[o] = -1
 			stranded = append(stranded, i)
@@ -177,7 +173,7 @@ func (d *DegradedSwitch) Route(valid *bitvec.Vector) ([]int, error) {
 	// Re-drive stranded messages onto free, non-quarantined outputs.
 	next := 0
 	for _, i := range stranded {
-		for next < d.m && (d.qset[next] || owner[next] != -1) {
+		for next < d.m && (d.remap[next] == -1 || owner[next] != -1) {
 			next++
 		}
 		if next == d.m {

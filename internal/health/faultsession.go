@@ -93,8 +93,9 @@ type FaultSessionConfig struct {
 // (Deadline, Surge, CoDel, RetryBudget, Integrity — set, they would be
 // silently ignored), the embedded SessionConfig checks (rounds, load,
 // payload bits, ack delay), negative scan periods or backoff caps, and
-// scheduled faults that fall outside the session or name a chip the
-// switch does not have.
+// scheduled faults that fall outside the session or that
+// core.ValidateFaultPlane rejects for the switch (stage, chip, mode or
+// ports it cannot hold).
 func (cfg FaultSessionConfig) Validate(sw core.FaultInjectable) error {
 	for _, f := range []struct {
 		name string
@@ -119,17 +120,14 @@ func (cfg FaultSessionConfig) Validate(sw core.FaultInjectable) error {
 	if cfg.BackoffMax < 0 {
 		return fmt.Errorf("health: negative backoff cap %d", cfg.BackoffMax)
 	}
-	stages := sw.StageChips()
 	for i, sf := range cfg.Schedule {
 		if sf.Round < 0 || sf.Round >= cfg.Rounds {
 			return fmt.Errorf("health: schedule[%d] round %d outside session [0,%d)", i, sf.Round, cfg.Rounds)
 		}
-		f := sf.Fault
-		if f.Stage < 0 || f.Stage >= len(stages) {
-			return fmt.Errorf("health: schedule[%d] stage %d outside [0,%d)", i, f.Stage, len(stages))
-		}
-		if st := stages[f.Stage]; f.Chip < 0 || f.Chip >= st.Chips {
-			return fmt.Errorf("health: schedule[%d] chip %d outside stage %q's %d chips", i, f.Chip, st.Name, st.Chips)
+		p := core.NewFaultPlane()
+		p.Add(sf.Fault)
+		if err := core.ValidateFaultPlane(sw, p); err != nil {
+			return fmt.Errorf("health: schedule[%d]: %w", i, err)
 		}
 	}
 	return nil

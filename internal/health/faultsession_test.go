@@ -88,6 +88,48 @@ func TestFaultSessionConfigValidate(t *testing.T) {
 	}
 }
 
+// TestFaultSessionConfigRejectsUnholdableFaults: a scheduled fault is
+// checked by the rules of core.ValidateFaultPlane — mode and ports as
+// well as stage and chip — before the session adds it to the live
+// plane, whose kernel fixups index ports directly.
+func TestFaultSessionConfigRejectsUnholdableFaults(t *testing.T) {
+	sw, err := core.NewRevsortSwitch(64, 48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		fault core.ChipFault
+		want  string
+	}{
+		{core.ChipFault{Stage: 0, Chip: 0, Mode: core.ChipStuckOutput, A: 99},
+			`health: schedule[0]: core: fault stage 0 chip 0: stuck-output port 99: stage "stage1 column chips" chips have 8 ports`},
+		{core.ChipFault{Stage: 0, Chip: 0, Mode: core.ChipSwappedPair, A: 0, B: 40},
+			"health: schedule[0]: core: fault stage 0 chip 0: swapped-pair ports 0,40: ports must be distinct and within 8"},
+		{core.ChipFault{Stage: 0, Chip: 0, Mode: core.ChipSwappedPair, A: 1, B: 1},
+			"health: schedule[0]: core: fault stage 0 chip 0: swapped-pair ports 1,1: ports must be distinct and within 8"},
+		{core.ChipFault{Stage: 0, Chip: 0, Mode: core.ChipFaultMode(9)},
+			"health: schedule[0]: core: fault stage 0 chip 0: ChipFaultMode(9): unknown mode"},
+		{core.ChipFault{Stage: 4, Chip: 0, Mode: core.ChipDead},
+			"health: schedule[0]: core: fault stage 4 chip 0: dead: switch has 4 stages"},
+		{core.ChipFault{Stage: 1, Chip: 8, Mode: core.ChipPassThrough},
+			`health: schedule[0]: core: fault stage 1 chip 8: pass-through: stage "stage2 row chips" has 8 chips`},
+	} {
+		cfg := FaultSessionConfig{
+			SessionConfig: switchsim.SessionConfig{
+				Policy: switchsim.Resend, Load: 0.5, Rounds: 10, PayloadBits: 1, AckDelay: 1,
+			},
+			Schedule:  []ScheduledFault{{Round: 2, Fault: tc.fault}},
+			ScanEvery: 5,
+		}
+		if err := cfg.Validate(sw); err == nil || err.Error() != tc.want {
+			t.Errorf("Validate(%v): got %v, want %q", tc.fault, err, tc.want)
+		}
+		if _, err := RunFaultAwareSession(sw, cfg); err == nil || err.Error() != tc.want {
+			t.Errorf("RunFaultAwareSession(%v): got %v, want %q", tc.fault, err, tc.want)
+		}
+	}
+}
+
 // TestFaultSessionConfigRejectsIgnoredFields: RunFaultAwareSession
 // reads none of the deadline, surge, CoDel, retry-budget or integrity
 // session layers, so setting any of them is an error rather than a
