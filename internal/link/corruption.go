@@ -2,7 +2,6 @@ package link
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"concentrators/internal/seedrand"
@@ -216,11 +215,11 @@ func (p *CorruptionPlane) Seed() int64 {
 	return p.seed
 }
 
-// rng derives the deterministic bit-noise source for one (round, link)
+// rng derives the deterministic bit-noise stream for one (round, link)
 // coordinate.
-func (p *CorruptionPlane) rng(round int, at LinkAddr) *rand.Rand {
+func (p *CorruptionPlane) rng(round int, at LinkAddr) seedrand.Stream {
 	h := seedrand.Mix64(uint64(p.seed) ^ seedrand.Mix64(uint64(round)<<32|uint64(uint32(at.Stage))) ^ seedrand.Mix64(uint64(at.Wire)+0x51ED270B))
-	return rand.New(rand.NewSource(int64(h)))
+	return seedrand.NewStream(int64(h))
 }
 
 // Corrupt applies every fault live on the given link in the given
@@ -231,13 +230,10 @@ func (p *CorruptionPlane) Corrupt(round int, at LinkAddr, bits []byte) (flipped 
 	if p == nil || len(bits) == 0 {
 		return 0, false
 	}
-	var rng *rand.Rand
+	rng := p.rng(round, at)
 	for _, f := range p.faults {
 		if (f.Stage != AllStages && f.Stage != at.Stage) || (f.Wire != AllWires && f.Wire != at.Wire) || !f.active(round) {
 			continue
-		}
-		if rng == nil {
-			rng = p.rng(round, at)
 		}
 		switch f.Mode {
 		case WireBitFlip:

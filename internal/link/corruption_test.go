@@ -174,6 +174,21 @@ func TestBitFlipBERRate(t *testing.T) {
 	}
 }
 
+// TestCorruptAllocs requires Corrupt on a live link to allocate
+// nothing: the per-(round, link) noise stream lives on the stack.
+func TestCorruptAllocs(t *testing.T) {
+	p := NewCorruptionPlane(11)
+	mustAdd(t, p, WireFault{Stage: AllStages, Wire: AllWires, Mode: WireBitFlip, BER: 1e-3})
+	bits := make([]byte, 56)
+	round := 0
+	if a := testing.AllocsPerRun(100, func() {
+		round++
+		p.Corrupt(round, LinkAddr{Stage: 1, Wire: 3}, bits)
+	}); a != 0 {
+		t.Fatalf("Corrupt on a 56-bit frame allocated %v times per call", a)
+	}
+}
+
 func TestPath(t *testing.T) {
 	got := Path(3, 7, 2)
 	want := []LinkAddr{{0, 7}, {1, 2}, {2, 2}, {3, 2}}

@@ -116,6 +116,22 @@ func TestSurgeFlashDeterministic(t *testing.T) {
 	}
 }
 
+// TestMultiplierAllocs requires a flash draw to allocate nothing: the
+// per-(round, fault) spike stream lives on the stack.
+func TestMultiplierAllocs(t *testing.T) {
+	p := NewPlane(42)
+	if err := p.Add(Fault{Mode: Flash, Factor: 8, Prob: 0.25}); err != nil {
+		t.Fatal(err)
+	}
+	round := 0
+	if a := testing.AllocsPerRun(100, func() {
+		round++
+		p.Multiplier(round)
+	}); a != 0 {
+		t.Fatalf("Multiplier with a flash fault allocated %v times per call", a)
+	}
+}
+
 func TestSurgeCompoundAndClamp(t *testing.T) {
 	p := NewPlane(3)
 	if err := p.Add(Fault{Mode: Sustained, Factor: 2}); err != nil {

@@ -3,7 +3,6 @@ package overload
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"concentrators/internal/seedrand"
@@ -120,7 +119,7 @@ func (f Fault) active(round int) bool {
 // sample draws the fault's multiplier for the given round. rng is only
 // consulted for Flash faults, so deterministic shapes stay
 // deterministic regardless of fault ordering on the plane.
-func (f Fault) sample(round int, rng *rand.Rand) float64 {
+func (f Fault) sample(round int, rng *seedrand.Stream) float64 {
 	switch f.Mode {
 	case Step, Sustained:
 		return f.Factor
@@ -213,11 +212,11 @@ func (p *Plane) Seed() int64 {
 	return p.seed
 }
 
-// rng derives the deterministic spike source for one (round, fault)
+// rng derives the deterministic spike stream for one (round, fault)
 // coordinate.
-func (p *Plane) rng(round, idx int) *rand.Rand {
+func (p *Plane) rng(round, idx int) seedrand.Stream {
 	h := seedrand.Mix64(uint64(p.seed) ^ seedrand.Mix64(uint64(round)<<20|uint64(uint32(idx))))
-	return rand.New(rand.NewSource(int64(h)))
+	return seedrand.NewStream(int64(h))
 }
 
 // Multiplier returns the compound load multiplier for the given round:
@@ -231,7 +230,8 @@ func (p *Plane) Multiplier(round int) float64 {
 		if !f.active(round) {
 			continue
 		}
-		mult *= f.sample(round, p.rng(round, i))
+		rng := p.rng(round, i)
+		mult *= f.sample(round, &rng)
 	}
 	return mult
 }

@@ -19,7 +19,6 @@ package partition
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"concentrators/internal/seedrand"
@@ -238,7 +237,8 @@ func (p *Plane) Seed() int64 {
 func (p *Plane) flapDown(round, replica, idx int, prob float64) bool {
 	h := seedrand.Mix64(uint64(p.seed) ^
 		seedrand.Mix64(uint64(round)<<24|uint64(uint16(replica))<<8|uint64(uint8(idx))))
-	return rand.New(rand.NewSource(int64(h))).Float64() < prob
+	rng := seedrand.NewStream(int64(h))
+	return rng.Float64() < prob
 }
 
 // Visible reports whether the control edge between the arbiter and the

@@ -152,6 +152,22 @@ func TestFlappingDeterministic(t *testing.T) {
 	}
 }
 
+// TestVisibleAllocs requires a flap verdict to allocate nothing: the
+// per-(round, edge) stream lives on the stack.
+func TestVisibleAllocs(t *testing.T) {
+	p := NewPlane(3)
+	if err := p.Add(Fault{Mode: Flapping, Replica: 1, Prob: 0.5, From: 0, Until: 1 << 20}); err != nil {
+		t.Fatal(err)
+	}
+	round := 0
+	if a := testing.AllocsPerRun(100, func() {
+		round++
+		p.Visible(round, 1, ToReplica)
+	}); a != 0 {
+		t.Fatalf("Visible with a flapping fault allocated %v times per call", a)
+	}
+}
+
 func TestFaultsSortedAndClone(t *testing.T) {
 	p := NewPlane(5)
 	faults := []Fault{

@@ -26,7 +26,6 @@ package timing
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"concentrators/internal/link"
@@ -185,7 +184,7 @@ func (f Fault) active(round int) bool {
 // sample draws the fault's delay for one crossing in the given round.
 // rng is only consulted for Jitter faults, so deterministic modes stay
 // deterministic regardless of fault ordering on the plane.
-func (f Fault) sample(round int, rng *rand.Rand) int {
+func (f Fault) sample(round int, rng *seedrand.Stream) int {
 	switch f.Mode {
 	case Constant:
 		return f.Delay
@@ -288,11 +287,11 @@ func (p *Plane) Seed() int64 {
 	return p.seed
 }
 
-// rng derives the deterministic jitter source for one (round, link)
+// rng derives the deterministic jitter stream for one (round, link)
 // coordinate.
-func (p *Plane) rng(round int, at link.LinkAddr) *rand.Rand {
+func (p *Plane) rng(round int, at link.LinkAddr) seedrand.Stream {
 	h := seedrand.Mix64(uint64(p.seed) ^ seedrand.Mix64(uint64(round)<<32|uint64(uint32(at.Stage))) ^ seedrand.Mix64(uint64(at.Wire)+0x7C15F39D))
-	return rand.New(rand.NewSource(int64(h)))
+	return seedrand.NewStream(int64(h))
 }
 
 // Delay returns the extra virtual rounds a crossing of the given link
@@ -303,15 +302,12 @@ func (p *Plane) Delay(round int, at link.LinkAddr) int {
 		return 0
 	}
 	total := 0
-	var rng *rand.Rand
+	rng := p.rng(round, at)
 	for _, f := range p.faults {
 		if (f.Stage != link.AllStages && f.Stage != at.Stage) || (f.Wire != link.AllWires && f.Wire != at.Wire) || !f.active(round) {
 			continue
 		}
-		if rng == nil {
-			rng = p.rng(round, at)
-		}
-		total += f.sample(round, rng)
+		total += f.sample(round, &rng)
 	}
 	return total
 }
@@ -345,7 +341,8 @@ func (p *Plane) RoundDelay(round, stages int) int {
 			if (f.Stage != link.AllStages && f.Stage != s) || !f.active(round) {
 				continue
 			}
-			d := f.sample(round, p.rng(round, link.LinkAddr{Stage: s, Wire: -2 - i}))
+			rng := p.rng(round, link.LinkAddr{Stage: s, Wire: -2 - i})
+			d := f.sample(round, &rng)
 			if d > worst {
 				worst = d
 			}

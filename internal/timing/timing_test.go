@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"concentrators/internal/link"
+	"concentrators/internal/seedrand"
 )
 
 func TestFaultValidate(t *testing.T) {
@@ -95,13 +96,13 @@ func TestPlaneDeterministic(t *testing.T) {
 }
 
 func TestFaultShapes(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
+	rng := seedrand.NewStream(1)
 	// Constant: always Delay inside the window, 0 outside.
 	c := Fault{Mode: Constant, Delay: 5, From: 10, Until: 20}
 	if c.active(9) || !c.active(10) || !c.active(19) || c.active(20) {
 		t.Fatal("window activation wrong")
 	}
-	if d := c.sample(12, rng); d != 5 {
+	if d := c.sample(12, &rng); d != 5 {
 		t.Fatalf("constant sample %d, want 5", d)
 	}
 	// Pause: Delay only during the pause window.
@@ -111,7 +112,7 @@ func TestFaultShapes(t *testing.T) {
 		if round%10 < 2 {
 			want = 8
 		}
-		if d := p.sample(round, rng); d != want {
+		if d := p.sample(round, &rng); d != want {
 			t.Fatalf("pause sample at round %d = %d, want %d", round, d, want)
 		}
 	}
@@ -120,7 +121,7 @@ func TestFaultShapes(t *testing.T) {
 	r := Fault{Mode: Ramp, Delay: 10, From: 0, Until: 50}
 	prev := 0
 	for round := 0; round < 50; round++ {
-		d := r.sample(round, rng)
+		d := r.sample(round, &rng)
 		if d < prev {
 			t.Fatalf("ramp decreased: %d after %d at round %d", d, prev, round)
 		}
@@ -133,7 +134,7 @@ func TestFaultShapes(t *testing.T) {
 	j := Fault{Mode: Jitter, Prob: 0.5, MaxDelay: 12}
 	zeros, positives := 0, 0
 	for i := 0; i < 2000; i++ {
-		d := j.sample(i, rng)
+		d := j.sample(i, &rng)
 		if d < 0 || d > 12 {
 			t.Fatalf("jitter sample %d outside [0,12]", d)
 		}
@@ -145,6 +146,22 @@ func TestFaultShapes(t *testing.T) {
 	}
 	if zeros == 0 || positives == 0 {
 		t.Fatalf("jitter degenerate: %d zeros, %d positives", zeros, positives)
+	}
+}
+
+// TestDelayAllocs requires a jitter draw to allocate nothing: the
+// per-(round, link) stream lives on the stack.
+func TestDelayAllocs(t *testing.T) {
+	p := NewPlane(5)
+	if err := p.Add(Fault{Stage: link.AllStages, Wire: link.AllWires, Mode: Jitter, Prob: 0.5, MaxDelay: 12}); err != nil {
+		t.Fatal(err)
+	}
+	round := 0
+	if a := testing.AllocsPerRun(100, func() {
+		round++
+		p.Delay(round, link.LinkAddr{Stage: 1, Wire: 3})
+	}); a != 0 {
+		t.Fatalf("Delay with a jitter fault allocated %v times per call", a)
 	}
 }
 
