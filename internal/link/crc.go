@@ -148,30 +148,36 @@ func makeCRC16Table() [256]uint16 {
 
 // Checksum8 computes the CRC-8 of data (init 0).
 func Checksum8(data []byte) byte {
-	var crc byte
+	crc := CRC8.initial()
 	for _, b := range data {
-		crc = crc8Table[crc^b]
+		crc = CRC8.update(crc, b)
 	}
-	return crc
+	return byte(crc)
 }
 
 // Checksum16 computes the CRC-16/CCITT-FALSE of data (init 0xFFFF).
 func Checksum16(data []byte) uint16 {
-	crc := uint16(crc16Init)
+	crc := CRC16.initial()
 	for _, b := range data {
-		crc = crc<<8 ^ crc16Table[byte(crc>>8)^b]
+		crc = CRC16.update(crc, b)
 	}
 	return crc
 }
 
-// checksum computes the selected checksum of data, widened to uint16.
-func (c CRC) checksum(data []byte) uint16 {
-	switch c {
-	case CRC8:
-		return uint16(Checksum8(data))
-	case CRC16:
-		return Checksum16(data)
-	default:
-		return 0
+// initial returns the checksum register's initial value, widened to
+// uint16.
+func (c CRC) initial() uint16 {
+	if c == CRC16 {
+		return crc16Init
 	}
+	return 0
+}
+
+// update shifts one data byte through the checksum register of c
+// (CRC8 or CRC16), one table lookup per byte.
+func (c CRC) update(crc uint16, b byte) uint16 {
+	if c == CRC8 {
+		return uint16(crc8Table[byte(crc)^b])
+	}
+	return crc<<8 ^ crc16Table[byte(crc>>8)^b]
 }

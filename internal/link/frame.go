@@ -23,18 +23,22 @@ const SeqSpace = 1 << SeqBits
 // FrameOverhead returns the framing cost in bits for the checksum.
 func FrameOverhead(c CRC) int { return SeqBits + c.Bits() }
 
-// packFrameBytes packs the sequence byte and the payload bit stream
-// (values 0/1, MSB-first, trailing byte zero-padded) into the byte
-// string the checksum covers.
-func packFrameBytes(seq int, payload []byte) []byte {
-	data := make([]byte, 1+(len(payload)+7)/8)
-	data[0] = byte(seq)
-	for i, bit := range payload {
-		if bit&1 != 0 {
-			data[1+i/8] |= 0x80 >> uint(i%8)
+// frameChecksum computes c over the sequence byte and the payload bit
+// stream (values 0/1, MSB-first, trailing byte zero-padded), feeding
+// each packed byte straight into the table loop instead of building
+// the packed string.
+func frameChecksum(c CRC, seq int, payload []byte) uint16 {
+	crc := c.update(c.initial(), byte(seq))
+	for len(payload) > 0 {
+		n := min(8, len(payload))
+		var b byte
+		for i, bit := range payload[:n] {
+			b |= (bit & 1) << (7 - i)
 		}
+		crc = c.update(crc, b)
+		payload = payload[n:]
 	}
-	return data
+	return crc
 }
 
 // AppendBits appends the low `width` bits of v to a frame bit stream
@@ -67,8 +71,7 @@ func EncodeFrame(c CRC, seq int, payload []byte) []byte {
 	frame = AppendBits(frame, uint64(seq), SeqBits)
 	frame = append(frame, payload...)
 	if bits := c.Bits(); bits > 0 {
-		sum := c.checksum(packFrameBytes(seq, payload))
-		frame = AppendBits(frame, uint64(sum), bits)
+		frame = AppendBits(frame, uint64(frameChecksum(c, seq, payload)), bits)
 	}
 	return frame
 }
@@ -89,6 +92,5 @@ func DecodeFrame(c CRC, bits []byte) (seq int, payload []byte, ok bool, err erro
 		return seq, payload, true, nil
 	}
 	got := uint16(FieldBits(bits, len(bits)-c.Bits(), c.Bits()))
-	want := c.checksum(packFrameBytes(seq, payload))
-	return seq, payload, got == want, nil
+	return seq, payload, got == frameChecksum(c, seq, payload), nil
 }

@@ -34,6 +34,47 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFrameChecksumLayout checks the checksum field against the
+// documented layout: Checksum8/Checksum16 of the sequence byte and the
+// payload bits packed MSB-first, the trailing byte zero-padded.
+func TestFrameChecksumLayout(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, crc := range []CRC{CRC8, CRC16} {
+		for _, bits := range []int{1, 7, 8, 9, 32, 100} {
+			payload := make([]byte, bits)
+			for i := range payload {
+				payload[i] = byte(rng.Intn(2))
+			}
+			packed := make([]byte, 1+(bits+7)/8)
+			packed[0] = 0xA5
+			for i, bit := range payload {
+				packed[1+i/8] |= bit << (7 - i%8)
+			}
+			want := uint64(Checksum16(packed))
+			if crc == CRC8 {
+				want = uint64(Checksum8(packed))
+			}
+			frame := EncodeFrame(crc, 0xA5, payload)
+			if got := FieldBits(frame, len(frame)-crc.Bits(), crc.Bits()); got != want {
+				t.Errorf("%s over %d bits: checksum field %#x, want %#x", crc, bits, got, want)
+			}
+		}
+	}
+}
+
+// TestDecodeFrameAllocs requires the receive-side check to allocate
+// nothing.
+func TestDecodeFrameAllocs(t *testing.T) {
+	frame := EncodeFrame(CRC16, 9, make([]byte, 56))
+	if a := testing.AllocsPerRun(100, func() {
+		if _, _, ok, err := DecodeFrame(CRC16, frame); !ok || err != nil {
+			t.Fatal("clean frame rejected")
+		}
+	}); a != 0 {
+		t.Fatalf("DecodeFrame allocated %v times per call", a)
+	}
+}
+
 func TestDecodeFrameTooShort(t *testing.T) {
 	for _, crc := range []CRC{CRCNone, CRC8, CRC16} {
 		short := make([]byte, FrameOverhead(crc)-1)
