@@ -12,8 +12,9 @@
 //
 // Experiment ids follow the per-experiment index in DESIGN.md. The
 // perf suite measures the word-parallel route kernel, healthy and with
-// a one-chip fault plane installed, the zero-alloc session round, and
-// sequential vs parallel pool dispatch; -baseline gates ns/op within
+// a one-chip fault plane installed, the zero-alloc session round,
+// sequential vs parallel pool dispatch, wire corruption along a frame's
+// path and one integrity (ARQ) session; -baseline gates ns/op within
 // +20% of the committed baseline and forbids allocs/op growth.
 package main
 
