@@ -1,10 +1,15 @@
 // Package seedrand is the repo's one seeded-randomness substrate.
 //
-// Every fault plane (wire corruption, timing, surge — and now crash)
-// needs the same two primitives: a splitmix64 finalizer to decorrelate
-// per-coordinate stream seeds derived from a plane seed, and a cheap
-// deterministic generator. Before this package each plane carried its
-// own copy of the finalizer; they are deduplicated here.
+// Every fault plane needs the same two primitives: a splitmix64
+// finalizer (Mix64) to decorrelate per-coordinate stream seeds derived
+// from a plane seed, and a cheap deterministic generator per
+// coordinate. Stream is that generator: the wire-corruption, timing,
+// surge and partition planes draw the noise of every (round,
+// coordinate) from one. A Stream is a stack value that returns exactly
+// the values of rand.New(rand.NewSource(seed)) without building
+// math/rand's 607-word state, so a plane's noise stays the pure
+// function of (seed, round, coordinate) it always was and costs no
+// allocation.
 //
 // The package also provides what the crash-restart durability plane
 // specifically requires and math/rand cannot give: a generator whose
