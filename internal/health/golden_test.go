@@ -7,7 +7,6 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
-	"os"
 	"testing"
 
 	"concentrators/internal/bitvec"
@@ -157,32 +156,5 @@ func TestGoldenScans(t *testing.T) {
 			got[tag] = hex.EncodeToString(sum[:])
 		}
 	}
-	if *update {
-		js, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(scanDigests, append(js, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	raw, err := os.ReadFile(scanDigests)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want map[string]string
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatalf("%s: %v", scanDigests, err)
-	}
-	if len(want) != len(got) {
-		t.Errorf("%s records %d digests, the suite computes %d", scanDigests, len(want), len(got))
-	}
-	for name, digest := range got {
-		if w, ok := want[name]; !ok {
-			t.Errorf("%s: no recorded digest", name)
-		} else if w != digest {
-			t.Errorf("%s: digest %s, recorded %s", name, digest, w)
-		}
-	}
+	replayDigests(t, scanDigests, got)
 }
