@@ -108,40 +108,28 @@ func decodeRec(data []byte, v any) error {
 	return nil
 }
 
-func poolToRecs(pool []*pendingMsg) []pendingRec {
-	out := make([]pendingRec, len(pool))
-	for i, pm := range pool {
-		out[i] = pendingRec{Input: pm.input, FirstRound: pm.firstRound, Eligible: pm.eligible, Offers: pm.offers}
+// backlogRecs is the journal form of the backlog. The journal keeps a
+// Buffer backlog in its own Buffered field and every other policy's in
+// RetryPool, each in the machine's order (ascending input for Buffer).
+func (st *Session) backlogRecs() (retry, buffered []pendingRec) {
+	recs := make([]pendingRec, len(st.pending))
+	for i, pm := range st.pending {
+		recs[i] = pendingRec{Input: pm.input, FirstRound: pm.firstRound, Eligible: pm.eligible, Offers: pm.offers}
 	}
-	return out
+	if st.cfg.Policy == Buffer {
+		return nil, recs
+	}
+	return recs, nil
 }
 
-func bufferedToRecs(m map[int]*pendingMsg) []pendingRec {
-	out := make([]pendingRec, 0, len(m))
-	for _, pm := range m {
-		out = append(out, pendingRec{Input: pm.input, FirstRound: pm.firstRound, Eligible: pm.eligible, Offers: pm.offers})
+// restoreBacklog rebuilds the backlog from its journal form.
+func (st *Session) restoreBacklog(retry, buffered []pendingRec) {
+	st.pending = nil
+	for _, recs := range [][]pendingRec{retry, buffered} {
+		for _, r := range recs {
+			st.pending = append(st.pending, &pendingMsg{input: r.Input, firstRound: r.FirstRound, eligible: r.Eligible, offers: r.Offers})
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Input < out[j].Input })
-	return out
-}
-
-func recsToPool(recs []pendingRec) []*pendingMsg {
-	if len(recs) == 0 {
-		return nil
-	}
-	out := make([]*pendingMsg, len(recs))
-	for i, r := range recs {
-		out[i] = &pendingMsg{input: r.Input, firstRound: r.FirstRound, eligible: r.Eligible, offers: r.Offers}
-	}
-	return out
-}
-
-func recsToBuffered(recs []pendingRec) map[int]*pendingMsg {
-	out := make(map[int]*pendingMsg, len(recs))
-	for _, r := range recs {
-		out[r.Input] = &pendingMsg{input: r.Input, firstRound: r.FirstRound, eligible: r.Eligible, offers: r.Offers}
-	}
-	return out
 }
 
 func copyHist(m map[int]int) map[int]int {
@@ -166,13 +154,13 @@ func histIncrements(before, after map[int]int) []histDelta {
 }
 
 // statsMark is the pre-round position of every counter a delta
-// increments, taken before step() so the delta can be diffed out.
+// increments, taken before Step so the delta can be diffed out.
 type statsMark struct {
 	offered, dropped, shed, refused, retries int
 	firstTry, retried, missed                map[int]int
 }
 
-func (st *sessionState) mark() statsMark {
+func (st *Session) mark() statsMark {
 	s := st.stats
 	return statsMark{
 		offered: s.Offered, dropped: s.Dropped, shed: s.Shed,
@@ -185,7 +173,7 @@ func (st *sessionState) mark() statsMark {
 
 // deltaSince builds the commit record for the round just executed
 // (st.round has already advanced past it).
-func (st *sessionState) deltaSince(mk statsMark, cursor uint64) *deltaRec {
+func (st *Session) deltaSince(mk statsMark, cursor uint64) *deltaRec {
 	s := st.stats
 	round := st.round - 1
 	d := &deltaRec{
@@ -202,9 +190,8 @@ func (st *sessionState) deltaSince(mk statsMark, cursor uint64) *deltaRec {
 		DeliveredThisRound: s.DeliveredPerRound[round],
 		MaxBacklog:         s.MaxBacklog,
 		MaxOffered:         s.MaxOffered,
-		RetryPool:          poolToRecs(st.retryPool),
-		Buffered:           bufferedToRecs(st.buffered),
 	}
+	d.RetryPool, d.Buffered = st.backlogRecs()
 	if st.budget != nil {
 		d.Budget = st.budget.Snapshot()
 	}
@@ -218,7 +205,7 @@ func (st *sessionState) deltaSince(mk statsMark, cursor uint64) *deltaRec {
 // The round number must be exactly the next round the state expects —
 // the strictly-increasing-LSN replay makes duplicates impossible, and
 // this check makes the exactly-once application explicit.
-func (st *sessionState) applyDelta(d *deltaRec) error {
+func (st *Session) applyDelta(d *deltaRec) error {
 	if d.Round != st.round {
 		return fmt.Errorf("switchsim: journal replay expected round %d, found delta for round %d", st.round, d.Round)
 	}
@@ -249,8 +236,7 @@ func (st *sessionState) applyDelta(d *deltaRec) error {
 	s.DeliveredPerRound[d.Round] = d.DeliveredThisRound
 	s.MaxBacklog = d.MaxBacklog
 	s.MaxOffered = d.MaxOffered
-	st.retryPool = recsToPool(d.RetryPool)
-	st.buffered = recsToBuffered(d.Buffered)
+	st.restoreBacklog(d.RetryPool, d.Buffered)
 	if st.budget != nil {
 		st.budget.Restore(d.Budget)
 	}
@@ -262,7 +248,7 @@ func (st *sessionState) applyDelta(d *deltaRec) error {
 }
 
 // snapshot captures the full checkpoint.
-func (st *sessionState) snapshot(cursor uint64) *snapshotRec {
+func (st *Session) snapshot(cursor uint64) *snapshotRec {
 	s := st.stats
 	sn := &snapshotRec{
 		Round:  st.round,
@@ -279,9 +265,8 @@ func (st *sessionState) snapshot(cursor uint64) *snapshotRec {
 			MaxOffered:               s.MaxOffered,
 			DeliveredPerRound:        append([]int(nil), s.DeliveredPerRound...),
 		},
-		RetryPool: poolToRecs(st.retryPool),
-		Buffered:  bufferedToRecs(st.buffered),
 	}
+	sn.RetryPool, sn.Buffered = st.backlogRecs()
 	if st.budget != nil {
 		sn.Budget = st.budget.Snapshot()
 	}
@@ -293,7 +278,7 @@ func (st *sessionState) snapshot(cursor uint64) *snapshotRec {
 
 // restoreSnapshot overwrites the freshly built state with a journaled
 // checkpoint.
-func (st *sessionState) restoreSnapshot(sn *snapshotRec) error {
+func (st *Session) restoreSnapshot(sn *snapshotRec) error {
 	if sn.Round < 0 || sn.Round > len(st.stats.DeliveredPerRound) {
 		return fmt.Errorf("switchsim: journal snapshot at round %d outside session's %d rounds", sn.Round, len(st.stats.DeliveredPerRound))
 	}
@@ -308,8 +293,7 @@ func (st *sessionState) restoreSnapshot(sn *snapshotRec) error {
 	s.MissedLatencyHistogram = copyHist(r.MissedLatencyHistogram)
 	s.MaxBacklog, s.MaxOffered = r.MaxBacklog, r.MaxOffered
 	copy(s.DeliveredPerRound, r.DeliveredPerRound)
-	st.retryPool = recsToPool(sn.RetryPool)
-	st.buffered = recsToBuffered(sn.Buffered)
+	st.restoreBacklog(sn.RetryPool, sn.Buffered)
 	if st.budget != nil {
 		st.budget.Restore(sn.Budget)
 	}
@@ -352,7 +336,7 @@ func RunDurableSession(sw core.Concentrator, cfg SessionConfig, jcfg journal.Con
 
 	for {
 		// ---- boot (or reboot) one incarnation ----
-		st, err := newSessionState(sw, cfg)
+		st, err := NewSession(sw, cfg, cfg.AckDelay)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -440,7 +424,7 @@ func RunDurableSession(sw core.Concentrator, cfg SessionConfig, jcfg journal.Con
 
 			mk := st.mark()
 			preOffered := st.stats.Offered
-			if err := st.step(sw, rng.Rand); err != nil {
+			if _, _, err := st.Step(sw, rng.Rand); err != nil {
 				return nil, nil, err
 			}
 			freshOffers := st.stats.Offered - preOffered
@@ -489,7 +473,7 @@ func RunDurableSession(sw core.Concentrator, cfg SessionConfig, jcfg journal.Con
 
 		if !crashed {
 			rec.JournalBytes = store.Size()
-			return st.finish(), rec, nil
+			return st.Finish(), rec, nil
 		}
 		rec.Crashes++
 		rec.Incarnations++

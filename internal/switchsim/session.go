@@ -349,40 +349,52 @@ func newSessionStats(cfg SessionConfig) *SessionStats {
 	}
 }
 
-// sessionState is the complete between-rounds state of a basic
-// (non-integrity) session: everything a round's execution reads or
-// writes, extracted so the same machine can be driven two ways —
-// straight through by RunSession, or round-at-a-time by the durable
-// runner, which journals the state between steps and rebuilds it after
-// a crash. The RNG is deliberately NOT part of the state: RunSession
-// feeds math/rand (whose source cannot be serialized) to keep its
-// historical streams bit-identical, while the durable runner feeds a
-// seedrand cursor it can journal.
-type sessionState struct {
+// Session is the round machine of every session driver but the ARQ
+// engine: the complete between-rounds state of a session — everything
+// a round's execution reads or writes — and Step, the one
+// implementation of the §1 policies. RunSession drives it straight
+// through; the durable runner drives it round-at-a-time, journaling the
+// state between steps and rebuilding it after a crash; the health
+// plane's fault-aware session steps it on whichever contract, raw or
+// degraded, is active. The RNG is deliberately NOT part of the state:
+// RunSession feeds math/rand (whose source cannot be serialized) to
+// keep its historical streams bit-identical, while the durable runner
+// feeds a seedrand cursor it can journal.
+type Session struct {
 	cfg   SessionConfig
 	n     int // input wires
 	stats *SessionStats
+	// backoffCap bounds the Resend ack timeout (see NewSession).
+	backoffCap int
 
 	budget *overload.RetryBudget
 	codel  *overload.CoDel
 
-	// buffered[input] = message occupying that input (Buffer policy);
-	// retryPool holds waiting messages (Resend/Misroute).
-	buffered  map[int]*pendingMsg
-	retryPool []*pendingMsg
+	// pending is the backlog: retries (Resend), deflected messages
+	// (Misroute), or messages held at their input wires (Buffer, kept
+	// in ascending input order because Run reports drops in the order
+	// of the input-sorted offers).
+	pending []*pendingMsg
 
 	// round is the next round to execute.
 	round int
 }
 
-// newSessionState builds the machine at round 0. The config must
-// already be validated and must not be an integrity session.
-func newSessionState(sw core.Concentrator, cfg SessionConfig) (*sessionState, error) {
-	st := &sessionState{
-		cfg:      cfg,
-		n:        sw.Inputs(),
-		stats:    newSessionStats(cfg),
-		buffered: make(map[int]*pendingMsg),
+// NewSession builds the machine at round 0. cfg must pass Validate and
+// carry no Integrity layer (the ARQ engine runs its own step).
+// backoffCap bounds the Resend ack timeout: after a message's k-th
+// offer is dropped it waits AckDelay·2^(k−1) extra rounds, at most
+// backoffCap, so a cap of AckDelay is the fixed ack round trip. A
+// RetryBudget's jittered backoff replaces the doubling.
+func NewSession(sw core.Concentrator, cfg SessionConfig, backoffCap int) (*Session, error) {
+	if cfg.Integrity != nil {
+		return nil, fmt.Errorf("switchsim: integrity sessions run the ARQ engine, not the session round machine")
+	}
+	st := &Session{
+		cfg:        cfg,
+		n:          sw.Inputs(),
+		stats:      newSessionStats(cfg),
+		backoffCap: backoffCap,
 	}
 	if cfg.RetryBudget != nil {
 		b, err := overload.NewRetryBudget(*cfg.RetryBudget)
@@ -401,59 +413,53 @@ func newSessionState(sw core.Concentrator, cfg SessionConfig) (*sessionState, er
 	return st, nil
 }
 
-// backlog counts the waiting messages (retry pool plus buffers).
-func (st *sessionState) backlog() int { return len(st.retryPool) + len(st.buffered) }
+// backlog counts the waiting messages.
+func (st *Session) backlog() int { return len(st.pending) }
 
-// finish closes the books and returns the stats.
-func (st *sessionState) finish() *SessionStats {
+// Finish closes the books and returns the stats.
+func (st *Session) Finish() *SessionStats {
 	st.stats.FinalBacklog = st.backlog()
 	return st.stats
 }
 
-// step executes one round — CoDel drain, re-offers, new arrivals,
-// routing, per-policy disposition — and advances the round counter.
-// Deterministic in (state, rng stream): re-running a step from
-// identical state with an identically positioned rng reproduces it
-// bit for bit, which is what crash recovery's re-execution relies on.
-func (st *sessionState) step(sw core.Concentrator, rng *rand.Rand) error {
+// retryDelay is the Resend ack timeout after a message's offers-th
+// offer was dropped.
+func (st *Session) retryDelay(offers int) int {
+	d := st.cfg.AckDelay
+	for i := 1; i < offers && d < st.backoffCap; i++ {
+		d *= 2
+	}
+	return min(d, st.backoffCap)
+}
+
+// Step executes one round — CoDel drain, re-offers, new arrivals,
+// routing through sw, per-policy disposition — and advances the round
+// counter. It returns the messages offered to sw and sw's Result, both
+// nil on a round with no offers. Deterministic in (state, rng stream):
+// re-running a step from identical state with an identically
+// positioned rng reproduces it bit for bit, which is what crash
+// recovery's re-execution relies on.
+func (st *Session) Step(sw core.Concentrator, rng *rand.Rand) ([]Message, *Result, error) {
 	cfg, stats, round := st.cfg, st.stats, st.round
 	st.round++
 
-	// The CoDel drain runs before this round's offers: queue heads
+	// The CoDel drain runs before this round's offers: backlog heads
 	// (oldest first, ties by input) are shed while the sojourn rule
 	// says the backlog has stood above target for a full interval.
 	if st.codel != nil {
-		switch cfg.Policy {
-		case Resend:
-			for len(st.retryPool) > 0 {
-				oi := 0
-				for i, pm := range st.retryPool {
-					o := st.retryPool[oi]
-					if pm.firstRound < o.firstRound || (pm.firstRound == o.firstRound && pm.input < o.input) {
-						oi = i
-					}
+		for len(st.pending) > 0 {
+			oi := 0
+			for i, pm := range st.pending {
+				o := st.pending[oi]
+				if pm.firstRound < o.firstRound || (pm.firstRound == o.firstRound && pm.input < o.input) {
+					oi = i
 				}
-				if !st.codel.Drop(round, round-st.retryPool[oi].firstRound) {
-					break
-				}
-				st.retryPool = append(st.retryPool[:oi], st.retryPool[oi+1:]...)
-				stats.Shed++
 			}
-		case Buffer:
-			for len(st.buffered) > 0 {
-				oin := -1
-				for in, pm := range st.buffered {
-					if oin == -1 || pm.firstRound < st.buffered[oin].firstRound ||
-						(pm.firstRound == st.buffered[oin].firstRound && in < oin) {
-						oin = in
-					}
-				}
-				if !st.codel.Drop(round, round-st.buffered[oin].firstRound) {
-					break
-				}
-				delete(st.buffered, oin)
-				stats.Shed++
+			if !st.codel.Drop(round, round-st.pending[oi].firstRound) {
+				break
 			}
+			st.pending = append(st.pending[:oi], st.pending[oi+1:]...)
+			stats.Shed++
 		}
 	}
 
@@ -461,18 +467,12 @@ func (st *sessionState) step(sw core.Concentrator, rng *rand.Rand) error {
 	// busy marks inputs whose sender is still blocked on an
 	// unacknowledged message that is not yet eligible to retry.
 	busy := map[int]bool{}
-
-	switch cfg.Policy {
-	case Buffer:
-		for in, pm := range st.buffered {
-			offered[in] = pm
-			stats.Retries++
-		}
-	case Misroute:
-		// Deflected messages re-enter at random free inputs; with
-		// every input occupied they keep wandering another round.
-		var wandering []*pendingMsg
-		for _, pm := range st.retryPool {
+	var waiting []*pendingMsg
+	for _, pm := range st.pending {
+		switch {
+		case cfg.Policy == Misroute:
+			// Deflected messages re-enter at random free inputs; with
+			// every input occupied they keep wandering another round.
 			in := -1
 			for _, cand := range rng.Perm(st.n) {
 				if offered[cand] == nil {
@@ -481,36 +481,26 @@ func (st *sessionState) step(sw core.Concentrator, rng *rand.Rand) error {
 				}
 			}
 			if in == -1 {
-				wandering = append(wandering, pm)
+				waiting = append(waiting, pm)
 				continue
 			}
 			pm.input = in
-			offered[in] = pm
-			stats.Retries++
+		case pm.eligible > round:
+			// A Resend retry re-enters on its original input once the
+			// ack timeout elapses; until then its sender is blocked. A
+			// buffered message is always eligible.
+			waiting = append(waiting, pm)
+			busy[pm.input] = true
+			continue
+		case offered[pm.input] != nil:
+			// Two waiting messages for one input cannot happen: the
+			// backlog holds at most one per input.
+			return nil, nil, fmt.Errorf("switchsim: duplicate retry for input %d", pm.input)
 		}
-		st.retryPool = wandering
-
-	case Resend:
-		// Retried messages re-enter on their original inputs once
-		// the ack round trip elapses; if a new arrival also wants
-		// the input, the retry wins (the sender is still blocked).
-		var stillWaiting []*pendingMsg
-		for _, pm := range st.retryPool {
-			if pm.eligible > round {
-				stillWaiting = append(stillWaiting, pm)
-				busy[pm.input] = true
-				continue
-			}
-			if offered[pm.input] != nil {
-				// Two retries for one input cannot happen: the pool
-				// holds at most one per input.
-				return fmt.Errorf("switchsim: duplicate retry for input %d", pm.input)
-			}
-			offered[pm.input] = pm
-			stats.Retries++
-		}
-		st.retryPool = stillWaiting
+		offered[pm.input] = pm
+		stats.Retries++
 	}
+	st.pending = waiting
 
 	// New arrivals, at the surge plane's multiplied load.
 	load := cfg.Load
@@ -539,7 +529,7 @@ func (st *sessionState) step(sw core.Concentrator, rng *rand.Rand) error {
 		if w := st.backlog(); w > stats.MaxBacklog {
 			stats.MaxBacklog = w
 		}
-		return nil
+		return nil, nil, nil
 	}
 
 	// Offers enter the fabric in input order. The fixed order matters:
@@ -563,7 +553,7 @@ func (st *sessionState) step(sw core.Concentrator, rng *rand.Rand) error {
 	}
 	res, err := Run(sw, msgs)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	for _, d := range res.Delivered {
 		pm := offered[d.Input]
@@ -573,36 +563,33 @@ func (st *sessionState) step(sw core.Concentrator, rng *rand.Rand) error {
 		stats.DeliveredPerRound[round]++
 		stats.bookDelivery(round-pm.firstRound, pm.offers > 1, cfg.Deadline)
 	}
-	st.buffered = map[int]*pendingMsg{}
 	for _, in := range res.DroppedInputs {
 		pm := offered[in]
 		switch cfg.Policy {
 		case Drop:
 			stats.Dropped++
+			continue
 		case Resend:
-			if st.budget != nil && !st.budget.Allow() {
-				// Over the retry budget: fail fast instead of
-				// feeding the storm. The input wire is freed.
+			switch {
+			case st.budget == nil:
+				pm.eligible = round + 1 + st.retryDelay(pm.offers)
+			case !st.budget.Allow():
+				// Over the retry budget: fail fast instead of feeding
+				// the storm. The input wire is freed.
 				stats.Shed++
 				continue
-			}
-			pm.eligible = round + 1 + cfg.AckDelay
-			if st.budget != nil {
-				// Full-jitter exponential backoff desynchronizes
-				// the shed cohort (Backoff ≥ 1 keeps the ack RTT).
+			default:
+				// Full-jitter exponential backoff desynchronizes the
+				// shed cohort (Backoff ≥ 1 keeps the ack RTT).
 				pm.eligible = round + cfg.AckDelay + st.budget.Backoff(pm.offers, rng)
 			}
-			st.retryPool = append(st.retryPool, pm)
-		case Misroute:
-			st.retryPool = append(st.retryPool, pm)
-		case Buffer:
-			st.buffered[in] = pm
 		}
+		st.pending = append(st.pending, pm)
 	}
 	if w := st.backlog(); w > stats.MaxBacklog {
 		stats.MaxBacklog = w
 	}
-	return nil
+	return msgs, res, nil
 }
 
 // RunSession simulates a multi-round message session through the switch
@@ -617,14 +604,14 @@ func RunSession(sw core.Concentrator, cfg SessionConfig) (*SessionStats, error) 
 		return runIntegritySession(sw, cfg)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	st, err := newSessionState(sw, cfg)
+	st, err := NewSession(sw, cfg, cfg.AckDelay)
 	if err != nil {
 		return nil, err
 	}
 	for st.round < cfg.Rounds {
-		if err := st.step(sw, rng); err != nil {
+		if _, _, err := st.Step(sw, rng); err != nil {
 			return nil, err
 		}
 	}
-	return st.finish(), nil
+	return st.Finish(), nil
 }
