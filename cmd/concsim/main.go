@@ -458,6 +458,7 @@ func runFaultSession(sw core.Concentrator, policy string, load float64, rounds, 
 		stats.Scans, stats.ScanRoutes, 100*stats.ScanOverhead)
 	fmt.Printf("  degraded contract: m′=%d threshold=%d α′=%.4f\n",
 		stats.DegradedOutputs, stats.DegradedThreshold, stats.PostDegradationAlpha)
+	checkSessionConservation(&stats.SessionStats)
 	if stats.LostAfterDetection > 0 {
 		fmt.Fprintf(os.Stderr, "guarantee violated: %d messages lost after degradation should have covered the faults\n",
 			stats.LostAfterDetection)

@@ -69,6 +69,9 @@ func TestFaultSessionConfigValidate(t *testing.T) {
 		{"zero payload bits", func(c *FaultSessionConfig) { c.PayloadBits = 0 }},
 		{"negative scan period", func(c *FaultSessionConfig) { c.ScanEvery = -1 }},
 		{"negative backoff cap", func(c *FaultSessionConfig) { c.BackoffMax = -4 }},
+		{"backoff cap below ack delay", func(c *FaultSessionConfig) {
+			c.Policy, c.AckDelay, c.BackoffMax = switchsim.Resend, 3, 2
+		}},
 		{"fault before session", func(c *FaultSessionConfig) { c.Schedule[0].Round = -1 }},
 		{"fault after session", func(c *FaultSessionConfig) { c.Schedule[0].Round = c.Rounds }},
 		{"fault stage out of range", func(c *FaultSessionConfig) { c.Schedule[0].Fault.Stage = 99 }},
@@ -314,5 +317,56 @@ func TestFaultAwareSessionBackoff(t *testing.T) {
 	if stats.LostBeforeDetection != 0 || stats.LostAfterDetection != 0 {
 		t.Fatalf("congestion is not fault loss: before %d after %d",
 			stats.LostBeforeDetection, stats.LostAfterDetection)
+	}
+}
+
+// TestFaultSessionLedger: a fault session books the full session
+// ledger. With faults, congestion and a backlog left at the end, the
+// conservation law Offered = Delivered + Dropped + CorruptedDropped +
+// DeadlineMissed + Shed + FinalBacklog holds, LatencyHistogram is the
+// exact sum of its first-try and retried halves, and Resend books the
+// deliveries that needed retries.
+func TestFaultSessionLedger(t *testing.T) {
+	for _, pol := range []switchsim.Policy{switchsim.Drop, switchsim.Resend, switchsim.Buffer, switchsim.Misroute} {
+		sw, err := core.NewColumnsortSwitch(16, 4, 48)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := FaultSessionConfig{
+			SessionConfig: switchsim.SessionConfig{
+				Policy: pol, Load: 0.9, Rounds: 40, PayloadBits: 4, Seed: 11,
+			},
+			Schedule:        GenerateFaultSchedule(11, sw, 12, 40, 5),
+			ScanEvery:       7,
+			ScanOnViolation: true,
+		}
+		if pol == switchsim.Resend {
+			cfg.AckDelay = 2
+		}
+		st, err := RunFaultAwareSession(sw, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.FaultsInjected == 0 {
+			t.Fatalf("%s: schedule injected no faults", pol)
+		}
+		if got := st.Delivered + st.Dropped + st.CorruptedDropped + st.DeadlineMissed + st.Shed + st.FinalBacklog; got != st.Offered {
+			t.Errorf("%s: delivered %d + dropped %d + corrupted %d + missed %d + shed %d + backlog %d = %d, offered %d",
+				pol, st.Delivered, st.Dropped, st.CorruptedDropped, st.DeadlineMissed, st.Shed, st.FinalBacklog, got, st.Offered)
+		}
+		if pol != switchsim.Drop && st.FinalBacklog == 0 {
+			t.Errorf("%s: load 0.9 left no final backlog; the law's closing term is untested", pol)
+		}
+		for lat, c := range st.LatencyHistogram {
+			if split := st.FirstTryLatencyHistogram[lat] + st.RetriedLatencyHistogram[lat]; split != c {
+				t.Errorf("%s: latency %d: %d deliveries, first-try + retried = %d", pol, lat, c, split)
+			}
+		}
+		if len(st.FirstTryLatencyHistogram) > len(st.LatencyHistogram) || len(st.RetriedLatencyHistogram) > len(st.LatencyHistogram) {
+			t.Errorf("%s: split histograms hold latencies the combined one lacks", pol)
+		}
+		if pol == switchsim.Resend && (st.Retries == 0 || st.RetriedDelivered == 0) {
+			t.Errorf("resend: %d retries, %d retried deliveries; want both > 0", st.Retries, st.RetriedDelivered)
+		}
 	}
 }
