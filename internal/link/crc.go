@@ -35,10 +35,13 @@ const (
 	// CRCNone disables corruption detection (sequence number only).
 	CRCNone CRC = iota
 	// CRC8 is the 8-bit ATM-HEC polynomial x⁸+x²+x+1 (0x07): Hamming
-	// distance 4 for datawords up to 119 bits.
+	// distance 4 for codewords up to 127 bits, so for frames whose seq
+	// byte and byte-padded payload fit 112 bits.
 	CRC8
 	// CRC16 is the 16-bit CCITT polynomial x¹⁶+x¹²+x⁵+1 (0x1021),
-	// init 0xFFFF: Hamming distance 4 for datawords up to 32751 bits.
+	// init 0xFFFF: Hamming distance 4 for codewords up to 32767 bits,
+	// so for frames whose seq byte and byte-padded payload fit 32744
+	// bits.
 	CRC16
 )
 
@@ -87,13 +90,18 @@ func (c CRC) Valid() bool { return c >= CRCNone && c <= CRC16 }
 
 // GuaranteedBits returns the largest dataword length (in bits) for
 // which the checksum detects every error of ≤ 3 flipped bits (Hamming
-// distance 4). CRCNone detects nothing.
+// distance 4). The dataword is the seq byte plus the payload zero-
+// padded to whole bytes, so the bound is the generator's limit (119
+// bits for CRC-8, 32751 for CRC-16) rounded down to whole bytes: a
+// frame keeps distance 4 while SeqBits plus its padded payload fits,
+// which for CRC-8 means payloads up to 104 bits. CRCNone detects
+// nothing.
 func (c CRC) GuaranteedBits() int {
 	switch c {
 	case CRC8:
-		return 119
+		return 112
 	case CRC16:
-		return 32751
+		return 32744
 	default:
 		return 0
 	}

@@ -52,6 +52,7 @@ func TestCRCDistanceExhaustive(t *testing.T) {
 	}{
 		{CRC8, 8},
 		{CRC8, 32},
+		{CRC8, 104},
 		{CRC16, 32},
 	} {
 		payload := make([]byte, tc.payload)
@@ -84,5 +85,25 @@ func TestCRCDistanceExhaustive(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCRC8PaddedDatawordBound pins why CRC8.GuaranteedBits counts the
+// payload's byte padding: a 111-bit payload plus the seq byte is 119
+// dataword bits, within the generator's limit, but the padded dataword
+// is 120 bits, so frame bits 0 and 126 sit 127 positions apart — the
+// period of the generator's primitive factor — and flipping both
+// re-validates.
+func TestCRC8PaddedDatawordBound(t *testing.T) {
+	payload := make([]byte, 111)
+	frame := EncodeFrame(CRC8, 126, payload)
+	frame[0] ^= 1
+	frame[126] ^= 1
+	if _, _, ok, err := DecodeFrame(CRC8, frame); err != nil || !ok {
+		t.Fatalf("flips at frame bits 0 and 126 of a 111-bit payload: ok=%v err=%v, want the aliasing pair to re-validate", ok, err)
+	}
+	if SeqBits+len(payload) <= CRC8.GuaranteedBits() {
+		t.Fatalf("CRC8.GuaranteedBits() = %d covers a %d-bit payload with an undetected 2-bit error",
+			CRC8.GuaranteedBits(), len(payload))
 	}
 }

@@ -16,6 +16,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add([]byte{0}, uint8(2), uint16(3), uint16(3), uint16(3), uint8(1))
 	f.Add(bytes.Repeat([]byte{1, 0}, 50), uint8(2), uint16(9), uint16(40), uint16(77), uint8(2))
 	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1}, uint8(1), uint16(7), uint16(8), uint16(15), uint8(0))
+	f.Add(make([]byte, 111), uint8(1), uint16(126), uint16(0), uint16(2), uint8(34))
 	f.Fuzz(func(t *testing.T, payload []byte, crcSel uint8, f1, f2, f3 uint16, nflips uint8) {
 		if len(payload) == 0 {
 			return
@@ -25,7 +26,8 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		}
 		crc := CRC(crcSel % 3)
 		// Stay within the guaranteed HD-4 dataword length (seq byte +
-		// payload bits); beyond it a 3-bit error may legitimately alias.
+		// byte-padded payload); beyond it a 3-bit error may
+		// legitimately alias.
 		if crc != CRCNone && SeqBits+len(payload) > crc.GuaranteedBits() {
 			payload = payload[:crc.GuaranteedBits()-SeqBits]
 		}
