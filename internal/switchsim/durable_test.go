@@ -1,6 +1,7 @@
 package switchsim
 
 import (
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -262,5 +263,54 @@ func TestDurableRejectsBadConfigs(t *testing.T) {
 	bad.Rounds = 0
 	if _, _, err := RunDurableSession(sw, bad, journal.Config{}); err == nil {
 		t.Error("invalid session config accepted")
+	}
+}
+
+// TestJournalBacklogLayout pins the journal form of the one backlog:
+// a Buffer backlog is written under Buffered in ascending input order,
+// every other policy's under RetryPool, and restoring that form
+// rebuilds the backlog record for record.
+func TestJournalBacklogLayout(t *testing.T) {
+	sw := smallSwitch(t)
+	for name, cfg := range durableConfigs(4) {
+		st, err := NewSession(sw, cfg, cfg.AckDelay)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(cfg.Seed))
+		peak := 0
+		for st.round < cfg.Rounds {
+			if _, _, err := st.Step(sw, rng); err != nil {
+				t.Fatal(err)
+			}
+			retry, buffered := st.backlogRecs()
+			recs := retry
+			if cfg.Policy == Buffer {
+				recs = buffered
+				if len(retry) != 0 {
+					t.Fatalf("%s round %d: Buffer backlog written under RetryPool", name, st.round)
+				}
+				for i := 1; i < len(buffered); i++ {
+					if buffered[i-1].Input >= buffered[i].Input {
+						t.Fatalf("%s round %d: Buffered inputs not ascending: %+v", name, st.round, buffered)
+					}
+				}
+			} else if len(buffered) != 0 {
+				t.Fatalf("%s round %d: %s backlog written under Buffered", name, st.round, cfg.Policy)
+			}
+			if len(recs) != st.backlog() {
+				t.Fatalf("%s round %d: %d records for a backlog of %d", name, st.round, len(recs), st.backlog())
+			}
+			peak = max(peak, len(recs))
+			back := &Session{cfg: cfg}
+			back.restoreBacklog(retry, buffered)
+			r2, b2 := back.backlogRecs()
+			if !reflect.DeepEqual(r2, retry) || !reflect.DeepEqual(b2, buffered) {
+				t.Fatalf("%s round %d: restore changed the backlog records", name, st.round)
+			}
+		}
+		if cfg.Policy != Drop && peak == 0 {
+			t.Errorf("%s: no backlog ever formed; the layout is untested", name)
+		}
 	}
 }

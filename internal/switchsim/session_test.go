@@ -244,3 +244,27 @@ func TestMeanLatencyEmpty(t *testing.T) {
 		t.Error("empty histogram should have zero mean")
 	}
 }
+
+// TestRetryDelay pins the Resend ack-timeout rule: AckDelay, doubled
+// for each offer after the first, clamped to the cap. A cap of
+// AckDelay is the fixed round trip; a cap between two doublings
+// clamps the overshoot.
+func TestRetryDelay(t *testing.T) {
+	for _, tc := range []struct {
+		ack, cap int
+		want     []int // delays after the 1st, 2nd, ... dropped offer
+	}{
+		{0, 0, []int{0, 0, 0}},
+		{0, 8, []int{0, 0, 0}},
+		{2, 2, []int{2, 2, 2, 2}},
+		{1, 8, []int{1, 2, 4, 8, 8}},
+		{3, 10, []int{3, 6, 10, 10}},
+	} {
+		st := &Session{cfg: SessionConfig{AckDelay: tc.ack}, backoffCap: tc.cap}
+		for i, want := range tc.want {
+			if got := st.retryDelay(i + 1); got != want {
+				t.Errorf("AckDelay %d cap %d: delay after offer %d = %d, want %d", tc.ack, tc.cap, i+1, got, want)
+			}
+		}
+	}
+}
