@@ -7,8 +7,8 @@
 //	concbench -list            # list experiment ids
 //	concbench -run F3          # run one experiment
 //	concbench -bench           # run the perf suite (human table)
-//	concbench -bench -bench-out BENCH_10.json
-//	concbench -bench -baseline BENCH_10.json   # exit 2 on regression
+//	GOMAXPROCS=1 concbench -bench -bench-out BENCH_11.json
+//	concbench -bench -baseline BENCH_11.json   # exit 2 on regression
 //
 // Experiment ids follow the per-experiment index in DESIGN.md. The
 // perf suite measures the word-parallel route kernel, healthy and with

@@ -97,31 +97,46 @@ func main() {
 			*hedgeQuantile, *hedgeBudget, *deadline, *jsonOut)
 		return
 	}
-	if *ber > 0 {
-		if *jsonOut {
-			fmt.Fprintln(os.Stderr, "-json is not supported in integrity (-ber) mode")
-			os.Exit(cli.ExitUsage)
+	durable := *crashes > 0 || *unjournaled || *compact || *snapshotEvery > 0
+	if *ber > 0 || *faults > 0 || durable || *policy != "" {
+		// Every session mode runs the one config the session flags
+		// build; a layer its driver cannot run fails validation.
+		if *policy == "" {
+			*policy = "resend"
 		}
-		runIntegrity(sw, *load, *ber, *crc, *arqWindow, *rounds, *payload, *seed, *ack, *deadline, *adaptiveRTO)
-		return
-	}
-	if *faults > 0 {
-		if *jsonOut {
-			fmt.Fprintln(os.Stderr, "-json is not supported in fault-session (-faults) mode")
-			os.Exit(cli.ExitUsage)
+		cfg := switchsim.SessionConfig{
+			Policy: parsePolicy(*policy), Load: *load, Rounds: *rounds, PayloadBits: *payload,
+			Seed: *seed, Deadline: *deadline,
+			Surge: surgePlane(*surge, *surgeShape, *rounds, *seed),
 		}
-		runFaultSession(sw, *policy, *load, *rounds, *payload, *seed, *ack, *faults, *mtbf, *scanEvery)
-		return
-	}
-	if *crashes > 0 || *unjournaled || *compact || *snapshotEvery > 0 {
-		runDurable(sw, *policy, *load, *rounds, *payload, *seed, *ack, *deadline,
-			*crashes, *snapshotEvery, *unjournaled, *compact, *jsonOut,
-			*retryBudget, *codelTarget, *codelInterval)
-		return
-	}
-	if *policy != "" {
-		runSession(sw, *policy, *load, *rounds, *payload, *seed, *ack, *deadline,
-			*surge, *surgeShape, *retryBudget, *codelTarget, *codelInterval, *jsonOut)
+		if cfg.Policy == switchsim.Resend {
+			cfg.AckDelay = *ack // the only policy with an acknowledgment protocol
+		}
+		if *retryBudget > 0 {
+			cfg.RetryBudget = &overload.RetryConfig{Budget: *retryBudget}
+		}
+		if *codelTarget > 0 {
+			cfg.CoDel = &overload.CoDelConfig{Target: *codelTarget, Interval: *codelInterval}
+			if *codelInterval == 0 {
+				cfg.CoDel.Interval = 4 * *codelTarget
+			}
+		}
+		switch {
+		case *ber > 0:
+			if *jsonOut {
+				cli.Fatal(cli.ExitUsage, "-json is not supported in integrity (-ber) mode")
+			}
+			runIntegrity(sw, cfg, *ber, *crc, *arqWindow, *adaptiveRTO)
+		case *faults > 0:
+			if *jsonOut {
+				cli.Fatal(cli.ExitUsage, "-json is not supported in fault-session (-faults) mode")
+			}
+			runFaultSession(sw, cfg, *faults, *mtbf, *scanEvery)
+		case durable:
+			runDurable(sw, cfg, *crashes, *snapshotEvery, *unjournaled, *compact, *jsonOut)
+		default:
+			runSession(sw, cfg, *jsonOut)
+		}
 		return
 	}
 	if *surge > 0 || *retryBudget > 0 || *codelTarget > 0 {
@@ -219,15 +234,6 @@ func parsePolicy(policy string) switchsim.Policy {
 	}
 }
 
-// ackFor gates the ack round trip to the one policy that has an
-// acknowledgment protocol; other policies reject a non-zero AckDelay.
-func ackFor(pol switchsim.Policy, ack int) int {
-	if pol != switchsim.Resend {
-		return 0
-	}
-	return ack
-}
-
 // surgePlane builds the session's surge plane from the -surge flags.
 func surgePlane(factor float64, shape string, rounds int, seed int64) *overload.Plane {
 	if factor == 0 {
@@ -255,20 +261,6 @@ func surgePlane(factor float64, shape string, rounds int, seed int64) *overload.
 	return p
 }
 
-// sessionOverload assembles the optional retry-budget and CoDel
-// configs shared by the session and durability modes.
-func sessionOverload(cfg *switchsim.SessionConfig, retryBudget float64, codelTarget, codelInterval int) {
-	if retryBudget > 0 {
-		cfg.RetryBudget = &overload.RetryConfig{Budget: retryBudget}
-	}
-	if codelTarget > 0 {
-		if codelInterval == 0 {
-			codelInterval = 4 * codelTarget
-		}
-		cfg.CoDel = &overload.CoDelConfig{Target: codelTarget, Interval: codelInterval}
-	}
-}
-
 // checkSessionConservation enforces the eight-term conservation law
 // Offered = Delivered + Dropped + CorruptedDropped + DeadlineMissed +
 // Shed + Fenced + Forged + Duplicated + FinalBacklog, exiting
@@ -286,16 +278,27 @@ func checkSessionConservation(stats *switchsim.SessionStats) {
 	}
 }
 
-// runSession executes the multi-round congestion-control mode.
-func runSession(sw core.Concentrator, policy string, load float64, rounds, payload int, seed int64, ack, deadline int,
-	surge float64, surgeShape string, retryBudget float64, codelTarget, codelInterval int, jsonOut bool) {
-	pol := parsePolicy(policy)
-	cfg := switchsim.SessionConfig{
-		Policy: pol, Load: load, Rounds: rounds, PayloadBits: payload,
-		Seed: seed, AckDelay: ackFor(pol, ack), Deadline: deadline,
-		Surge: surgePlane(surge, surgeShape, rounds, seed),
+// printLayers prints the ledger lines of the overload and deadline
+// layers cfg sets.
+func printLayers(cfg switchsim.SessionConfig, stats *switchsim.SessionStats) {
+	if cfg.RetryBudget != nil || cfg.CoDel != nil {
+		fmt.Printf("  shed %d (retry-budget denials + CoDel drops), final backlog %d\n",
+			stats.Shed, stats.FinalBacklog)
 	}
-	sessionOverload(&cfg, retryBudget, codelTarget, codelInterval)
+	if cfg.Deadline > 0 {
+		fmt.Printf("  deadline %d rounds: %d deliveries missed the budget\n", cfg.Deadline, stats.DeadlineMissed)
+	}
+}
+
+// printSurge lists the surge plane's faults (none without a plane).
+func printSurge(cfg switchsim.SessionConfig) {
+	for _, f := range cfg.Surge.Faults() {
+		fmt.Printf("  surge: %s\n", f)
+	}
+}
+
+// runSession executes the multi-round congestion-control mode.
+func runSession(sw core.Concentrator, cfg switchsim.SessionConfig, jsonOut bool) {
 	stats, err := switchsim.RunSession(sw, cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -308,26 +311,16 @@ func runSession(sw core.Concentrator, policy string, load float64, rounds, paylo
 			Switch string `json:"switch"`
 			Load   float64
 			Stats  *switchsim.SessionStats
-		}{"session", sw.Name(), load, stats})
+		}{"session", sw.Name(), cfg.Load, stats})
 		return
 	}
-	fmt.Printf("session: policy=%s load=%.2f rounds=%d\n", pol, load, rounds)
-	if cfg.Surge != nil {
-		for _, f := range cfg.Surge.Faults() {
-			fmt.Printf("  surge: %s\n", f)
-		}
-	}
+	fmt.Printf("session: policy=%s load=%.2f rounds=%d\n", cfg.Policy, cfg.Load, cfg.Rounds)
+	printSurge(cfg)
 	fmt.Printf("  offered %d, delivered %d, lost %d, refused %d, retries %d\n",
 		stats.Offered, stats.Delivered, stats.Dropped, stats.Refused, stats.Retries)
 	fmt.Printf("  mean latency %.2f rounds (p50 %d, p99 %d, p999 %d), peak backlog %d\n",
 		stats.MeanLatency(), stats.P50(), stats.P99(), stats.P999(), stats.MaxBacklog)
-	if cfg.RetryBudget != nil || cfg.CoDel != nil {
-		fmt.Printf("  shed %d (retry-budget denials + CoDel drops), final backlog %d\n",
-			stats.Shed, stats.FinalBacklog)
-	}
-	if deadline > 0 {
-		fmt.Printf("  deadline %d rounds: %d deliveries missed the budget\n", deadline, stats.DeadlineMissed)
-	}
+	printLayers(cfg, stats)
 	checkSessionConservation(stats)
 	fmt.Printf("conservation verified: offered = delivered + lost + corrupted + missed + shed + backlog\n")
 }
@@ -337,20 +330,10 @@ func runSession(sw core.Concentrator, policy string, load float64, rounds, paylo
 // schedule killing the process at deterministic (round, phase) points,
 // and exactly-once recovery — or, with -unjournaled, the experimental
 // control that demonstrably loses state.
-func runDurable(sw core.Concentrator, policy string, load float64, rounds, payload int, seed int64, ack, deadline int,
-	crashes, snapshotEvery int, unjournaled, compact, jsonOut bool, retryBudget float64, codelTarget, codelInterval int) {
-	if policy == "" {
-		policy = "resend"
-	}
-	pol := parsePolicy(policy)
-	cfg := switchsim.SessionConfig{
-		Policy: pol, Load: load, Rounds: rounds, PayloadBits: payload,
-		Seed: seed, AckDelay: ackFor(pol, ack), Deadline: deadline,
-	}
-	sessionOverload(&cfg, retryBudget, codelTarget, codelInterval)
+func runDurable(sw core.Concentrator, cfg switchsim.SessionConfig, crashes, snapshotEvery int, unjournaled, compact, jsonOut bool) {
 	jcfg := journal.Config{
 		SnapshotEvery: snapshotEvery, Compact: compact, Unjournaled: unjournaled,
-		Crash: journal.GenerateCrashSchedule(seed, rounds, crashes),
+		Crash: journal.GenerateCrashSchedule(cfg.Seed, cfg.Rounds, crashes),
 	}
 	stats, rec, err := switchsim.RunDurableSession(sw, cfg, jcfg)
 	if err != nil {
@@ -365,11 +348,12 @@ func runDurable(sw core.Concentrator, policy string, load float64, rounds, paylo
 			Load     float64
 			Stats    *switchsim.SessionStats
 			Recovery *journal.RecoveryStats
-		}{"durable", sw.Name(), load, stats, rec})
+		}{"durable", sw.Name(), cfg.Load, stats, rec})
 		return
 	}
 	fmt.Printf("durable session: policy=%s load=%.2f rounds=%d crashes=%d journaled=%v\n",
-		pol, load, rounds, crashes, !unjournaled)
+		cfg.Policy, cfg.Load, cfg.Rounds, crashes, !unjournaled)
+	printSurge(cfg)
 	for _, f := range jcfg.Crash.Faults() {
 		fmt.Printf("  %s\n", f)
 	}
@@ -417,22 +401,15 @@ func checkDurableLedger(stats *switchsim.SessionStats, rec *journal.RecoveryStat
 // runFaultSession executes the fault-aware session mode: scheduled
 // chip faults strike the switch mid-stream while BIST scans detect,
 // localize, and degrade around them.
-func runFaultSession(sw core.Concentrator, policy string, load float64, rounds, payload int, seed int64, ack, faults int, mtbf float64, scanEvery int) {
+func runFaultSession(sw core.Concentrator, cfg switchsim.SessionConfig, faults int, mtbf float64, scanEvery int) {
 	fi, ok := sw.(core.FaultInjectable)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "-faults needs a multichip fault-injectable switch (revsort or columnsort), not %s\n", sw.Name())
 		os.Exit(cli.ExitUsage)
 	}
-	if policy == "" {
-		policy = "resend"
-	}
-	pol := parsePolicy(policy)
-	schedule := health.GenerateFaultSchedule(seed, fi, mtbf, rounds, faults)
+	schedule := health.GenerateFaultSchedule(cfg.Seed, fi, mtbf, cfg.Rounds, faults)
 	stats, err := health.RunFaultAwareSession(fi, health.FaultSessionConfig{
-		SessionConfig: switchsim.SessionConfig{
-			Policy: pol, Load: load, Rounds: rounds, PayloadBits: payload,
-			Seed: seed, AckDelay: ackFor(pol, ack),
-		},
+		SessionConfig:   cfg,
 		Schedule:        schedule,
 		ScanEvery:       scanEvery,
 		ScanOnViolation: true,
@@ -442,11 +419,13 @@ func runFaultSession(sw core.Concentrator, policy string, load float64, rounds, 
 		os.Exit(cli.ExitUsage)
 	}
 	fmt.Printf("fault session: policy=%s load=%.2f rounds=%d mtbf=%.1f scan-every=%d\n",
-		pol, load, rounds, mtbf, scanEvery)
+		cfg.Policy, cfg.Load, cfg.Rounds, mtbf, scanEvery)
+	printSurge(cfg)
 	fmt.Printf("  offered %d, delivered %d, lost %d, refused %d, retries %d\n",
 		stats.Offered, stats.Delivered, stats.Dropped, stats.Refused, stats.Retries)
 	fmt.Printf("  mean latency %.2f rounds (p50 %d, p99 %d, p999 %d), peak backlog %d\n",
 		stats.MeanLatency(), stats.P50(), stats.P99(), stats.P999(), stats.MaxBacklog)
+	printLayers(cfg, &stats.SessionStats)
 	fmt.Printf("  faults injected %d, detected %d, contract violations %d\n",
 		stats.FaultsInjected, stats.FaultsDetected, stats.GuaranteeViolations)
 	for _, det := range stats.Detections {
@@ -466,66 +445,55 @@ func runFaultSession(sw core.Concentrator, policy string, load float64, rounds, 
 	}
 }
 
-// parseCRC maps the -crc flag to a checksum selector.
-func parseCRC(name string) link.CRC {
-	switch name {
-	case "crc8":
-		return link.CRC8
-	case "crc16":
-		return link.CRC16
-	case "none":
-		return link.CRCNone
-	default:
-		fmt.Fprintf(os.Stderr, "unknown crc %q (want crc8 | crc16 | none)\n", name)
-		os.Exit(cli.ExitUsage)
-		panic("unreachable")
-	}
-}
-
 // runIntegrity executes the wire-level data-plane integrity mode:
 // ambient bit noise at the given BER on every link, CRC-framed
 // payloads, sliding-window ARQ recovery, and EWMA link escalation into
 // the health plane's quarantine machinery.
-func runIntegrity(sw core.Concentrator, load, ber float64, crcName string, window, rounds, payload int, seed int64, ack, deadline int, adaptiveRTO bool) {
+func runIntegrity(sw core.Concentrator, cfg switchsim.SessionConfig, ber float64, crcName string, window int, adaptiveRTO bool) {
 	fi, ok := sw.(core.FaultInjectable)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "-ber needs a multichip fault-injectable switch (revsort or columnsort), not %s\n", sw.Name())
 		os.Exit(cli.ExitUsage)
 	}
-	plane := link.NewCorruptionPlane(seed)
+	crcSel, err := link.ParseCRC(crcName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(cli.ExitUsage)
+	}
+	plane := link.NewCorruptionPlane(cfg.Seed)
 	if err := plane.Add(link.WireFault{
 		Stage: link.AllStages, Wire: link.AllWires, Mode: link.WireBitFlip, BER: ber,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(cli.ExitUsage)
 	}
-	crcSel := parseCRC(crcName)
 	// Ambient noise touches every link, so the healthy baseline is a
 	// nonzero per-frame corruption rate: 1−(1−BER)^(frame bits × links
 	// crossed). The monitor's conviction threshold sits well above that
 	// baseline so it only convicts links persistently much worse than
 	// the ambient floor — ARQ absorbs the floor — while a genuinely
 	// stuck or near-saturated wire (rate → 1) is still escalated.
-	frameBits := payload + link.FrameOverhead(crcSel)
+	frameBits := cfg.PayloadBits + link.FrameOverhead(crcSel)
 	pathLinks := len(fi.StageChips()) + 1
 	baseline := 1 - math.Pow(1-ber, float64(frameBits*pathLinks))
 	threshold := min(0.95, 0.3+4*baseline)
-	stats, err := health.RunIntegritySession(fi, switchsim.SessionConfig{
-		Policy: switchsim.Resend, Load: load, Rounds: rounds, PayloadBits: payload,
-		Seed: seed, AckDelay: max(ack, 1), Deadline: deadline,
-		Integrity: &switchsim.IntegrityConfig{
-			CRC: crcSel, Window: window, Corruption: plane,
-			Monitor:     link.MonitorConfig{Threshold: threshold, MinFrames: 32},
-			AdaptiveRTO: adaptiveRTO,
-		},
-	})
+	if cfg.Policy == switchsim.Resend {
+		cfg.AckDelay = max(cfg.AckDelay, 1) // ARQ needs an ack round trip
+	}
+	cfg.Integrity = &switchsim.IntegrityConfig{
+		CRC: crcSel, Window: window, Corruption: plane,
+		Monitor:     link.MonitorConfig{Threshold: threshold, MinFrames: 32},
+		AdaptiveRTO: adaptiveRTO,
+	}
+	stats, err := health.RunIntegritySession(fi, cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(cli.ExitUsage)
 	}
 	ist := stats.Integrity
 	fmt.Printf("integrity session: ber=%g crc=%s window=%d load=%.2f rounds=%d\n",
-		ber, ist.CRC, ist.Window, load, rounds)
+		ber, ist.CRC, ist.Window, cfg.Load, cfg.Rounds)
+	printSurge(cfg)
 	fmt.Printf("  offered %d, delivered %d (%d retried), lost %d, corrupted-dropped %d, backlog %d\n",
 		stats.Offered, stats.Delivered, stats.RetriedDelivered, stats.Dropped,
 		stats.CorruptedDropped, ist.FinalBacklog)
@@ -538,16 +506,10 @@ func runIntegrity(sw core.Concentrator, load, ber float64, crcName string, windo
 		fmt.Printf("  adaptive RTO: %d clean RTT samples, %d Karn-rejected, final timer %d rounds\n",
 			ist.RTTSamples, ist.KarnRejected, ist.FinalRTO)
 	}
-	if deadline > 0 {
-		fmt.Printf("  deadline %d rounds: %d deliveries missed the budget\n", deadline, stats.DeadlineMissed)
-	}
+	printLayers(cfg, stats)
 	fmt.Printf("  links quarantined %d (inputs %v, scan routes %d), serving contract m′=%d threshold=%d\n",
 		ist.LinksQuarantined, ist.InputsQuarantined, ist.ScanRoutes, ist.LiveOutputs, ist.LiveThreshold)
-	if got := stats.Delivered + stats.Dropped + stats.CorruptedDropped + stats.DeadlineMissed + ist.FinalBacklog; got != stats.Offered {
-		fmt.Fprintf(os.Stderr, "conservation violated: %d + %d + %d + %d + %d != offered %d\n",
-			stats.Delivered, stats.Dropped, stats.CorruptedDropped, stats.DeadlineMissed, ist.FinalBacklog, stats.Offered)
-		os.Exit(cli.ExitViolation)
-	}
+	checkSessionConservation(stats)
 	if ist.CorruptedDelivered > 0 {
 		fmt.Fprintf(os.Stderr, "guarantee violated: %d corrupted payloads delivered past the checksum\n",
 			ist.CorruptedDelivered)
@@ -646,11 +608,4 @@ func runPool(kind string, n, m int, beta float64, replicas int, load float64, ro
 		os.Exit(cli.ExitViolation)
 	}
 	fmt.Printf("delivery guarantee (⌊α′m′⌋ = %d per round) verified on every round\n", p.Threshold())
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

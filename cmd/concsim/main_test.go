@@ -9,8 +9,11 @@ import (
 	"flag"
 	"os"
 	"os/exec"
+	"regexp"
 	"strings"
 	"testing"
+
+	"concentrators/cmd/internal/cli"
 )
 
 // cliDigests is the concsim golden corpus: for every command line in
@@ -81,6 +84,32 @@ func runCLI(t *testing.T, args string) ([]byte, int) {
 	default:
 		t.Fatalf("concsim %s: %v", args, err)
 		return nil, 0
+	}
+}
+
+// TestSessionFlagsReachEveryMode: every session mode runs the one
+// config the session flags build, so a layer flag either changes the
+// run or, in a mode whose driver cannot carry the layer, exits 1.
+func TestSessionFlagsReachEveryMode(t *testing.T) {
+	rs := "-switch revsort -n 64 -m 48 -rounds 40 -seed 7 "
+	cs := "-switch columnsort -n 64 -m 32 -beta 0.75 -rounds 60 -seed 5 "
+
+	out, code := runCLI(t, rs+"-load 0.8 -faults 5 -mtbf 12 -scan-every 7 -policy resend -deadline 1")
+	missed := regexp.MustCompile(`deadline 1 rounds: (\d+) deliveries missed`).FindSubmatch(out)
+	if code != 0 || missed == nil || string(missed[1]) == "0" {
+		t.Errorf("fault session with -deadline 1 (exit %d) booked no missed deadlines:\n%s", code, out)
+	}
+
+	plain, _ := runCLI(t, cs+"-policy resend -crashes 3")
+	surged, code := runCLI(t, cs+"-policy resend -crashes 3 -surge 3")
+	if code != 0 || bytes.Equal(plain, surged) {
+		t.Errorf("durable session with -surge 3 (exit %d) printed the unsurged run:\n%s", code, surged)
+	}
+
+	for _, args := range []string{rs + "-ber 1e-3 -codel-target 2", rs + "-ber 1e-3 -policy drop"} {
+		if _, code := runCLI(t, args); code != cli.ExitUsage {
+			t.Errorf("concsim %s: exit %d, want %d", args, code, cli.ExitUsage)
+		}
 	}
 }
 

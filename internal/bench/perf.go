@@ -6,7 +6,7 @@ package bench
 // the allocating one, the pool's failover round under sequential vs
 // speculative parallel replica dispatch, and the wire-noise layer with
 // the integrity session it drives. cmd/concbench serializes a
-// PerfReport to JSON (BENCH_10.json) and ComparePerf gates CI on
+// PerfReport to JSON (BENCH_11.json) and ComparePerf gates CI on
 // regressions against a committed baseline.
 
 import (
@@ -16,6 +16,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"time"
 
@@ -42,7 +43,7 @@ type PerfResult struct {
 	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
-// PerfReport is the machine-readable payload behind BENCH_10.json.
+// PerfReport is the machine-readable payload behind BENCH_11.json.
 type PerfReport struct {
 	// GoMaxProcs records the parallelism the suite ran under: the
 	// pool-dispatch speedup is only meaningful with ≥ 2 procs.
@@ -58,6 +59,15 @@ var perfSink int
 // and scheduler noise), then charges allocations over a short counted
 // run. f must be warm (scratch pools populated) before the timed loop
 // so steady-state cost is what lands in the report.
+//
+// The counted run pauses the collector and runs on one P. A collection
+// empties the sync.Pool scratch caches, and with several Ps a Get
+// misses an item a Put left in another P's private slot; either books
+// refills that depend on GC timing and scheduling, not on the code,
+// and that differ between GOMAXPROCS settings. Counted this way,
+// allocs/op is exact and the same at every GOMAXPROCS, which
+// ComparePerf's allocation gate needs to hold a baseline recorded at
+// one setting against a run at another.
 func measure(name string, n int, minTime time.Duration, f func()) PerfResult {
 	f()
 	f()
@@ -83,6 +93,9 @@ func measure(name string, n int, minTime time.Duration, f func()) PerfResult {
 		}
 	}
 	const allocRuns = 16
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f() // refill the one P's caches
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	for i := 0; i < allocRuns; i++ {

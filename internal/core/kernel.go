@@ -3,7 +3,7 @@ package core
 // kernel.go is the word-parallel routing kernel, the one route pipeline
 // of the multichip switches. Instead of scanning every matrix cell, it
 // tracks only the k live entries' coordinates and reconstructs each
-// stage's 0/1 matrix as packed words (mesh.BitMatrix). A
+// stage's 0/1 matrix as a packed word plane. A
 // hyperconcentrator stage then costs one word-parallel plane rebuild
 // plus a TrailingZeros64 sweep that hands out ranks in port order —
 // O(n/64 + k) per stage instead of O(n) cell scans — and the whole
@@ -59,17 +59,17 @@ func checkDst(dst []int, n int) error {
 // route's chip faults.
 type kscratch struct {
 	rows, cols int
-	colSh      int             // log2(cols) when cols is a power of two, else −1
-	rowSh      int             // log2(rows) when rows is a power of two, else −1
-	ids        []int32         // ids[t] = switch input that injected entry t, or CellPhantom
-	pos        []int32         // pos[t] = current row-major cell of entry t
-	cell       []int32         // cell index → t; valid only where a plane bit is set
-	rev        []int32         // cached Rev(i, q) per row (Revsort rotations)
-	cnt        []int32         // per-column scratch: heights after colSort, cursors in colSortSorted
-	neg        []int           // len n, all −1: memcpy'd into dst to reset the scatter
-	planeT     *mesh.BitMatrix // transposed plane (cols×rows): column ops
-	planeR     *mesh.BitMatrix // row-major plane (rows×cols): row ops, snake checks
-	planeP     *mesh.BitMatrix // padded transposed plane ((s+1)×r), Columnsort steps 6–8
+	colSh      int     // log2(cols) when cols is a power of two, else −1
+	rowSh      int     // log2(rows) when rows is a power of two, else −1
+	ids        []int32 // ids[t] = switch input that injected entry t, or CellPhantom
+	pos        []int32 // pos[t] = current row-major cell of entry t
+	cell       []int32 // cell index → t; valid only where a plane bit is set
+	rev        []int32 // cached Rev(i, q) per row (Revsort rotations)
+	cnt        []int32 // per-column scratch: heights after colSort, cursors in colSortSorted
+	neg        []int   // len n, all −1: memcpy'd into dst to reset the scatter
+	planeT     plane   // transposed plane (cols×rows): column ops
+	planeR     plane   // row-major plane (rows×cols): row ops, snake checks
+	planeP     plane   // padded transposed plane ((s+1)×r), Columnsort steps 6–8
 	k          int
 
 	// Chip faults, allocated on the first faulted route.
@@ -90,6 +90,28 @@ type kfix struct {
 	cols        bool  // the chip serves a column (else a row)
 	a, b        int32 // row-major cells of output ports A and B
 	hit         bool  // stuck output: an entry sat on port A
+}
+
+// plane is a packed 0/1 stage matrix: row-major runs of wpr 64-bit
+// words. The stage loops set bits only inside a row's length, so the
+// bits past it in the row's last word stay zero.
+type plane struct {
+	words []uint64
+	wpr   int // words per row: ⌈row length/64⌉
+}
+
+func newPlane(rows, cols int) plane {
+	wpr := (cols + 63) / 64
+	return plane{words: make([]uint64, rows*wpr), wpr: wpr}
+}
+
+// rowOnes returns the number of 1s in row i.
+func (p *plane) rowOnes(i int) int {
+	c := 0
+	for _, w := range p.words[i*p.wpr : (i+1)*p.wpr] {
+		c += bits.OnesCount64(w)
+	}
+	return c
 }
 
 // pow2Shift returns log2(v) when v > 0 is a power of two, else −1. The
@@ -119,14 +141,14 @@ func newKscratch(rows, cols, padCols int) *kscratch {
 		rev:    make([]int32, rows),
 		cnt:    make([]int32, cols),
 		neg:    make([]int, n),
-		planeT: mesh.NewBitMatrix(cols, rows),
-		planeR: mesh.NewBitMatrix(rows, cols),
+		planeT: newPlane(cols, rows),
+		planeR: newPlane(rows, cols),
 	}
 	for i := range ks.neg {
 		ks.neg[i] = -1
 	}
 	if padCols > 0 {
-		ks.planeP = mesh.NewBitMatrix(padCols, rows)
+		ks.planeP = newPlane(padCols, rows)
 	}
 	return ks
 }
@@ -185,9 +207,8 @@ func (ks *kscratch) load(valid *bitvec.Vector) {
 // The transposed plane makes each column a contiguous word run.
 func (ks *kscratch) colSort() {
 	rows, cols, k := ks.rows, ks.cols, ks.k
-	pt := ks.planeT
-	pt.Reset()
-	words, wpr := pt.Words(), pt.WordsPerRow()
+	words, wpr := ks.planeT.words, ks.planeT.wpr
+	clear(words)
 	cell, pos := ks.cell, ks.pos
 	if sh := ks.colSh; sh >= 0 {
 		mask := cols - 1
@@ -259,9 +280,9 @@ func (ks *kscratch) colSortSorted() {
 // Shearsort stacks of §6.
 func (ks *kscratch) rowSort(snake bool) {
 	rows, cols, k := ks.rows, ks.cols, ks.k
-	pr := ks.planeR
-	pr.Reset()
-	words, wpr := pr.Words(), pr.WordsPerRow()
+	pr := &ks.planeR
+	words, wpr := pr.words, pr.wpr
+	clear(words)
 	cell, pos := ks.cell, ks.pos
 	if sh := ks.colSh; sh >= 0 {
 		mask := cols - 1
@@ -282,7 +303,7 @@ func (ks *kscratch) rowSort(snake bool) {
 	for i := 0; i < rows; i++ {
 		shift := 0
 		if snake && i%2 == 1 {
-			shift = cols - pr.RowOnes(i)
+			shift = cols - pr.rowOnes(i)
 		}
 		rbase := i * cols
 		p := int32(rbase + shift)
@@ -858,9 +879,8 @@ func (c *FullColumnsortHyper) RouteInto(dst []int, valid *bitvec.Vector) error {
 	// Steps 6–8: shift by h = r/2 in column-major order, sort the
 	// padded r×(s+1) mesh's columns, unshift.
 	h := r / 2
-	pp := ks.planeP
-	pp.Reset()
-	words, wpr := pp.Words(), pp.WordsPerRow()
+	words, wpr := ks.planeP.words, ks.planeP.wpr
+	clear(words)
 	for t := 0; t < ks.k; t++ {
 		x := int(ks.pos[t])
 		i, j := ks.splitCols(x) // r×s row-major coordinates

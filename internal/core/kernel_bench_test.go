@@ -140,8 +140,9 @@ func timeRoute(minTime time.Duration, f func()) float64 {
 
 // TestRouteKernelSpeedup asserts the tentpole perf claim: at n = 4096
 // the word kernel routes ≥ 4× faster than the legacy tracker for every
-// switch family. The committed BENCH_10.json baseline shows ≥ 5×; the
-// test takes the best of three attempts to damp scheduler noise.
+// switch family. The perf suite measured ≥ 5× while it still timed the
+// tracker; the test takes the best of three attempts to damp scheduler
+// noise.
 func TestRouteKernelSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing assertion skipped in -short mode")

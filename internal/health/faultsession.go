@@ -84,32 +84,24 @@ type FaultSessionConfig struct {
 	// BackoffMax bounds the Resend policy's exponential retry backoff:
 	// the i-th retry of a message waits min(AckDelay·2^(i−1), BackoffMax)
 	// extra rounds for its acknowledgment timeout. 0 means
-	// 8·max(1, AckDelay); a nonzero cap must be at least AckDelay.
+	// 8·max(1, AckDelay); a nonzero cap must be at least AckDelay. Under
+	// a RetryBudget the budget's jittered backoff replaces the capped
+	// doubling, so a nonzero BackoffMax does not combine with one.
 	BackoffMax int
 }
 
 // Validate rejects malformed configurations with an error instead of
-// silently clamping: the session layers a fault session does not run
-// (Deadline, Surge, CoDel, RetryBudget, Integrity — set, they would be
-// silently ignored), the embedded SessionConfig checks (rounds, load,
-// payload bits, ack delay), negative scan periods or backoff caps, a
-// backoff cap below the ack round trip, and scheduled faults that fall
-// outside the session or that core.ValidateFaultPlane rejects for the
-// switch (stage, chip, mode or ports it cannot hold).
+// silently clamping: an Integrity layer (the ARQ engine is a different
+// machine from the round machine a fault session steps), the embedded
+// SessionConfig checks (rounds, load, payload bits, ack delay and the
+// deadline, surge, CoDel and retry-budget layers), negative scan
+// periods or backoff caps, a backoff cap below the ack round trip or
+// beside a retry budget, and scheduled faults that fall outside the
+// session or that core.ValidateFaultPlane rejects for the switch
+// (stage, chip, mode or ports it cannot hold).
 func (cfg FaultSessionConfig) Validate(sw core.FaultInjectable) error {
-	for _, f := range []struct {
-		name string
-		set  bool
-	}{
-		{"Deadline", cfg.Deadline != 0},
-		{"Surge", cfg.Surge != nil},
-		{"CoDel", cfg.CoDel != nil},
-		{"RetryBudget", cfg.RetryBudget != nil},
-		{"Integrity", cfg.Integrity != nil},
-	} {
-		if f.set {
-			return fmt.Errorf("health: fault sessions do not run SessionConfig.%s; leave it unset", f.name)
-		}
+	if cfg.Integrity != nil {
+		return fmt.Errorf("health: fault sessions do not run SessionConfig.Integrity; leave it unset")
 	}
 	if err := cfg.SessionConfig.Validate(); err != nil {
 		return err
@@ -123,6 +115,9 @@ func (cfg FaultSessionConfig) Validate(sw core.FaultInjectable) error {
 	if cfg.BackoffMax > 0 && cfg.BackoffMax < cfg.AckDelay {
 		// The sender cannot learn of a drop before the ack round trip.
 		return fmt.Errorf("health: backoff cap %d below the ack round trip %d", cfg.BackoffMax, cfg.AckDelay)
+	}
+	if cfg.BackoffMax > 0 && cfg.RetryBudget != nil {
+		return fmt.Errorf("health: backoff cap %d is ignored under a retry budget (its jittered backoff replaces the doubling); leave it 0", cfg.BackoffMax)
 	}
 	for i, sf := range cfg.Schedule {
 		if sf.Round < 0 || sf.Round >= cfg.Rounds {

@@ -1,6 +1,7 @@
 package health
 
 import (
+	"reflect"
 	"testing"
 
 	"concentrators/internal/core"
@@ -72,6 +73,10 @@ func TestFaultSessionConfigValidate(t *testing.T) {
 		{"backoff cap below ack delay", func(c *FaultSessionConfig) {
 			c.Policy, c.AckDelay, c.BackoffMax = switchsim.Resend, 3, 2
 		}},
+		{"backoff cap beside retry budget", func(c *FaultSessionConfig) {
+			c.Policy, c.AckDelay, c.BackoffMax = switchsim.Resend, 1, 4
+			c.RetryBudget = &overload.RetryConfig{Budget: 0.1}
+		}},
 		{"fault before session", func(c *FaultSessionConfig) { c.Schedule[0].Round = -1 }},
 		{"fault after session", func(c *FaultSessionConfig) { c.Schedule[0].Round = c.Rounds }},
 		{"fault stage out of range", func(c *FaultSessionConfig) { c.Schedule[0].Fault.Stage = 99 }},
@@ -134,38 +139,105 @@ func TestFaultSessionConfigRejectsUnholdableFaults(t *testing.T) {
 }
 
 // TestFaultSessionConfigRejectsIgnoredFields: RunFaultAwareSession
-// reads none of the deadline, surge, CoDel, retry-budget or integrity
-// session layers, so setting any of them is an error rather than a
-// session that silently runs without it.
+// steps the session round machine, not the ARQ engine, so setting the
+// integrity layer is an error rather than a session that silently runs
+// without it.
 func TestFaultSessionConfigRejectsIgnoredFields(t *testing.T) {
 	sw := newColumnsort1024(t)
-	for _, tc := range []struct {
-		mutate func(*FaultSessionConfig)
-		want   string
+	cfg := FaultSessionConfig{
+		SessionConfig: switchsim.SessionConfig{
+			Policy: switchsim.Resend, Load: 0.5, Rounds: 10, PayloadBits: 1, AckDelay: 1,
+			Integrity: &switchsim.IntegrityConfig{},
+		},
+		ScanEvery: 5,
+	}
+	const want = "health: fault sessions do not run SessionConfig.Integrity; leave it unset"
+	if err := cfg.Validate(sw); err == nil || err.Error() != want {
+		t.Errorf("Validate: got %v, want %q", err, want)
+	}
+	if _, err := RunFaultAwareSession(sw, cfg); err == nil || err.Error() != want {
+		t.Errorf("RunFaultAwareSession: got %v, want %q", err, want)
+	}
+}
+
+// TestFaultSessionLayers: a fault session steps the whole round
+// machine, so the deadline, surge, CoDel and retry-budget layers each
+// run under every policy that supports them while scheduled chip
+// faults strike and are scanned out. Every run balances the
+// conservation law with its deadline, shed and backlog terms, books
+// the layer's own term, loses nothing once the faults are covered, and
+// replays to identical stats.
+func TestFaultSessionLayers(t *testing.T) {
+	newSwitch := func() core.FaultInjectable {
+		sw, err := core.NewRevsortSwitch(64, 48)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sw
+	}
+	schedule := GenerateFaultSchedule(7, newSwitch(), 12, 60, 5)
+	if len(schedule) == 0 {
+		t.Fatal("the fault schedule is empty")
+	}
+	every := []switchsim.Policy{switchsim.Drop, switchsim.Resend, switchsim.Buffer, switchsim.Misroute}
+	for _, layer := range []struct {
+		name     string
+		policies []switchsim.Policy
+		set      func(*FaultSessionConfig)
 	}{
-		{func(c *FaultSessionConfig) { c.Deadline = 3 },
-			"health: fault sessions do not run SessionConfig.Deadline; leave it unset"},
-		{func(c *FaultSessionConfig) { c.Surge = overload.NewPlane(1) },
-			"health: fault sessions do not run SessionConfig.Surge; leave it unset"},
-		{func(c *FaultSessionConfig) { c.CoDel = &overload.CoDelConfig{Target: 2, Interval: 4} },
-			"health: fault sessions do not run SessionConfig.CoDel; leave it unset"},
-		{func(c *FaultSessionConfig) { c.RetryBudget = &overload.RetryConfig{Budget: 0.1} },
-			"health: fault sessions do not run SessionConfig.RetryBudget; leave it unset"},
-		{func(c *FaultSessionConfig) { c.Integrity = &switchsim.IntegrityConfig{} },
-			"health: fault sessions do not run SessionConfig.Integrity; leave it unset"},
+		{"deadline", every, func(c *FaultSessionConfig) { c.Deadline = 1 }},
+		{"surge", every, func(c *FaultSessionConfig) {
+			c.Surge = overload.NewPlane(7)
+			if err := c.Surge.Add(overload.Fault{Mode: overload.Sustained, Factor: 2, From: 10, Until: 40}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"codel", []switchsim.Policy{switchsim.Resend, switchsim.Buffer}, func(c *FaultSessionConfig) {
+			c.CoDel = &overload.CoDelConfig{Target: 2, Interval: 8}
+		}},
+		{"retry-budget", []switchsim.Policy{switchsim.Resend}, func(c *FaultSessionConfig) {
+			c.RetryBudget = &overload.RetryConfig{Budget: 0.1}
+		}},
 	} {
-		cfg := FaultSessionConfig{
-			SessionConfig: switchsim.SessionConfig{
-				Policy: switchsim.Resend, Load: 0.5, Rounds: 10, PayloadBits: 1, AckDelay: 1,
-			},
-			ScanEvery: 5,
-		}
-		tc.mutate(&cfg)
-		if err := cfg.Validate(sw); err == nil || err.Error() != tc.want {
-			t.Errorf("Validate: got %v, want %q", err, tc.want)
-		}
-		if _, err := RunFaultAwareSession(sw, cfg); err == nil || err.Error() != tc.want {
-			t.Errorf("RunFaultAwareSession: got %v, want %q", err, tc.want)
+		for _, pol := range layer.policies {
+			t.Run(layer.name+"/"+pol.String(), func(t *testing.T) {
+				run := func() *FaultSessionStats {
+					cfg := FaultSessionConfig{
+						SessionConfig: switchsim.SessionConfig{
+							Policy: pol, Load: 0.8, Rounds: 60, PayloadBits: 2, Seed: 7,
+						},
+						Schedule:        schedule,
+						ScanEvery:       7,
+						ScanOnViolation: true,
+					}
+					if pol == switchsim.Resend {
+						cfg.AckDelay = 1
+					}
+					layer.set(&cfg)
+					st, err := RunFaultAwareSession(newSwitch(), cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return st
+				}
+				st := run()
+				if got := st.Delivered + st.Dropped + st.DeadlineMissed + st.Shed + st.FinalBacklog; got != st.Offered {
+					t.Fatalf("delivered %d + dropped %d + missed %d + shed %d + backlog %d = %d, offered %d",
+						st.Delivered, st.Dropped, st.DeadlineMissed, st.Shed, st.FinalBacklog, got, st.Offered)
+				}
+				if st.LostAfterDetection != 0 {
+					t.Errorf("lost %d after detection", st.LostAfterDetection)
+				}
+				switch {
+				case layer.name == "deadline" && pol != switchsim.Drop && st.DeadlineMissed == 0:
+					t.Error("a deadline of 1 round booked no misses")
+				case layer.name == "codel" && st.Shed == 0:
+					t.Error("CoDel shed nothing")
+				}
+				if again := run(); !reflect.DeepEqual(st, again) {
+					t.Fatalf("replay diverged:\n%+v\n%+v", st, again)
+				}
+			})
 		}
 	}
 }

@@ -15,8 +15,11 @@ import (
 // chip faults, wire noise, stragglers, a kill/revive cycle, hedging,
 // deadlines — and records every RoundResult plus the final Stats. The
 // schedule and traffic derive from the seed only, so two runs differing
-// only in Config.Parallel must produce identical transcripts.
-func runScenario(t *testing.T, cfg Config, seed int64, rounds int) ([]RoundResult, Stats) {
+// only in Config.Parallel must produce identical transcripts. The
+// round-25 stall lands on replica 0, quarantined by then, unless
+// stallActive puts it on the replica serving then, which makes the
+// pool hedge.
+func runScenario(t *testing.T, cfg Config, seed int64, rounds int, stallActive bool) ([]RoundResult, Stats) {
 	t.Helper()
 	p := newPool(t, cfg, 4)
 	rng := rand.New(rand.NewSource(seed))
@@ -35,7 +38,11 @@ func runScenario(t *testing.T, cfg Config, seed int64, rounds int) ([]RoundResul
 				t.Fatal(err)
 			}
 		case 25:
-			if err := p.InjectTimingFault(0, timing.Fault{
+			victim := 0
+			if stallActive {
+				victim = p.Active()
+			}
+			if err := p.InjectTimingFault(victim, timing.Fault{
 				Stage: link.AllStages, Wire: link.AllWires,
 				Mode: timing.Constant, Delay: 4, From: 25, Until: 60,
 			}); err != nil {
@@ -75,21 +82,30 @@ var (
 // faults, corruption, stragglers, hedging, and a kill/revive cycle.
 func TestParallelDispatchEquivalence(t *testing.T) {
 	base := legacyScenario
-	for _, seed := range []int64{1, 7, 1234} {
-		seq, seqStats := runScenario(t, base, seed, 80)
-		par := base
-		par.Parallel = 4
-		got, gotStats := runScenario(t, par, seed, 80)
-		if len(got) != len(seq) {
-			t.Fatalf("seed %d: %d rounds vs %d", seed, len(got), len(seq))
-		}
-		for i := range seq {
-			if !reflect.DeepEqual(got[i], seq[i]) {
-				t.Fatalf("seed %d round %d diverges:\npar %+v\nseq %+v", seed, i, got[i], seq[i])
+	for _, stallActive := range []bool{false, true} {
+		for _, seed := range []int64{1, 7, 1234} {
+			seq, seqStats := runScenario(t, base, seed, 80, stallActive)
+			par := base
+			par.Parallel = 4
+			got, gotStats := runScenario(t, par, seed, 80, stallActive)
+			if len(got) != len(seq) {
+				t.Fatalf("seed %d stallActive %v: %d rounds vs %d", seed, stallActive, len(got), len(seq))
 			}
-		}
-		if !reflect.DeepEqual(gotStats, seqStats) {
-			t.Fatalf("seed %d: final stats diverge:\npar %+v\nseq %+v", seed, gotStats, seqStats)
+			hedged := 0
+			for i := range seq {
+				if !reflect.DeepEqual(got[i], seq[i]) {
+					t.Fatalf("seed %d stallActive %v round %d diverges:\npar %+v\nseq %+v", seed, stallActive, i, got[i], seq[i])
+				}
+				if seq[i].Hedged {
+					hedged++
+				}
+			}
+			if !reflect.DeepEqual(gotStats, seqStats) {
+				t.Fatalf("seed %d stallActive %v: final stats diverge:\npar %+v\nseq %+v", seed, stallActive, gotStats, seqStats)
+			}
+			if stallActive && hedged == 0 {
+				t.Errorf("seed %d: a stall on the serving replica hedged no round", seed)
+			}
 		}
 	}
 }
@@ -99,10 +115,10 @@ func TestParallelDispatchEquivalence(t *testing.T) {
 // shadow believers) also consume speculative attempts.
 func TestParallelDispatchEquivalenceLeased(t *testing.T) {
 	base := leasedScenario
-	seq, seqStats := runScenario(t, base, 99, 80)
+	seq, seqStats := runScenario(t, base, 99, 80, false)
 	par := base
 	par.Parallel = 3
-	got, gotStats := runScenario(t, par, 99, 80)
+	got, gotStats := runScenario(t, par, 99, 80, false)
 	for i := range seq {
 		if !reflect.DeepEqual(got[i], seq[i]) {
 			t.Fatalf("round %d diverges:\npar %+v\nseq %+v", i, got[i], seq[i])

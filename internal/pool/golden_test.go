@@ -33,7 +33,7 @@ func TestGoldenScenarios(t *testing.T) {
 		{"legacy", legacyScenario, 1234},
 		{"leased", leasedScenario, 99},
 	} {
-		rrs, st := runScenario(t, tc.cfg, tc.seed, 80)
+		rrs, st := runScenario(t, tc.cfg, tc.seed, 80, false)
 		js, err := json.Marshal(struct {
 			Rounds []RoundResult
 			Stats  Stats
