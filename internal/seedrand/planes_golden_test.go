@@ -12,6 +12,7 @@ import (
 	"os"
 	"testing"
 
+	"concentrators/internal/byzantine"
 	"concentrators/internal/link"
 	"concentrators/internal/overload"
 	"concentrators/internal/partition"
@@ -19,8 +20,9 @@ import (
 )
 
 // planeDigests is the plane-stream golden corpus: for each fixture of
-// the four seeded fault planes (wire corruption, timing, surge and
-// partition), the SHA-256 of every draw the plane makes over a grid of
+// the five seeded fault planes (wire corruption, timing, surge,
+// partition and byzantine behavior), the SHA-256 of every draw the
+// plane makes over a grid of
 // seeds, rounds and coordinates. A change to how a plane derives its
 // per-coordinate noise must replay every entry unchanged; re-record
 // (-update) only for an intended change of behaviour.
@@ -177,6 +179,40 @@ func partitionDigest(t *testing.T) string {
 	return sum(h)
 }
 
+// byzantineDigest hashes every behavior draw over the corpus seeds and
+// rounds, replicas 0–2 and draw indices 0–3: the per-mode intensities
+// of a plane whose faults overlap (so intensities sum), Pick over two
+// candidate counts, ForgeSum and Inflation.
+func byzantineDigest(t *testing.T) string {
+	h := sha256.New()
+	for _, seed := range goldenSeeds {
+		p := byzantine.NewPlane(seed)
+		for _, f := range []byzantine.Fault{
+			{Mode: byzantine.Misroute, Replica: 0, Count: 2, From: 0, Until: 20},
+			{Mode: byzantine.Misroute, Replica: 0, From: 10, Until: 32},
+			{Mode: byzantine.Replay, Replica: 1, Count: 3, From: 5, Until: 25},
+			{Mode: byzantine.FabricatedAck, Replica: 2, From: 0, Until: 16},
+			{Mode: byzantine.FabricatedAck, Replica: 2, Count: 4, From: 12, Until: 30},
+			{Mode: byzantine.Equivocation, Replica: 1, From: 8, Until: 24},
+		} {
+			if err := p.Add(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for round := range goldenRounds {
+			for replica := range 3 {
+				fmt.Fprintf(h, "%d %d %d %d %d %d %t %d\n", seed, round, replica,
+					p.Misroutes(round, replica), p.Replays(round, replica), p.Fabrications(round, replica),
+					p.Equivocating(round, replica), p.Inflation(round, replica))
+				for draw := range 4 {
+					fmt.Fprintf(h, "%d %d %d\n", p.Pick(round, replica, draw, 7), p.Pick(round, replica, draw, 1000), p.ForgeSum(round, replica, draw))
+				}
+			}
+		}
+	}
+	return sum(h)
+}
+
 // forGrid visits every corpus round and link.
 func forGrid(visit func(round int, at link.LinkAddr)) {
 	for round := range goldenRounds {
@@ -193,8 +229,8 @@ func sum(h hash.Hash) string { return hex.EncodeToString(h.Sum(nil)) }
 // TestGoldenPlaneStreams replays the plane-stream corpus: Corrupt for
 // every wire mode at BER 1e-3 and 0.3 on frames on both sides of the
 // 273-draw boundary, Delay and RoundDelay for every timing shape,
-// Multiplier with flash faults and Visible with flapping faults. Run
-// with -update to re-record.
+// Multiplier with flash faults, Visible with flapping faults and every
+// byzantine behavior draw. Run with -update to re-record.
 func TestGoldenPlaneStreams(t *testing.T) {
 	got := map[string]string{}
 	for _, mode := range []link.WireFaultMode{link.WireBitFlip, link.WireBurst, link.WireStuck, link.WireErasure} {
@@ -209,6 +245,7 @@ func TestGoldenPlaneStreams(t *testing.T) {
 	}
 	got["multiplier/flash"] = surgeDigest(t)
 	got["visible/flapping"] = partitionDigest(t)
+	got["behavior/byzantine"] = byzantineDigest(t)
 	checkDigests(t, planeDigests, got)
 }
 
