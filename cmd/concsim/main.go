@@ -292,6 +292,9 @@ func printLayers(cfg switchsim.SessionConfig, stats *switchsim.SessionStats) {
 
 // printSurge lists the surge plane's faults (none without a plane).
 func printSurge(cfg switchsim.SessionConfig) {
+	if cfg.Surge == nil {
+		return
+	}
 	for _, f := range cfg.Surge.Faults() {
 		fmt.Printf("  surge: %s\n", f)
 	}

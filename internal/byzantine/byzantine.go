@@ -25,7 +25,6 @@ package byzantine
 
 import (
 	"fmt"
-	"sort"
 
 	"concentrators/internal/seedrand"
 	"concentrators/internal/window"
@@ -129,69 +128,16 @@ func (f Fault) active(round int) bool {
 	return window.Span{From: f.From, Until: f.Until}.Active(round)
 }
 
-// Plane is a seeded set of behavior faults. The zero *Plane (nil)
-// means every actor is honest.
+// Plane is a seeded set of behavior faults. Faults may overlap; the
+// per-round intensities of overlapping faults sum. The zero *Plane
+// (nil) means every actor is honest.
 type Plane struct {
-	seed   int64
-	faults []Fault
+	window.Plane[Fault]
 }
 
 // NewPlane returns an empty behavior plane with the given seed.
 func NewPlane(seed int64) *Plane {
-	return &Plane{seed: seed}
-}
-
-// Add validates and inserts a behavior fault. Faults may overlap; the
-// per-round intensities of overlapping faults sum.
-func (p *Plane) Add(f Fault) error {
-	if err := f.Validate(); err != nil {
-		return err
-	}
-	p.faults = append(p.faults, f)
-	return nil
-}
-
-// Len returns the number of faults on the plane.
-func (p *Plane) Len() int {
-	if p == nil {
-		return 0
-	}
-	return len(p.faults)
-}
-
-// Faults lists the faults in deterministic (From, Replica, Mode) order.
-func (p *Plane) Faults() []Fault {
-	if p == nil {
-		return nil
-	}
-	out := append([]Fault(nil), p.faults...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
-		}
-		if out[i].Replica != out[j].Replica {
-			return out[i].Replica < out[j].Replica
-		}
-		return out[i].Mode < out[j].Mode
-	})
-	return out
-}
-
-// Clone returns an independent copy of the plane.
-func (p *Plane) Clone() *Plane {
-	if p == nil {
-		return nil
-	}
-	return &Plane{seed: p.seed, faults: append([]Fault(nil), p.faults...)}
-}
-
-// Seed returns the plane's stream seed (checkpointing needs it to
-// rebuild an identical plane after a crash-restart).
-func (p *Plane) Seed() int64 {
-	if p == nil {
-		return 0
-	}
-	return p.seed
+	return &Plane{window.NewPlane[Fault](seed)}
 }
 
 // intensity sums the live per-round intensity of the given mode for
@@ -201,7 +147,7 @@ func (p *Plane) intensity(round, replica int, m Mode) int {
 		return 0
 	}
 	total := 0
-	for _, f := range p.faults {
+	for _, f := range p.Faults() {
 		if f.Mode == m && f.Replica == replica && f.active(round) {
 			total += f.count()
 		}
@@ -234,7 +180,7 @@ func (p *Plane) Pick(round, replica, draw, n int) int {
 	if n <= 0 {
 		return 0
 	}
-	h := seedrand.Mix64(uint64(p.seed) ^
+	h := seedrand.Mix64(uint64(p.Seed()) ^
 		seedrand.Mix64(uint64(round)<<24|uint64(uint16(replica))<<8|uint64(uint8(draw))))
 	return int(h % uint64(n))
 }
@@ -244,43 +190,14 @@ func (p *Plane) Pick(round, replica, draw, n int) int {
 // keyed sum only by 2⁻⁶⁴ accident — the forger does not hold the key,
 // so it cannot do better than noise.
 func (p *Plane) ForgeSum(round, replica, draw int) uint64 {
-	return seedrand.Mix64(uint64(p.seed) ^ 0x452821E638D01377 ^
+	return seedrand.Mix64(uint64(p.Seed()) ^ 0x452821E638D01377 ^
 		seedrand.Mix64(uint64(round)<<24|uint64(uint16(replica))<<8|uint64(uint8(draw))))
 }
 
 // Inflation draws the deterministic over-report an equivocator adds to
 // its arbiter-side health claim this round: at least 1 extra frame.
 func (p *Plane) Inflation(round, replica int) int {
-	h := seedrand.Mix64(uint64(p.seed) ^ 0x13198A2E03707344 ^
+	h := seedrand.Mix64(uint64(p.Seed()) ^ 0x13198A2E03707344 ^
 		seedrand.Mix64(uint64(round)<<16|uint64(uint16(replica))))
 	return 1 + int(h%3)
-}
-
-// MaxUntil returns the latest window close across the plane's faults
-// (0 when the plane is empty) — the scheduling horizon.
-func (p *Plane) MaxUntil() int {
-	if p == nil {
-		return 0
-	}
-	last := 0
-	for _, f := range p.faults {
-		if f.Until > last {
-			last = f.Until
-		}
-	}
-	return last
-}
-
-// Healed reports whether every fault's window has closed by the given
-// round — every actor is honest from here on.
-func (p *Plane) Healed(round int) bool {
-	if p == nil {
-		return true
-	}
-	for _, f := range p.faults {
-		if round < f.Until {
-			return false
-		}
-	}
-	return true
 }

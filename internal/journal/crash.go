@@ -3,9 +3,9 @@ package journal
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"concentrators/internal/seedrand"
+	"concentrators/internal/window"
 )
 
 // Phase is the point inside a round at which a crash fault kills the
@@ -87,55 +87,13 @@ func (f CrashFault) Validate() error {
 // terminate. (A real deployment's "crash loop" is exactly a fault
 // that does re-fire; the plane models independent failures.)
 type Plane struct {
-	seed   int64
-	faults []CrashFault
-	fired  []bool
+	window.Plane[CrashFault]
+	fired map[int]bool // indices of the faults that have fired
 }
 
 // NewCrashPlane returns an empty crash plane with the given seed.
 func NewCrashPlane(seed int64) *Plane {
-	return &Plane{seed: seed}
-}
-
-// Add validates and schedules one crash fault.
-func (p *Plane) Add(f CrashFault) error {
-	if err := f.Validate(); err != nil {
-		return err
-	}
-	p.faults = append(p.faults, f)
-	p.fired = append(p.fired, false)
-	return nil
-}
-
-// Seed returns the plane's seed.
-func (p *Plane) Seed() int64 {
-	if p == nil {
-		return 0
-	}
-	return p.seed
-}
-
-// Faults lists the scheduled faults in (Round, Phase) order.
-func (p *Plane) Faults() []CrashFault {
-	if p == nil {
-		return nil
-	}
-	out := append([]CrashFault(nil), p.faults...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Round != out[j].Round {
-			return out[i].Round < out[j].Round
-		}
-		return out[i].Phase < out[j].Phase
-	})
-	return out
-}
-
-// Len returns the number of scheduled faults.
-func (p *Plane) Len() int {
-	if p == nil {
-		return 0
-	}
-	return len(p.faults)
+	return &Plane{Plane: window.NewPlane[CrashFault](seed), fired: map[int]bool{}}
 }
 
 // Rearm resets every fault to unfired, so the identical schedule can
@@ -144,9 +102,7 @@ func (p *Plane) Rearm() {
 	if p == nil {
 		return
 	}
-	for i := range p.fired {
-		p.fired[i] = false
-	}
+	clear(p.fired)
 }
 
 // At reports whether an unfired fault kills the process at (round,
@@ -155,7 +111,7 @@ func (p *Plane) At(round int, phase Phase) (CrashFault, bool) {
 	if p == nil {
 		return CrashFault{}, false
 	}
-	for i, f := range p.faults {
+	for i, f := range p.Faults() {
 		if !p.fired[i] && f.Round == round && f.Phase == phase {
 			p.fired[i] = true
 			return f, true

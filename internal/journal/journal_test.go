@@ -101,16 +101,12 @@ func TestReplayStopsAtNonMonotonicLSN(t *testing.T) {
 }
 
 func TestConfigValidate(t *testing.T) {
-	bad := NewCrashPlane(1)
-	bad.faults = append(bad.faults, CrashFault{Round: -1})
-	bad.fired = append(bad.fired, false)
 	cases := []struct {
 		name string
 		cfg  Config
 		want string
 	}{
 		{"negative snapshot interval", Config{SnapshotEvery: -1}, "journal: negative snapshot interval -1"},
-		{"bad crash fault", Config{Crash: bad}, "journal: negative crash round in crash@-1 round-start"},
 		{"ok", Config{SnapshotEvery: 4}, ""},
 		{"ok zero", Config{}, ""},
 	}

@@ -2,7 +2,6 @@ package link
 
 import (
 	"fmt"
-	"sort"
 
 	"concentrators/internal/seedrand"
 	"concentrators/internal/window"
@@ -151,74 +150,22 @@ func (f WireFault) active(round int) bool {
 // the bits flipped on a link depend only on the plane's seed and the
 // (round, stage, wire) coordinates, never on call order, so a
 // corruption-induced failure replays bit-for-bit from its seed.
-// The zero value of *CorruptionPlane (nil) means clean wires.
+// Multiple faults may target the same link; their effects compose in
+// insertion order. The zero value of *CorruptionPlane (nil) means clean
+// wires.
 type CorruptionPlane struct {
-	seed   int64
-	faults []WireFault
+	window.Plane[WireFault]
 }
 
 // NewCorruptionPlane returns an empty plane with the given seed.
 func NewCorruptionPlane(seed int64) *CorruptionPlane {
-	return &CorruptionPlane{seed: seed}
-}
-
-// Add validates and inserts a wire fault. Multiple faults may target
-// the same link; their effects compose in insertion order.
-func (p *CorruptionPlane) Add(f WireFault) error {
-	if err := f.Validate(); err != nil {
-		return err
-	}
-	p.faults = append(p.faults, f)
-	return nil
-}
-
-// Len returns the number of live faults.
-func (p *CorruptionPlane) Len() int {
-	if p == nil {
-		return 0
-	}
-	return len(p.faults)
-}
-
-// Faults lists the faults in deterministic (stage, wire, From) order.
-func (p *CorruptionPlane) Faults() []WireFault {
-	if p == nil {
-		return nil
-	}
-	out := append([]WireFault(nil), p.faults...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Stage != out[j].Stage {
-			return out[i].Stage < out[j].Stage
-		}
-		if out[i].Wire != out[j].Wire {
-			return out[i].Wire < out[j].Wire
-		}
-		return out[i].From < out[j].From
-	})
-	return out
-}
-
-// Clone returns an independent copy of the plane.
-func (p *CorruptionPlane) Clone() *CorruptionPlane {
-	if p == nil {
-		return nil
-	}
-	return &CorruptionPlane{seed: p.seed, faults: append([]WireFault(nil), p.faults...)}
-}
-
-// Seed returns the plane's stream seed (checkpointing needs it to
-// rebuild an identical plane after a crash-restart).
-func (p *CorruptionPlane) Seed() int64 {
-	if p == nil {
-		return 0
-	}
-	return p.seed
+	return &CorruptionPlane{window.NewPlane[WireFault](seed)}
 }
 
 // rng derives the deterministic bit-noise stream for one (round, link)
 // coordinate.
 func (p *CorruptionPlane) rng(round int, at LinkAddr) seedrand.Stream {
-	h := seedrand.Mix64(uint64(p.seed) ^ seedrand.Mix64(uint64(round)<<32|uint64(uint32(at.Stage))) ^ seedrand.Mix64(uint64(at.Wire)+0x51ED270B))
+	h := seedrand.Mix64(uint64(p.Seed()) ^ seedrand.Mix64(uint64(round)<<32|uint64(uint32(at.Stage))) ^ seedrand.Mix64(uint64(at.Wire)+0x51ED270B))
 	return seedrand.NewStream(int64(h))
 }
 
@@ -231,7 +178,7 @@ func (p *CorruptionPlane) Corrupt(round int, at LinkAddr, bits []byte) (flipped 
 		return 0, false
 	}
 	rng := p.rng(round, at)
-	for _, f := range p.faults {
+	for _, f := range p.Faults() {
 		if (f.Stage != AllStages && f.Stage != at.Stage) || (f.Wire != AllWires && f.Wire != at.Wire) || !f.active(round) {
 			continue
 		}

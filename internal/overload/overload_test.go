@@ -150,11 +150,8 @@ func TestSurgeCompoundAndClamp(t *testing.T) {
 		t.Errorf("load 0.3×2 = %v, want 0.6", got)
 	}
 	var nilPlane *Plane
-	if nilPlane.Multiplier(5) != 1 || nilPlane.Load(5, 0.3) != 0.3 || nilPlane.Len() != 0 {
+	if nilPlane.Multiplier(5) != 1 || nilPlane.Load(5, 0.3) != 0.3 {
 		t.Error("nil plane must be the identity")
-	}
-	if p.Clone().Multiplier(0) != 6 || len(p.Faults()) != 2 {
-		t.Error("clone/faults lost the plane")
 	}
 }
 

@@ -3,7 +3,6 @@ package overload
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"concentrators/internal/seedrand"
 	"concentrators/internal/window"
@@ -150,72 +149,22 @@ func (f Fault) expected(round int) float64 {
 // timing.Plane. Multipliers are deterministic: the value drawn for a
 // round depends only on the plane's seed and the round number, never on
 // call order, so an overload collapse found in CI replays bit-for-bit
-// from its seed. The zero *Plane (nil) means the offered load is
-// exactly the configured base load.
+// from its seed. Multiple faults may overlap in time; their multipliers
+// compound (a ramp can carry flash spikes). The zero *Plane (nil) means
+// the offered load is exactly the configured base load.
 type Plane struct {
-	seed   int64
-	faults []Fault
+	window.Plane[Fault]
 }
 
 // NewPlane returns an empty surge plane with the given seed.
 func NewPlane(seed int64) *Plane {
-	return &Plane{seed: seed}
-}
-
-// Add validates and inserts a surge fault. Multiple faults may overlap
-// in time; their multipliers compound (a ramp can carry flash spikes).
-func (p *Plane) Add(f Fault) error {
-	if err := f.Validate(); err != nil {
-		return err
-	}
-	p.faults = append(p.faults, f)
-	return nil
-}
-
-// Len returns the number of faults on the plane.
-func (p *Plane) Len() int {
-	if p == nil {
-		return 0
-	}
-	return len(p.faults)
-}
-
-// Faults lists the faults in deterministic (From, Mode) order.
-func (p *Plane) Faults() []Fault {
-	if p == nil {
-		return nil
-	}
-	out := append([]Fault(nil), p.faults...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
-		}
-		return out[i].Mode < out[j].Mode
-	})
-	return out
-}
-
-// Clone returns an independent copy of the plane.
-func (p *Plane) Clone() *Plane {
-	if p == nil {
-		return nil
-	}
-	return &Plane{seed: p.seed, faults: append([]Fault(nil), p.faults...)}
-}
-
-// Seed returns the plane's stream seed (checkpointing needs it to
-// rebuild an identical plane after a crash-restart).
-func (p *Plane) Seed() int64 {
-	if p == nil {
-		return 0
-	}
-	return p.seed
+	return &Plane{window.NewPlane[Fault](seed)}
 }
 
 // rng derives the deterministic spike stream for one (round, fault)
 // coordinate.
 func (p *Plane) rng(round, idx int) seedrand.Stream {
-	h := seedrand.Mix64(uint64(p.seed) ^ seedrand.Mix64(uint64(round)<<20|uint64(uint32(idx))))
+	h := seedrand.Mix64(uint64(p.Seed()) ^ seedrand.Mix64(uint64(round)<<20|uint64(uint32(idx))))
 	return seedrand.NewStream(int64(h))
 }
 
@@ -226,7 +175,7 @@ func (p *Plane) Multiplier(round int) float64 {
 		return 1
 	}
 	mult := 1.0
-	for i, f := range p.faults {
+	for i, f := range p.Faults() {
 		if !f.active(round) {
 			continue
 		}
@@ -245,7 +194,7 @@ func (p *Plane) ExpectedMultiplier(round int) float64 {
 		return 1
 	}
 	mult := 1.0
-	for _, f := range p.faults {
+	for _, f := range p.Faults() {
 		if f.active(round) {
 			mult *= f.expected(round)
 		}

@@ -19,7 +19,6 @@ package partition
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"concentrators/internal/seedrand"
 	"concentrators/internal/window"
@@ -166,76 +165,23 @@ func (f Fault) active(round int) bool {
 	return window.Span{From: f.From, Until: f.Until}.Active(round)
 }
 
-// Plane is a seeded set of partition faults. The zero *Plane (nil)
-// means every control edge is visible in both directions.
+// Plane is a seeded set of partition faults. Faults may overlap; an
+// edge is cut when any live fault cuts it. The zero *Plane (nil) means
+// every control edge is visible in both directions.
 type Plane struct {
-	seed   int64
-	faults []Fault
+	window.Plane[Fault]
 }
 
 // NewPlane returns an empty partition plane with the given seed.
 func NewPlane(seed int64) *Plane {
-	return &Plane{seed: seed}
-}
-
-// Add validates and inserts a partition fault. Faults may overlap; an
-// edge is cut when any live fault cuts it.
-func (p *Plane) Add(f Fault) error {
-	if err := f.Validate(); err != nil {
-		return err
-	}
-	p.faults = append(p.faults, f)
-	return nil
-}
-
-// Len returns the number of faults on the plane.
-func (p *Plane) Len() int {
-	if p == nil {
-		return 0
-	}
-	return len(p.faults)
-}
-
-// Faults lists the faults in deterministic (From, Replica, Mode) order.
-func (p *Plane) Faults() []Fault {
-	if p == nil {
-		return nil
-	}
-	out := append([]Fault(nil), p.faults...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
-		}
-		if out[i].Replica != out[j].Replica {
-			return out[i].Replica < out[j].Replica
-		}
-		return out[i].Mode < out[j].Mode
-	})
-	return out
-}
-
-// Clone returns an independent copy of the plane.
-func (p *Plane) Clone() *Plane {
-	if p == nil {
-		return nil
-	}
-	return &Plane{seed: p.seed, faults: append([]Fault(nil), p.faults...)}
-}
-
-// Seed returns the plane's stream seed (checkpointing needs it to
-// rebuild an identical plane after a crash-restart).
-func (p *Plane) Seed() int64 {
-	if p == nil {
-		return 0
-	}
-	return p.seed
+	return &Plane{window.NewPlane[Fault](seed)}
 }
 
 // flapDown draws the deterministic per-(round, edge) verdict for one
 // flapping fault. The draw ignores direction: a flap takes the whole
 // edge down, both ways, for the round.
 func (p *Plane) flapDown(round, replica, idx int, prob float64) bool {
-	h := seedrand.Mix64(uint64(p.seed) ^
+	h := seedrand.Mix64(uint64(p.Seed()) ^
 		seedrand.Mix64(uint64(round)<<24|uint64(uint16(replica))<<8|uint64(uint8(idx))))
 	rng := seedrand.NewStream(int64(h))
 	return rng.Float64() < prob
@@ -249,7 +195,7 @@ func (p *Plane) Visible(round, replica int, dir Direction) bool {
 	if p == nil {
 		return true
 	}
-	for i, f := range p.faults {
+	for i, f := range p.Faults() {
 		if !f.active(round) {
 			continue
 		}
@@ -271,33 +217,4 @@ func (p *Plane) Visible(round, replica int, dir Direction) bool {
 		}
 	}
 	return true
-}
-
-// Healed reports whether every fault's window has closed by the given
-// round — the plane guarantees full visibility from here on.
-func (p *Plane) Healed(round int) bool {
-	if p == nil {
-		return true
-	}
-	for _, f := range p.faults {
-		if round < f.Until {
-			return false
-		}
-	}
-	return true
-}
-
-// MaxUntil returns the latest heal round across the plane's faults
-// (0 when the plane is empty) — the scheduling horizon.
-func (p *Plane) MaxUntil() int {
-	if p == nil {
-		return 0
-	}
-	last := 0
-	for _, f := range p.faults {
-		if f.Until > last {
-			last = f.Until
-		}
-	}
-	return last
 }

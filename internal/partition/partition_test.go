@@ -1,7 +1,6 @@
 package partition
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -94,8 +93,8 @@ func TestVisibleModes(t *testing.T) {
 
 	// Nil plane: fully visible.
 	var nilPlane *Plane
-	if !nilPlane.Visible(0, 0, ToReplica) || !nilPlane.Healed(0) || nilPlane.Len() != 0 {
-		t.Error("nil plane should be fully visible, healed, and empty")
+	if !nilPlane.Visible(0, 0, ToReplica) {
+		t.Error("nil plane should be fully visible")
 	}
 }
 
@@ -165,43 +164,6 @@ func TestVisibleAllocs(t *testing.T) {
 		p.Visible(round, 1, ToReplica)
 	}); a != 0 {
 		t.Fatalf("Visible with a flapping fault allocated %v times per call", a)
-	}
-}
-
-func TestFaultsSortedAndClone(t *testing.T) {
-	p := NewPlane(5)
-	faults := []Fault{
-		{Mode: Flapping, Replica: 2, Prob: 0.3, From: 4, Until: 8},
-		{Mode: SymmetricCut, Replica: 1, From: 0, Until: 3},
-		{Mode: SymmetricCut, Replica: 0, From: 4, Until: 6},
-	}
-	for _, f := range faults {
-		if err := p.Add(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := p.Faults()
-	if len(got) != 3 || got[0].Replica != 1 || got[1].Replica != 0 || got[2].Replica != 2 {
-		t.Fatalf("Faults() order = %v, want sorted by (From, Replica, Mode)", got)
-	}
-	cl := p.Clone()
-	if cl.Seed() != p.Seed() || !reflect.DeepEqual(cl.Faults(), p.Faults()) {
-		t.Fatal("Clone lost seed or faults")
-	}
-	if err := cl.Add(Fault{Mode: SymmetricCut, Replica: 3, From: 0, Until: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if p.Len() != 3 {
-		t.Fatal("mutating a clone leaked into the original plane")
-	}
-	if p.MaxUntil() != 8 {
-		t.Fatalf("MaxUntil = %d, want 8", p.MaxUntil())
-	}
-	if p.Healed(7) {
-		t.Error("Healed(7) true while a window is still open")
-	}
-	if !p.Healed(8) {
-		t.Error("Healed(8) false after every window closed")
 	}
 }
 

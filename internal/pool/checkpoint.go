@@ -61,6 +61,9 @@ type ReplicaCheckpoint struct {
 
 	// Chaos-injected hardware planes (board wiring survives a
 	// controller reboot; a rebuilt pool re-injects them from here).
+	// Every plane's faults are recorded in insertion order, the order
+	// the plane applies them in: a restored plane re-adds them in that
+	// order and draws exactly what the original drew.
 	HasWirePlane      bool
 	WirePlaneSeed     int64
 	WirePlaneFaults   []link.WireFault
@@ -184,12 +187,12 @@ func (r *replica) checkpointLocked() ReplicaCheckpoint {
 	if r.plane != nil {
 		cp.HasWirePlane = true
 		cp.WirePlaneSeed = r.plane.Seed()
-		cp.WirePlaneFaults = r.plane.Faults()
+		cp.WirePlaneFaults = append([]link.WireFault(nil), r.plane.Faults()...)
 	}
 	if r.tplane != nil {
 		cp.HasTimingPlane = true
 		cp.TimingPlaneSeed = r.tplane.Seed()
-		cp.TimingPlaneFaults = r.tplane.Faults()
+		cp.TimingPlaneFaults = append([]timing.Fault(nil), r.tplane.Faults()...)
 	}
 	cp.Recent = append([]byzantine.Claim(nil), r.recent...)
 	return cp
@@ -378,12 +381,12 @@ func (p *Pool) Snapshot() *Checkpoint {
 	if p.pplane != nil {
 		cp.HasPartitionPlane = true
 		cp.PartitionSeed = p.pplane.Seed()
-		cp.PartitionFaults = p.pplane.Faults()
+		cp.PartitionFaults = append([]partition.Fault(nil), p.pplane.Faults()...)
 	}
 	if p.bplane != nil {
 		cp.HasBehaviorPlane = true
 		cp.BehaviorSeed = p.bplane.Seed()
-		cp.BehaviorFaults = p.bplane.Faults()
+		cp.BehaviorFaults = append([]byzantine.Fault(nil), p.bplane.Faults()...)
 	}
 	if p.verifier != nil {
 		cp.VerifierWindow = p.verifier.Window()

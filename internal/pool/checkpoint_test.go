@@ -9,6 +9,8 @@ import (
 	"concentrators/internal/core"
 	"concentrators/internal/link"
 	"concentrators/internal/overload"
+	"concentrators/internal/partition"
+	"concentrators/internal/timing"
 )
 
 // TestRollingDrainRejoinZeroRegression is the maintenance property:
@@ -240,4 +242,218 @@ func TestCheckpointErrorPaths(t *testing.T) {
 	if err := p.Restore(full); err == nil {
 		t.Error("restored checkpoint with shuffled replica ids")
 	}
+}
+
+// planeFaults is what the checkpoint plane tests inject: wire and
+// timing faults on replica 0 and cuts on the partition plane.
+type planeFaults struct {
+	wire   []link.WireFault
+	timing []timing.Fault
+	cuts   []partition.Fault
+}
+
+// restoreFixture gives replica 0 two all-link bit-flip faults and two
+// jitter faults, and the partition plane two flapping cuts of replica
+// 1. Each pair is added later-From first, so a listing sorted by From
+// reverses it: bit flips compose in insertion order, and RoundDelay and
+// the flap draw key each fault's stream by its index.
+var restoreFixture = planeFaults{
+	wire: []link.WireFault{
+		{Stage: link.AllStages, Wire: link.AllWires, Mode: link.WireBitFlip, BER: 0.2, From: 8},
+		{Stage: link.AllStages, Wire: link.AllWires, Mode: link.WireBitFlip, BER: 0.05},
+	},
+	timing: []timing.Fault{
+		{Stage: link.AllStages, Wire: link.AllWires, Mode: timing.Jitter, Prob: 0.6, MaxDelay: 12, From: 4},
+		{Stage: link.AllStages, Wire: link.AllWires, Mode: timing.Jitter, Prob: 0.4, MaxDelay: 5},
+	},
+	cuts: []partition.Fault{
+		{Mode: partition.Flapping, Replica: 1, Prob: 0.5, From: 6, Until: 64},
+		{Mode: partition.Flapping, Replica: 1, Prob: 0.3, Until: 48},
+	},
+}
+
+// restoreFixtureBytes is restoreFixture in FuzzCheckpointPlanes'
+// encoding (see decodePlaneFaults).
+var restoreFixtureBytes = []byte{
+	2, 2, 2,
+	0, 0, 0, 20, 0, 0, 0, 8, 0,
+	0, 0, 0, 5, 0, 0, 0, 0, 0,
+	1, 0, 0, 0, 60, 12, 0, 0, 4, 0,
+	1, 0, 0, 0, 40, 5, 0, 0, 0, 0,
+	2, 2, 0, 50, 6, 64,
+	2, 2, 0, 30, 0, 48,
+}
+
+// decodePlaneFaults reads fuzz bytes (0 past the end) as the counts of
+// wire (≤ 4), timing (≤ 4) and partition (≤ 2) faults, then each fault
+// one byte per field:
+//
+//	wire:      mode, stage+1, wire+1, BER×100, burst length, burst every, stuck value, From, Until
+//	timing:    mode, stage+1, wire+1, delay, prob×100, max delay, pause length, pause every, From, Until
+//	partition: mode, replica+1, direction, prob×100, From, Until
+//
+// Modes, targets and shapes range past the valid ones, so some faults
+// are malformed and Add rejects them.
+func decodePlaneFaults(raw []byte) planeFaults {
+	next := func() int {
+		if len(raw) == 0 {
+			return 0
+		}
+		b := raw[0]
+		raw = raw[1:]
+		return int(b)
+	}
+	nw, nt, np := next()%5, next()%5, next()%3
+	var pf planeFaults
+	for range nw {
+		pf.wire = append(pf.wire, link.WireFault{
+			Mode: link.WireFaultMode(next() % 5), Stage: next()%5 - 1, Wire: next()%9 - 1,
+			BER: float64(next()) / 100, BurstLen: next() % 9, BurstEvery: next() % 5,
+			StuckValue: byte(next() % 3), From: next(), Until: next(),
+		})
+	}
+	for range nt {
+		pf.timing = append(pf.timing, timing.Fault{
+			Mode: timing.Mode(next() % 5), Stage: next()%5 - 1, Wire: next()%9 - 1,
+			Delay: next() % 8, Prob: float64(next()) / 100, MaxDelay: next() % 16,
+			PauseLen: next() % 5, PauseEvery: next() % 9, From: next(), Until: next(),
+		})
+	}
+	for range np {
+		pf.cuts = append(pf.cuts, partition.Fault{
+			Mode: partition.Mode(next() % 5), Replica: next()%5 - 1, Dir: partition.Direction(next() % 3),
+			Prob: float64(next()) / 100, From: next(), Until: next(),
+		})
+	}
+	return pf
+}
+
+// restoreThroughGob injects pf into a three-replica lease pool, skipping
+// the faults the pool rejects, then takes a Snapshot through gob and
+// Restores it into a fresh pool. It returns both pools and the number
+// of faults injected.
+func restoreThroughGob(t *testing.T, pf planeFaults) (orig, restored *Pool, injected int) {
+	t.Helper()
+	cfg := Config{Lease: LeaseConfig{Rounds: 4}}
+	orig = newPool(t, cfg, 3)
+	for _, f := range pf.wire {
+		if orig.InjectWireFault(0, f) == nil {
+			injected++
+		}
+	}
+	for _, f := range pf.timing {
+		if orig.InjectTimingFault(0, f) == nil {
+			injected++
+		}
+	}
+	for _, f := range pf.cuts {
+		if orig.InjectPartition(f) == nil {
+			injected++
+		}
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(orig.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	var cp Checkpoint
+	if err := gob.NewDecoder(&buf).Decode(&cp); err != nil {
+		t.Fatal(err)
+	}
+	restored = newPool(t, cfg, 3)
+	if err := restored.Restore(&cp); err != nil {
+		t.Fatal(err)
+	}
+	return orig, restored, injected
+}
+
+// checkSameDraws fails unless every plane of got draws what the same
+// plane of want draws over rounds 0–63: Corrupt, Delay and RoundDelay
+// on every replica's links, and Visible on every replica edge.
+func checkSameDraws(t *testing.T, want, got *Pool) {
+	t.Helper()
+	stages := len(want.replicas[0].sw.StageChips())
+	frame := []byte{1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 1, 1, 0, 1, 0}
+	x, y := make([]byte, len(frame)), make([]byte, len(frame))
+	for round := range 64 {
+		for i, a := range want.replicas {
+			b := got.replicas[i]
+			for s := 0; s <= stages; s++ {
+				for _, w := range []int{0, 5} {
+					at := link.LinkAddr{Stage: s, Wire: w}
+					copy(x, frame)
+					copy(y, frame)
+					fx, ex := a.plane.Corrupt(round, at, x)
+					fy, ey := b.plane.Corrupt(round, at, y)
+					if fx != fy || ex != ey || !bytes.Equal(x, y) {
+						t.Fatalf("replica %d round %d %v: restored plane corrupts (%d, %v) %v, original (%d, %v) %v",
+							i, round, at, fy, ey, y, fx, ex, x)
+					}
+					if dx, dy := a.tplane.Delay(round, at), b.tplane.Delay(round, at); dx != dy {
+						t.Fatalf("replica %d round %d %v: restored Delay %d, original %d", i, round, at, dy, dx)
+					}
+				}
+			}
+			if dx, dy := a.tplane.RoundDelay(round, stages), b.tplane.RoundDelay(round, stages); dx != dy {
+				t.Fatalf("replica %d round %d: restored RoundDelay %d, original %d", i, round, dy, dx)
+			}
+			for _, dir := range []partition.Direction{partition.ToReplica, partition.FromReplica} {
+				if vx, vy := want.pplane.Visible(round, i, dir), got.pplane.Visible(round, i, dir); vx != vy {
+					t.Fatalf("replica %d round %d %v: restored Visible %v, original %v", i, round, dir, vy, vx)
+				}
+			}
+		}
+	}
+}
+
+// TestRestoreKeepsPlaneDraws is the regression test for checkpoints
+// that listed plane faults in sorted order: Restore re-added them in
+// that order, and the restored planes drew different corruption,
+// delays and flaps than the controller that died.
+func TestRestoreKeepsPlaneDraws(t *testing.T) {
+	if got := decodePlaneFaults(restoreFixtureBytes); !reflect.DeepEqual(got, restoreFixture) {
+		t.Fatalf("restoreFixtureBytes decodes to %+v, want %+v", got, restoreFixture)
+	}
+	orig, restored, injected := restoreThroughGob(t, restoreFixture)
+	if injected != 6 {
+		t.Fatalf("pool took %d of the fixture's 6 faults", injected)
+	}
+	checkSameDraws(t, orig, restored)
+
+	// End to end: a one-replica pool with the two jitter faults serves
+	// the same latencies after a restart as without one.
+	a := newPool(t, Config{}, 1)
+	for _, f := range restoreFixture.timing {
+		if err := a.InjectTimingFault(0, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := newPool(t, Config{}, 1)
+	if err := b.Restore(a.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	for round := range 40 {
+		ra, err := a.Run(fullMsgs(16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rb, err := b.Run(fullMsgs(16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ra.Latency != rb.Latency {
+			t.Fatalf("round %d: restored pool latency %d, original %d", round, rb.Latency, ra.Latency)
+		}
+	}
+}
+
+// FuzzCheckpointPlanes holds the property behind
+// TestRestoreKeepsPlaneDraws for any wire, timing and partition faults
+// added in any order: after Snapshot → gob → Restore every restored
+// plane draws what the original draws.
+func FuzzCheckpointPlanes(f *testing.F) {
+	f.Add(restoreFixtureBytes)
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		orig, restored, _ := restoreThroughGob(t, decodePlaneFaults(raw))
+		checkSameDraws(t, orig, restored)
+	})
 }

@@ -72,13 +72,6 @@ func (c OverloadSessionConfig) Validate() error {
 	case c.Deadline < 0:
 		return fmt.Errorf("pool: negative overload session deadline %d", c.Deadline)
 	}
-	if c.Surge != nil {
-		for _, f := range c.Surge.Faults() {
-			if err := f.Validate(); err != nil {
-				return err
-			}
-		}
-	}
 	if c.Retry != nil {
 		if err := c.Retry.Validate(); err != nil {
 			return err

@@ -134,13 +134,6 @@ func (cfg SessionConfig) Validate() error {
 			return err
 		}
 	}
-	if cfg.Surge != nil {
-		for _, f := range cfg.Surge.Faults() {
-			if err := f.Validate(); err != nil {
-				return err
-			}
-		}
-	}
 	if cfg.CoDel != nil {
 		if cfg.Policy != Resend && cfg.Policy != Buffer {
 			return fmt.Errorf("switchsim: CoDel drains a retry or buffer backlog; policy %s has none", cfg.Policy)

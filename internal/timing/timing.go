@@ -26,7 +26,6 @@ package timing
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"concentrators/internal/link"
 	"concentrators/internal/seedrand"
@@ -222,75 +221,22 @@ func (f Fault) sample(round int, rng *seedrand.Stream) int {
 // link.CorruptionPlane. Delays are deterministic: the stall drawn for a
 // link depends only on the plane's seed and the (round, stage, wire)
 // coordinates, never on call order, so a tail-latency regression found
-// in CI replays bit-for-bit from its seed. The zero *Plane (nil) means
-// every component runs at full speed.
+// in CI replays bit-for-bit from its seed. Multiple faults may target
+// the same link; their delays add (a jittery link can also be ramping).
+// The zero *Plane (nil) means every component runs at full speed.
 type Plane struct {
-	seed   int64
-	faults []Fault
+	window.Plane[Fault]
 }
 
 // NewPlane returns an empty plane with the given seed.
 func NewPlane(seed int64) *Plane {
-	return &Plane{seed: seed}
-}
-
-// Add validates and inserts a timing fault. Multiple faults may target
-// the same link; their delays add (a jittery link can also be ramping).
-func (p *Plane) Add(f Fault) error {
-	if err := f.Validate(); err != nil {
-		return err
-	}
-	p.faults = append(p.faults, f)
-	return nil
-}
-
-// Len returns the number of faults on the plane.
-func (p *Plane) Len() int {
-	if p == nil {
-		return 0
-	}
-	return len(p.faults)
-}
-
-// Faults lists the faults in deterministic (stage, wire, From) order.
-func (p *Plane) Faults() []Fault {
-	if p == nil {
-		return nil
-	}
-	out := append([]Fault(nil), p.faults...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Stage != out[j].Stage {
-			return out[i].Stage < out[j].Stage
-		}
-		if out[i].Wire != out[j].Wire {
-			return out[i].Wire < out[j].Wire
-		}
-		return out[i].From < out[j].From
-	})
-	return out
-}
-
-// Clone returns an independent copy of the plane.
-func (p *Plane) Clone() *Plane {
-	if p == nil {
-		return nil
-	}
-	return &Plane{seed: p.seed, faults: append([]Fault(nil), p.faults...)}
-}
-
-// Seed returns the plane's stream seed (checkpointing needs it to
-// rebuild an identical plane after a crash-restart).
-func (p *Plane) Seed() int64 {
-	if p == nil {
-		return 0
-	}
-	return p.seed
+	return &Plane{window.NewPlane[Fault](seed)}
 }
 
 // rng derives the deterministic jitter stream for one (round, link)
 // coordinate.
 func (p *Plane) rng(round int, at link.LinkAddr) seedrand.Stream {
-	h := seedrand.Mix64(uint64(p.seed) ^ seedrand.Mix64(uint64(round)<<32|uint64(uint32(at.Stage))) ^ seedrand.Mix64(uint64(at.Wire)+0x7C15F39D))
+	h := seedrand.Mix64(uint64(p.Seed()) ^ seedrand.Mix64(uint64(round)<<32|uint64(uint32(at.Stage))) ^ seedrand.Mix64(uint64(at.Wire)+0x7C15F39D))
 	return seedrand.NewStream(int64(h))
 }
 
@@ -303,7 +249,7 @@ func (p *Plane) Delay(round int, at link.LinkAddr) int {
 	}
 	total := 0
 	rng := p.rng(round, at)
-	for _, f := range p.faults {
+	for _, f := range p.Faults() {
 		if (f.Stage != link.AllStages && f.Stage != at.Stage) || (f.Wire != link.AllWires && f.Wire != at.Wire) || !f.active(round) {
 			continue
 		}
@@ -315,7 +261,7 @@ func (p *Plane) Delay(round int, at link.LinkAddr) int {
 // PathDelay sums Delay over every link of a message's path through a
 // switch with stages chip stages (see link.Path).
 func (p *Plane) PathDelay(round, stages, input, output int) int {
-	if p == nil || len(p.faults) == 0 {
+	if p == nil || p.Len() == 0 {
 		return 0
 	}
 	total := 0
@@ -331,13 +277,13 @@ func (p *Plane) PathDelay(round, stages, input, output int) int {
 // every stage in series). The sample for each fault is drawn from the
 // plane's deterministic stream at (round, stage, fault index).
 func (p *Plane) RoundDelay(round, stages int) int {
-	if p == nil || len(p.faults) == 0 {
+	if p == nil || p.Len() == 0 {
 		return 0
 	}
 	total := 0
 	for s := 0; s <= stages; s++ {
 		worst := 0
-		for i, f := range p.faults {
+		for i, f := range p.Faults() {
 			if (f.Stage != link.AllStages && f.Stage != s) || !f.active(round) {
 				continue
 			}

@@ -206,23 +206,6 @@ func TestPlaneDelayComposition(t *testing.T) {
 	}
 }
 
-func TestPlaneCloneIndependent(t *testing.T) {
-	p := NewPlane(1)
-	if err := p.Add(Fault{Mode: Constant, Delay: 1}); err != nil {
-		t.Fatal(err)
-	}
-	c := p.Clone()
-	if err := c.Add(Fault{Mode: Constant, Delay: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if p.Len() != 1 || c.Len() != 2 {
-		t.Fatalf("clone not independent: %d vs %d faults", p.Len(), c.Len())
-	}
-	if len(p.Faults()) != 1 {
-		t.Fatal("Faults() length mismatch")
-	}
-}
-
 // Histogram property: quantiles are monotone in q and always witnessed
 // — every returned latency was actually observed.
 func TestHistogramQuantileProperty(t *testing.T) {

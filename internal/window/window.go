@@ -1,11 +1,11 @@
-// Package window is the one shared definition of a fault's [From,
-// Until) round window. Every fault plane — wire corruption, timing,
-// surge, partition, and now byzantine behavior — bounds its faults
-// with the same two integers and the same liveness rule, and before
-// this package each plane carried its own copy of the activation test
-// and the window-shape validation. They are deduplicated here so the
-// planes cannot drift: one activation rule, one set of validation
-// messages.
+// Package window holds what the seeded fault planes share: Plane, the
+// storage of a plane's seed and faults, and the [From, Until) round
+// window that bounds a fault. The wire corruption, timing, surge,
+// partition, byzantine and crash planes keep their faults in a Plane,
+// and all but the crash plane (whose faults fire at one round) bound
+// them with the same two integers and the same liveness rule. One copy
+// of each lives here so the planes cannot drift: one fault list in
+// insertion order, one activation rule, one set of validation messages.
 //
 // Two window disciplines exist, and both are legitimate:
 //
@@ -66,3 +66,43 @@ func CheckBounded(from, until int, what string) error {
 	}
 	return nil
 }
+
+// Plane is the storage a seeded fault plane embeds: the seed its draws
+// key on and its validated faults in insertion order. Insertion order
+// is the order every plane applies its faults in — wire faults compose
+// in it, and the timing, surge and partition planes key a fault's
+// stream by its index — so a plane rebuilt by re-adding Faults in order
+// draws exactly what the original draws. Add is the only way in, so
+// every fault on a Plane has passed its Validate. The methods need a
+// non-nil plane; it is the embedding planes' draws that read a nil
+// plane as fault-free.
+type Plane[F interface{ Validate() error }] struct {
+	seed   int64
+	faults []F
+}
+
+// NewPlane returns an empty plane with the given seed.
+func NewPlane[F interface{ Validate() error }](seed int64) Plane[F] {
+	return Plane[F]{seed: seed}
+}
+
+// Add validates f and appends it, or returns the validation error and
+// leaves the plane unchanged.
+func (p *Plane[F]) Add(f F) error {
+	if err := f.Validate(); err != nil {
+		return err
+	}
+	p.faults = append(p.faults, f)
+	return nil
+}
+
+// Seed returns the seed the plane's draws key on.
+func (p *Plane[F]) Seed() int64 { return p.seed }
+
+// Len returns the number of faults on the plane.
+func (p *Plane[F]) Len() int { return len(p.faults) }
+
+// Faults returns the plane's own fault slice in insertion order. It is
+// read-only: callers must not modify it, and one that keeps it past a
+// later Add still sees the faults it saw when it took it.
+func (p *Plane[F]) Faults() []F { return p.faults[:len(p.faults):len(p.faults)] }

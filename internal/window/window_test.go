@@ -1,6 +1,7 @@
 package window
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -108,5 +109,53 @@ func TestBoundedSubset(t *testing.T) {
 	}
 	if !strings.Contains(CheckBounded(0, 0, "cut").Error(), "cut needs") {
 		t.Error("CheckBounded does not name the offender")
+	}
+}
+
+// spanFault is a test fault: valid when its window passes Check.
+type spanFault Span
+
+func (f spanFault) Validate() error { return Check(f.From, f.Until) }
+
+// TestPlane walks one plane through a table of Adds: a valid fault is
+// appended in insertion order, an invalid one is rejected with its
+// Validate error and leaves Len and Faults unchanged, and a Faults
+// slice taken before an Add keeps its length and contents, even after
+// its holder appends to it.
+func TestPlane(t *testing.T) {
+	p := NewPlane[spanFault](-0x5EED)
+	if p.Seed() != -0x5EED {
+		t.Fatalf("Seed = %d, want %d", p.Seed(), -0x5EED)
+	}
+	two := []spanFault{{From: 5}, {From: 1, Until: 3}}
+	for _, tc := range []struct {
+		name    string
+		add     spanFault
+		wantErr string
+		want    []spanFault
+	}{
+		{"first", spanFault{From: 5}, "", two[:1]},
+		{"earlier From after a later one", spanFault{From: 1, Until: 3}, "", two},
+		{"negative From", spanFault{From: -1}, "negative From round", two},
+		{"empty window", spanFault{From: 4, Until: 4}, "empty round window [4,4)", two},
+		{"third", spanFault{}, "", append(two, spanFault{})},
+		{"fourth", spanFault{From: 2}, "", append(two, spanFault{}, spanFault{From: 2})},
+	} {
+		before := p.Faults()
+		kept := append([]spanFault(nil), before...)
+		grown := append(before, spanFault{From: 99})
+		err := p.Add(tc.add)
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Fatalf("%s: Add = %v", tc.name, err)
+		case tc.wantErr != "" && (err == nil || err.Error() != tc.wantErr):
+			t.Fatalf("%s: Add = %v, want %q", tc.name, err, tc.wantErr)
+		}
+		if p.Len() != len(tc.want) || !reflect.DeepEqual(p.Faults(), tc.want) {
+			t.Fatalf("%s: Len %d, Faults %v, want %v", tc.name, p.Len(), p.Faults(), tc.want)
+		}
+		if !reflect.DeepEqual(before, kept) || grown[len(before)] != (spanFault{From: 99}) {
+			t.Fatalf("%s: Add changed an earlier Faults slice: %v, was %v; appended %v", tc.name, before, kept, grown)
+		}
 	}
 }
