@@ -199,7 +199,12 @@ func TestByzantineConfigRejected(t *testing.T) {
 	}{
 		{"negative", func(c *Config) { c.Byzantine = -1 }, "negative byzantine"},
 		{"two replicas", func(c *Config) { c.Replicas = 2 }, "witness majority"},
+		{"with chip faults", func(c *Config) { c.Faults = 1 }, "combine only with Crashes"},
 		{"with kills", func(c *Config) { c.Kills = 1 }, "combine only with Crashes"},
+		{"with corruptions", func(c *Config) { c.Corruptions = 1 }, "combine only with Crashes"},
+		{"with stalls", func(c *Config) { c.Stalls = 1 }, "combine only with Crashes"},
+		{"with surges", func(c *Config) { c.Surges = 1 }, "combine only with Crashes"},
+		{"with drains", func(c *Config) { c.Drains = 1 }, "combine only with Crashes"},
 		{"with partitions", func(c *Config) { c.Partitions = 1 }, "combine only with Crashes"},
 		{"control without windows", func(c *Config) { c.Byzantine = 0 }, "needs Byzantine > 0"},
 	}

@@ -2,6 +2,8 @@ package chaos
 
 import (
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"concentrators/internal/core"
@@ -139,22 +141,28 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name   string
-		mutate func(*Config)
+		name    string
+		mutate  func(*Config)
+		wantMsg string
 	}{
-		{"zero replicas", func(c *Config) { c.Replicas = 0 }},
-		{"zero rounds", func(c *Config) { c.Rounds = 0 }},
-		{"negative load", func(c *Config) { c.Load = -0.1 }},
-		{"load above one", func(c *Config) { c.Load = 1.5 }},
-		{"zero payload", func(c *Config) { c.PayloadBits = 0 }},
-		{"negative kills", func(c *Config) { c.Kills = -1 }},
-		{"negative corruptions", func(c *Config) { c.Corruptions = -1 }},
-		{"BER above one", func(c *Config) { c.MaxBER = 1.5 }},
+		{"zero replicas", func(c *Config) { c.Replicas = 0 }, "need ≥ 1 replica"},
+		{"zero rounds", func(c *Config) { c.Rounds = 0 }, "need ≥ 1 round"},
+		{"negative load", func(c *Config) { c.Load = -0.1 }, "load -0.1 outside [0,1]"},
+		{"load above one", func(c *Config) { c.Load = 1.5 }, "load 1.5 outside [0,1]"},
+		{"zero payload", func(c *Config) { c.PayloadBits = 0 }, "payload must be ≥ 1 bit"},
+		{"negative kills", func(c *Config) { c.Kills = -1 }, "negative event counts"},
+		{"negative corruptions", func(c *Config) { c.Corruptions = -1 }, "negative event counts"},
+		{"BER above one", func(c *Config) { c.MaxBER = 1.5 }, "MaxBER 1.5 outside [0,1]"},
+		{"surge factor of one", func(c *Config) { c.MaxSurgeFactor = 1 }, "MaxSurgeFactor 1 must be > 1"},
+		{"surge factor below one", func(c *Config) { c.MaxSurgeFactor = 0.5 }, "MaxSurgeFactor 0.5 must be > 1"},
+		{"NaN surge factor", func(c *Config) { c.MaxSurgeFactor = math.NaN() }, "MaxSurgeFactor NaN must be > 1"},
 	} {
 		cfg := baseConfig(1)
 		tc.mutate(&cfg)
 		if _, err := GenerateSchedule(cfg.Seed, sw, cfg); err == nil {
 			t.Errorf("%s: GenerateSchedule accepted invalid config", tc.name)
+		} else if !strings.Contains(err.Error(), tc.wantMsg) {
+			t.Errorf("%s: error %q does not explain %q", tc.name, err, tc.wantMsg)
 		}
 		if _, err := Run(buildColumnsort, nil, cfg); err == nil {
 			t.Errorf("%s: Run accepted invalid config", tc.name)

@@ -253,8 +253,23 @@ func TestChaosMembershipValidation(t *testing.T) {
 		},
 		{
 			"partitions with chip faults",
-			func(c *Config) { c.Partitions, c.Kills = 2, 0 },
+			func(c *Config) { c.Partitions, c.Kills, c.Corruptions = 2, 0, 0 },
 			"invisible to the quarantine machinery",
+		},
+		{
+			"partitions with corruptions",
+			func(c *Config) { c.Partitions, c.Kills, c.Faults = 2, 0, 0 },
+			"invisible to the quarantine machinery",
+		},
+		{
+			"partitions with stalls",
+			func(c *Config) { c.Partitions, c.Kills, c.Faults, c.Corruptions, c.Stalls = 2, 0, 0, 0, 2 },
+			"invisible to the quarantine machinery",
+		},
+		{
+			"unjournaled without crashes",
+			func(c *Config) { c.Unjournaled = true },
+			"Unjournaled without Crashes",
 		},
 		{
 			"partitions without quorum",
