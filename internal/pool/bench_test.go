@@ -3,19 +3,16 @@ package pool
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
-	"time"
 
 	"concentrators/internal/core"
 	"concentrators/internal/switchsim"
 )
 
-// benchPool builds the dispatch benchmark fixture: four replicas, each
-// carrying a dead chip behind an effectively infinite trip threshold,
-// so every round sweeps the whole replica set — the workload shape
-// where speculative parallel dispatch pays.
-func benchPool(tb testing.TB, n, parallel int) *Pool {
+// benchPool builds the pool-round benchmark fixture: four replicas,
+// each carrying a dead chip behind an effectively infinite trip
+// threshold, so every round sweeps the whole replica set.
+func benchPool(tb testing.TB, n int) *Pool {
 	tb.Helper()
 	switches := make([]core.FaultInjectable, 4)
 	for i := range switches {
@@ -25,7 +22,7 @@ func benchPool(tb testing.TB, n, parallel int) *Pool {
 		}
 		switches[i] = sw
 	}
-	p, err := New(Config{TripThreshold: 1 << 30, Parallel: parallel}, switches...)
+	p, err := New(Config{TripThreshold: 1 << 30}, switches...)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -37,77 +34,20 @@ func benchPool(tb testing.TB, n, parallel int) *Pool {
 	return p
 }
 
-// BenchmarkPoolRound measures one failover-sweep pool round under
-// sequential and speculative parallel replica dispatch. The parallel
-// win needs real cores: with GOMAXPROCS ≥ 4 the parallel sub-benchmark
-// shows ≥ 2× throughput (see TestParallelDispatchSpeedup); on a single
-// proc the two are equivalent by design.
+// BenchmarkPoolRound measures one failover-sweep pool round.
 func BenchmarkPoolRound(b *testing.B) {
 	rng := rand.New(rand.NewSource(73))
 	for _, n := range []int{256, 1024, 4096} {
 		msgs := switchsim.RandomMessages(rng, n, 0.4, 8)
-		for _, mode := range []struct {
-			tag      string
-			parallel int
-		}{{"sequential", 0}, {"parallel", 4}} {
-			b.Run(fmt.Sprintf("%s/%d", mode.tag, n), func(b *testing.B) {
-				p := benchPool(b, n, mode.parallel)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := p.Run(msgs); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			p := benchPool(b, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.Run(msgs); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
-	}
-}
-
-// timePoolRound times one round with a geometrically calibrated loop.
-func timePoolRound(tb testing.TB, p *Pool, msgs []switchsim.Message, minTime time.Duration) float64 {
-	tb.Helper()
-	iters := 1
-	for {
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if _, err := p.Run(msgs); err != nil {
-				tb.Fatal(err)
 			}
-		}
-		el := time.Since(start)
-		if el >= minTime || iters >= 1<<20 {
-			return float64(el.Nanoseconds()) / float64(iters)
-		}
-		iters *= 2
-	}
-}
-
-// TestParallelDispatchSpeedup asserts the concurrency tentpole's
-// throughput claim: with ≥ 4 procs and 4 replicas swept every round,
-// parallel dispatch serves rounds ≥ 2× faster than sequential. On
-// smaller machines the claim is vacuous (the workers would share a
-// core), so the test skips.
-func TestParallelDispatchSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing assertion skipped in -short mode")
-	}
-	if procs := runtime.GOMAXPROCS(0); procs < 4 {
-		t.Skipf("GOMAXPROCS=%d; parallel speedup needs ≥ 4 procs", procs)
-	}
-	const n = 4096
-	msgs := switchsim.RandomMessages(rand.New(rand.NewSource(73)), n, 0.4, 8)
-	seqPool := benchPool(t, n, 0)
-	parPool := benchPool(t, n, 4)
-	best := 0.0
-	for attempt := 0; attempt < 3 && best < 2; attempt++ {
-		seq := timePoolRound(t, seqPool, msgs, 50*time.Millisecond)
-		par := timePoolRound(t, parPool, msgs, 50*time.Millisecond)
-		if r := seq / par; r > best {
-			best = r
-		}
-	}
-	if best < 2 {
-		t.Errorf("parallel dispatch speedup %.2fx, want ≥ 2x", best)
+		})
 	}
 }

@@ -107,13 +107,8 @@ func (p *Pool) hedgeLocked(primary *replica, tried map[int]bool, admitted []swit
 	}
 	s := p.replicas[si]
 	p.stats.Hedges++
-	sc, sres, err := p.attemptLocked(s, admitted)
-	corrupt := 0
-	if err == nil {
-		sres, corrupt = p.applyWireNoiseLocked(s, round, sres)
-		p.escalateLinksLocked(s)
-	}
-	if err != nil || corrupt != 0 || switchsim.CheckGuarantee(sc, admitted, sres) != nil {
+	sres, ok := p.judgedAttemptLocked(s, round, admitted)
+	if !ok {
 		p.noteViolation(s, round)
 		return nil, nil, 0
 	}
