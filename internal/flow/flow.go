@@ -31,9 +31,6 @@ func NewGraph(n int) *Graph {
 	return &Graph{n: n, heads: make([][]int32, n)}
 }
 
-// Nodes returns the node count.
-func (g *Graph) Nodes() int { return g.n }
-
 // AddEdge adds a directed edge u→v with the given capacity and returns
 // its id. A reverse residual edge of capacity 0 is added internally.
 func (g *Graph) AddEdge(u, v, capacity int) int {

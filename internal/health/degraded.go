@@ -238,6 +238,3 @@ func (d *DegradedSwitch) EpsilonPenalty() int { return d.epsPenalty }
 func (d *DegradedSwitch) Faults() []LocalizedFault {
 	return append([]LocalizedFault(nil), d.faults...)
 }
-
-// Inner returns the wrapped switch.
-func (d *DegradedSwitch) Inner() core.FaultInjectable { return d.inner }

@@ -128,8 +128,6 @@ func EncodeFrame(kind byte, lsn uint64, payload []byte) []byte {
 type Writer struct {
 	store Store
 	next  uint64
-	// accounting
-	snapshots, deltas int
 }
 
 // NewWriter opens a writer over the store, resuming the LSN sequence
@@ -152,12 +150,6 @@ func (w *Writer) Append(kind byte, payload []byte) uint64 {
 	lsn := w.next
 	w.next++
 	w.store.Append(EncodeFrame(kind, lsn, payload))
-	switch kind {
-	case KindSnapshot:
-		w.snapshots++
-	default:
-		w.deltas++
-	}
 	return lsn
 }
 
@@ -177,13 +169,6 @@ func (w *Writer) AppendTorn(kind byte, payload []byte, keep int) {
 	}
 	w.store.Append(frame[:keep])
 }
-
-// Snapshots and Deltas report how many records of each kind this
-// writer appended.
-func (w *Writer) Snapshots() int { return w.snapshots }
-
-// Deltas reports the delta records appended.
-func (w *Writer) Deltas() int { return w.deltas }
 
 // ReplayResult is the outcome of decoding a journal.
 type ReplayResult struct {

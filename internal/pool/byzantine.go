@@ -72,22 +72,13 @@ func (p *Pool) InjectBehavior(f byzantine.Fault) error {
 	return p.bplane.Add(f)
 }
 
-// ClearBehaviors removes the behavior plane: every actor is honest
-// again. Edge verification state (dedup window, sequence counter,
-// audit tally) is kept — honesty is not amnesty.
-func (p *Pool) ClearBehaviors() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.bplane = nil
-}
-
 // ensureEdgesLocked lazily keys the sending and receiving edges from
 // the configured seed.
 func (p *Pool) ensureEdgesLocked() {
 	if p.stamper == nil {
 		key := byzantine.DeriveKey(p.cfg.Byzantine.Seed)
 		p.stamper = byzantine.NewStamper(key)
-		p.verifier = byzantine.NewVerifier(key, p.cfg.Byzantine.Window)
+		p.verifier = byzantine.NewVerifier(key, byzantine.DefaultWindow)
 	}
 }
 

@@ -19,9 +19,6 @@ func TestByzantineConfigValidate(t *testing.T) {
 	if _, err := New(Config{Byzantine: ByzantineConfig{AuditEvery: -1}}, newReplicas(t, 1)...); err == nil {
 		t.Error("accepted negative audit cadence")
 	}
-	if _, err := New(Config{Byzantine: ByzantineConfig{Window: -1}}, newReplicas(t, 1)...); err == nil {
-		t.Error("accepted negative dedup window")
-	}
 	p := newPool(t, Config{}, 2)
 	if err := p.InjectBehavior(bfault(byzantine.Replay, 5, 1, 0, 4)); err == nil {
 		t.Error("accepted behavior fault naming a replica outside the pool")
