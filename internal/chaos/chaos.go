@@ -962,12 +962,10 @@ func Run(build func() (core.FaultInjectable, error), events []Event, cfg Config)
 	surgePlane := overload.NewPlane(cfg.Seed)
 	n := p.Inputs()
 	next := 0
-	lastFailovers := 0
-	lastCorrupted := 0
-	lastMissed := 0
-	lastFenced, lastStale := 0, 0
-	lastHandoffs, lastDual := 0, 0
-	lastBooked, lastForged, lastDuplicated := 0, 0, 0
+	// prev is the pool's Stats at the end of the previous round, or
+	// after the latest crash-restart: each round's record terms are
+	// deltas against it.
+	var prev pool.Stats
 	var killedQueue []int // killed, not-yet-revived replicas, oldest first
 
 	// Crash durability: the journal is the only structure that survives
@@ -1147,11 +1145,7 @@ func Run(build func() (core.FaultInjectable, error), events []Event, cfg Config)
 				p = np
 				// The restored (or amnesiac) ledgers are the new baseline
 				// for the per-round stat deltas.
-				s := p.Stats()
-				lastFailovers, lastCorrupted, lastMissed = s.SameRoundFailovers, s.CorruptedDeliveries, s.DeadlineMissed
-				lastFenced, lastStale = s.Fenced, s.StaleDelivered
-				lastHandoffs, lastDual = s.LeaseHandoffs, s.DualPrimaryRounds
-				lastBooked, lastForged, lastDuplicated = s.Delivered, s.Forged, s.Duplicated
+				prev = p.Stats()
 			default:
 				err = fmt.Errorf("chaos: unknown event kind %v", ev.Kind)
 			}
@@ -1184,21 +1178,17 @@ func Run(build func() (core.FaultInjectable, error), events []Event, cfg Config)
 			Latency: rr.Latency, Hedged: rr.Hedged,
 		}
 		stats := p.Stats()
-		rec.Corrupted = stats.CorruptedDeliveries - lastCorrupted
-		lastCorrupted = stats.CorruptedDeliveries
-		rec.DeadlineMissed = stats.DeadlineMissed - lastMissed
-		lastMissed = stats.DeadlineMissed
+		rec.Corrupted = stats.CorruptedDeliveries - prev.CorruptedDeliveries
+		rec.DeadlineMissed = stats.DeadlineMissed - prev.DeadlineMissed
 		if leaseOn {
-			rec.Fenced = stats.Fenced - lastFenced
-			rec.StaleDelivered = stats.StaleDelivered - lastStale
+			rec.Fenced = stats.Fenced - prev.Fenced
+			rec.StaleDelivered = stats.StaleDelivered - prev.StaleDelivered
 			rec.ShadowDelivered = rr.ShadowDelivered
 			rec.Frozen = rr.Frozen
-			lastFenced, lastStale = stats.Fenced, stats.StaleDelivered
 			rep.Partition.Fenced += rec.Fenced
 			rep.Partition.StaleDelivered += rec.StaleDelivered
-			rep.Partition.LeaseHandoffs += stats.LeaseHandoffs - lastHandoffs
-			rep.Partition.DualPrimaryRounds += stats.DualPrimaryRounds - lastDual
-			lastHandoffs, lastDual = stats.LeaseHandoffs, stats.DualPrimaryRounds
+			rep.Partition.LeaseHandoffs += stats.LeaseHandoffs - prev.LeaseHandoffs
+			rep.Partition.DualPrimaryRounds += stats.DualPrimaryRounds - prev.DualPrimaryRounds
 			if rec.Frozen {
 				rep.Partition.FrozenRounds++
 			}
@@ -1212,10 +1202,9 @@ func Run(build func() (core.FaultInjectable, error), events []Event, cfg Config)
 			}
 		}
 		if byzOn {
-			rec.Booked = stats.Delivered - lastBooked
-			rec.Forged = stats.Forged - lastForged
-			rec.Duplicated = stats.Duplicated - lastDuplicated
-			lastBooked, lastForged, lastDuplicated = stats.Delivered, stats.Forged, stats.Duplicated
+			rec.Booked = stats.Delivered - prev.Delivered
+			rec.Forged = stats.Forged - prev.Forged
+			rec.Duplicated = stats.Duplicated - prev.Duplicated
 			rec.Misrouted, rec.Replayed, rec.Fabricated = rr.Misrouted, rr.ReplayedInjected, rr.ForgedInjected
 			rec.Equivocated = rr.Equivocated
 			rep.Byzantine.Misrouted += rec.Misrouted
@@ -1278,10 +1267,9 @@ func Run(build func() (core.FaultInjectable, error), events []Event, cfg Config)
 				fmt.Sprintf("round %d: delivered %d < ⌊α′m′⌋ bound %d (replica %d)",
 					round, rec.Delivered, want, rr.ServedBy))
 		}
-		if depth := stats.SameRoundFailovers - lastFailovers; depth > rep.MaxSameRoundFailovers {
+		if depth := stats.SameRoundFailovers - prev.SameRoundFailovers; depth > rep.MaxSameRoundFailovers {
 			rep.MaxSameRoundFailovers = depth
 		}
-		lastFailovers = stats.SameRoundFailovers
 
 		rep.Crash.TrueDelivered += rec.Delivered
 		if leaseOn {
@@ -1299,6 +1287,7 @@ func Run(build func() (core.FaultInjectable, error), events []Event, cfg Config)
 			lastFrame = buf.Len() + journal.FrameOverhead
 			rep.Crash.SnapshotsWritten++
 		}
+		prev = stats
 	}
 	rep.Stats = p.Stats()
 	if byzOn {
