@@ -22,6 +22,11 @@ import (
 // re-record (-update) only for an intended change of behaviour.
 const scenarioDigests = "testdata/scenario_digests.json"
 
+// overloadDigests is the overload corpus: the SHA-256 of the
+// OverloadSessionStats JSON of each run of the overload session
+// fixture (runShapeSession).
+const overloadDigests = "testdata/overload_digests.json"
+
 var update = flag.Bool("update", false, "rewrite the golden digests from the current code")
 
 // runScenario drives one pool through a fixed chaos-like schedule —
@@ -111,40 +116,79 @@ func TestGoldenScenarios(t *testing.T) {
 		if tc.stallActive && st.Hedges == 0 {
 			t.Errorf("%s/%d: a stall on the serving replica hedged no round", tc.name, tc.seed)
 		}
-		js, err := json.Marshal(struct {
+		got[fmt.Sprintf("%s/%d", tc.name, tc.seed)] = digest(t, struct {
 			Rounds []RoundResult
 			Stats  Stats
 		}{rrs, st})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum := sha256.Sum256(js)
-		got[fmt.Sprintf("%s/%d", tc.name, tc.seed)] = hex.EncodeToString(sum[:])
 	}
+	checkDigests(t, scenarioDigests, got)
+}
+
+// TestGoldenOverloadSessions replays the overload corpus: the overload
+// session fixture of every surge shape, open and closed loop, run for
+// 300 rounds must hash to the recorded OverloadSessionStats JSON. Some
+// closed-loop row must step the brownout contract back up and some row
+// must end at the AIMD floor, so the corpus pins both ends of both
+// control laws. Run with -update to re-record.
+func TestGoldenOverloadSessions(t *testing.T) {
+	got := map[string]string{}
+	exited, floored := false, false
+	for shape := range overloadShapes {
+		for _, loop := range []string{"open", "closed"} {
+			st := runShapeSession(t, shape, loop == "closed", 300)
+			exited = exited || (loop == "closed" && st.Pool.BrownoutExits > 0)
+			floored = floored || st.Pool.AdmitFraction == 0.1
+			got[shape+"/"+loop] = digest(t, st)
+		}
+	}
+	if !exited {
+		t.Error("no closed-loop session stepped the brownout contract back up")
+	}
+	if !floored {
+		t.Error("no session drove the AIMD admitted fraction to its 0.1 floor")
+	}
+	checkDigests(t, overloadDigests, got)
+}
+
+// digest returns the hex SHA-256 of v's JSON encoding.
+func digest(t *testing.T, v any) string {
+	t.Helper()
+	js, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(js)
+	return hex.EncodeToString(sum[:])
+}
+
+// checkDigests compares got against the corpus at path, or rewrites
+// the corpus under -update.
+func checkDigests(t *testing.T, path string, got map[string]string) {
+	t.Helper()
 	if *update {
 		js, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(scenarioDigests, append(js, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(path, append(js, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	raw, err := os.ReadFile(scenarioDigests)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want map[string]string
 	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatalf("%s: %v", scenarioDigests, err)
+		t.Fatalf("%s: %v", path, err)
 	}
 	if len(want) != len(got) {
-		t.Errorf("%s records %d digests, the suite computes %d", scenarioDigests, len(want), len(got))
+		t.Errorf("%s records %d digests, the suite computes %d", path, len(want), len(got))
 	}
-	for name, digest := range got {
-		if want[name] != digest {
-			t.Errorf("%s: digest %s, recorded %s", name, digest, want[name])
+	for name, d := range got {
+		if want[name] != d {
+			t.Errorf("%s: digest %s, recorded %s", name, d, want[name])
 		}
 	}
 }

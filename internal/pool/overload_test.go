@@ -133,46 +133,60 @@ func TestOpenLoopCollapseClosedLoopRecovery(t *testing.T) {
 	}
 }
 
+// overloadShapes are the surge shapes of the overload session
+// fixture: step, ramp, flash crowd and sustained oversubscription.
+var overloadShapes = map[string]overload.Fault{
+	"step":      {Mode: overload.Step, Factor: 4, From: 30, Until: 90},
+	"ramp":      {Mode: overload.Ramp, Factor: 4, From: 0, Until: 120},
+	"flash":     {Mode: overload.Flash, Factor: 6, Prob: 0.3},
+	"sustained": {Mode: overload.Sustained, Factor: 4, From: 10},
+}
+
+// runShapeSession runs the overload session fixture: the named surge
+// shape against 2 replicas at seed 7 for rounds rounds, open loop or
+// closed (AIMD and brownout in the pool, retry budget and CoDel at the
+// clients). It fails the test unless the session conservation law
+// holds and something was offered.
+func runShapeSession(t *testing.T, shape string, closed bool, rounds int) *OverloadSessionStats {
+	t.Helper()
+	pl := overload.NewPlane(int64(len(shape)))
+	if err := pl.Add(overloadShapes[shape]); err != nil {
+		t.Fatal(err)
+	}
+	var pc Config
+	sc := OverloadSessionConfig{
+		Rounds: rounds, Load: 0.25, PayloadBits: 4, Seed: 7, Deadline: 6, Surge: pl,
+	}
+	if closed {
+		pc.Overload = &overload.Config{}
+		sc.Retry = &overload.RetryConfig{Budget: 0.05, BackoffBase: 1, BackoffCap: 4}
+		sc.CoDel = &overload.CoDelConfig{Target: 3, Interval: 6}
+	}
+	st, err := RunOverloadSession(newSmallPool(t, pc, 2), sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := st.Delivered + st.DeadlineMissed + st.Shed + st.FinalBacklog
+	if got != st.Offered {
+		t.Fatalf("conservation violated: offered %d, accounted %d (delivered %d missed %d shed %d backlog %d)",
+			st.Offered, got, st.Delivered, st.DeadlineMissed, st.Shed, st.FinalBacklog)
+	}
+	if st.Offered == 0 {
+		t.Fatal("surge session offered nothing")
+	}
+	return st
+}
+
 // The session-level conservation law holds across every surge shape,
 // both loops, concurrently (the -race CI run exercises the pool's
 // locking through RunOverloadSession).
 func TestOverloadConservationAcrossShapes(t *testing.T) {
-	shapes := map[string]overload.Fault{
-		"step":      {Mode: overload.Step, Factor: 4, From: 30, Until: 90},
-		"ramp":      {Mode: overload.Ramp, Factor: 4, From: 0, Until: 120},
-		"flash":     {Mode: overload.Flash, Factor: 6, Prob: 0.3},
-		"sustained": {Mode: overload.Sustained, Factor: 4, From: 10},
-	}
-	for name, f := range shapes {
+	for shape := range overloadShapes {
 		for _, loop := range []string{"open", "closed"} {
-			name, f, loop := name, f, loop
-			t.Run(fmt.Sprintf("%s/%s", name, loop), func(t *testing.T) {
+			shape, loop := shape, loop
+			t.Run(fmt.Sprintf("%s/%s", shape, loop), func(t *testing.T) {
 				t.Parallel()
-				pl := overload.NewPlane(int64(len(name)))
-				if err := pl.Add(f); err != nil {
-					t.Fatal(err)
-				}
-				var pc Config
-				sc := OverloadSessionConfig{
-					Rounds: 150, Load: 0.25, PayloadBits: 4, Seed: 7, Deadline: 6, Surge: pl,
-				}
-				if loop == "closed" {
-					pc.Overload = &overload.Config{}
-					sc.Retry = &overload.RetryConfig{Budget: 0.05, BackoffBase: 1, BackoffCap: 4}
-					sc.CoDel = &overload.CoDelConfig{Target: 3, Interval: 6}
-				}
-				st, err := RunOverloadSession(newSmallPool(t, pc, 2), sc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := st.Delivered + st.DeadlineMissed + st.Shed + st.FinalBacklog
-				if got != st.Offered {
-					t.Fatalf("conservation violated: offered %d, accounted %d (delivered %d missed %d shed %d backlog %d)",
-						st.Offered, got, st.Delivered, st.DeadlineMissed, st.Shed, st.FinalBacklog)
-				}
-				if st.Offered == 0 {
-					t.Fatal("surge session offered nothing")
-				}
+				runShapeSession(t, shape, loop == "closed", 150)
 			})
 		}
 	}
