@@ -305,6 +305,37 @@ func TestExponentialReadmissionBackoff(t *testing.T) {
 	}
 }
 
+// TestSetScanLatency: a scan latency set mid-run delays the next probe
+// verdict by that many rounds, and a negative latency is rejected
+// without changing the one in force.
+func TestSetScanLatency(t *testing.T) {
+	p := newPool(t, Config{TripThreshold: 1, ProbeAfter: 2}, 2)
+	thr := p.Threshold()
+	if err := p.SetScanLatency(3); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.SetScanLatency(-1); err == nil {
+		t.Fatal("accepted a negative scan latency")
+	}
+	if err := p.InjectFault(0, core.ChipFault{Stage: 0, Chip: 1, Mode: core.ChipDead}); err != nil {
+		t.Fatal(err)
+	}
+	// Round 0 trips replica 0, so its verdict lands at round
+	// 0 + ProbeAfter + 3 = 5.
+	for round := 0; round <= 5; round++ {
+		if _, err := p.Run(fullMsgs(thr)); err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		if round == 5 {
+			want = 1
+		}
+		if got := p.Stats().Probes; got != want {
+			t.Fatalf("after round %d: %d probes, want %d", round, got, want)
+		}
+	}
+}
+
 // TestPoolImplementsConcentrator drives the pool through the standard
 // bit-serial simulator and the standard guarantee checker.
 func TestPoolImplementsConcentrator(t *testing.T) {
