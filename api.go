@@ -317,10 +317,9 @@ type (
 	// TimingPlane is a seeded, deterministic set of timing faults — the
 	// latency counterpart of CorruptionPlane.
 	TimingPlane = timing.Plane
-	// RTTEstimatorConfig tunes the Jacobson/Karn adaptive retransmit
-	// timer (EWMA mean + deviation, Karn's rule, exponential backoff).
-	RTTEstimatorConfig = timing.EstimatorConfig
-	// RTTEstimator adapts ARQ retransmit timeouts to observed latency.
+	// RTTEstimator adapts ARQ retransmit timeouts to observed latency
+	// (EWMA mean + deviation, Karn's rule, exponential backoff). The
+	// zero value is ready for use.
 	RTTEstimator = timing.Estimator
 	// LatencyHistogram is a log-bucketed latency histogram with
 	// witnessed p50/p99/p999 quantile accessors.
@@ -344,11 +343,9 @@ const (
 // NewTimingPlane returns an empty, seeded timing fault plane.
 func NewTimingPlane(seed int64) *TimingPlane { return timing.NewPlane(seed) }
 
-// NewRTTEstimator builds a Jacobson/Karn estimator; zero config fields
-// take the classic constants (α=1/8, β=1/4, K=4, RTO ∈ [1,64]).
-func NewRTTEstimator(cfg RTTEstimatorConfig) (*RTTEstimator, error) {
-	return timing.NewEstimator(cfg)
-}
+// NewRTTEstimator builds a Jacobson/Karn estimator with the classic
+// constants (α=1/8, β=1/4, K=4, RTO ∈ [1,64]).
+func NewRTTEstimator() *RTTEstimator { return timing.NewEstimator() }
 
 // NewSlowDetector builds a relative-percentile slow-replica detector
 // over the given replica count.
@@ -368,20 +365,14 @@ type (
 	// SurgePlane is a seeded, deterministic set of surge faults — the
 	// load counterpart of TimingPlane.
 	SurgePlane = overload.Plane
-	// AIMDConfig tunes the closed admission loop's additive-increase /
-	// multiplicative-decrease fraction.
-	AIMDConfig = overload.AIMDConfig
 	// CoDelConfig tunes the sojourn-based backlog drain (target,
 	// interval).
 	CoDelConfig = overload.CoDelConfig
 	// RetryConfig tunes the client retry budget (token bucket plus
 	// full-jitter exponential backoff).
 	RetryConfig = overload.RetryConfig
-	// BrownoutConfig tunes the brownout state machine stepping the
-	// advertised contract down under sustained congestion.
-	BrownoutConfig = overload.BrownoutConfig
-	// OverloadConfig bundles the pool's closed-loop controllers (AIMD,
-	// brownout, congestion waterline).
+	// OverloadConfig tunes the pool's closed loop (AIMD admission and
+	// brownout under a congestion waterline).
 	OverloadConfig = overload.Config
 	// OverloadSessionConfig drives a closed-loop client session against
 	// a Pool: surge-multiplied arrivals, budgeted retries, CoDel

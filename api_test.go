@@ -315,10 +315,7 @@ func TestPublicAPIGrayFailure(t *testing.T) {
 	if d := plane.RoundDelay(0, len(replicas[1].StageChips())); d != 10 {
 		t.Fatalf("plane round delay %d, want 10", d)
 	}
-	est, err := NewRTTEstimator(RTTEstimatorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	est := NewRTTEstimator()
 	est.Sample(4, false)
 	if !est.Primed() || est.RTO() < 4 {
 		t.Fatalf("estimator not primed after a clean sample: RTO %d", est.RTO())

@@ -108,7 +108,6 @@ func main() {
 		Stalls:               *stalls,
 		Surges:               *surges,
 		MaxSurgeFactor:       *surgeFactor,
-		Deadline:             *deadline,
 		CheckSLO:             *deadline > 0,
 		ScanLatencyJitter:    *jitter,
 		Crashes:              *crashes,
@@ -117,7 +116,6 @@ func main() {
 		Partitions:           *partitions,
 		AsymPartitions:       *asym,
 		LeaseRounds:          *leaseRounds,
-		Unfenced:             *unfenced,
 		Byzantine:            *byzantine,
 		UnverifiedProvenance: *unverified,
 		Pool: pool.Config{
@@ -127,6 +125,8 @@ func main() {
 			RetryAfterCap: *retryCap,
 			HedgeQuantile: *hedgeQuantile,
 			HedgeBudget:   *hedgeBudget,
+			Deadline:      *deadline,
+			Lease:         pool.LeaseConfig{Unfenced: *unfenced},
 		},
 	}
 	if *surges > 0 {

@@ -28,7 +28,6 @@ func baseConfig(seed int64) Config {
 		Faults:      3,
 		Kills:       2,
 		Corruptions: 2,
-		MaxBER:      1e-2,
 		Pool:        pool.Config{TripThreshold: 1, ProbeAfter: 1},
 	}
 }
@@ -42,7 +41,7 @@ func stragglerConfig(seed int64) Config {
 	cfg.Kills = 0
 	cfg.Corruptions = 0
 	cfg.Stalls = 5
-	cfg.Deadline = 5
+	cfg.Pool.Deadline = 5
 	cfg.CheckSLO = true
 	return cfg
 }
@@ -119,8 +118,8 @@ func TestGenerateScheduleDeterministic(t *testing.T) {
 			if w.Until <= w.From || w.From != ev.Round {
 				t.Fatalf("corruption burst window [%d,%d) not bounded at round %d", w.From, w.Until, ev.Round)
 			}
-			if w.BER <= 0 || w.BER > cfg.MaxBER {
-				t.Fatalf("burst BER %g outside (0,%g]", w.BER, cfg.MaxBER)
+			if w.BER <= 0 || w.BER > maxBurstBER {
+				t.Fatalf("burst BER %g outside (0,%g]", w.BER, maxBurstBER)
 			}
 		}
 		if ev.Round < 0 || ev.Round >= cfg.Rounds {
@@ -152,7 +151,6 @@ func TestConfigValidation(t *testing.T) {
 		{"zero payload", func(c *Config) { c.PayloadBits = 0 }, "payload must be ≥ 1 bit"},
 		{"negative kills", func(c *Config) { c.Kills = -1 }, "negative event counts"},
 		{"negative corruptions", func(c *Config) { c.Corruptions = -1 }, "negative event counts"},
-		{"BER above one", func(c *Config) { c.MaxBER = 1.5 }, "MaxBER 1.5 outside [0,1]"},
 		{"surge factor of one", func(c *Config) { c.MaxSurgeFactor = 1 }, "MaxSurgeFactor 1 must be > 1"},
 		{"surge factor below one", func(c *Config) { c.MaxSurgeFactor = 0.5 }, "MaxSurgeFactor 0.5 must be > 1"},
 		{"NaN surge factor", func(c *Config) { c.MaxSurgeFactor = math.NaN() }, "MaxSurgeFactor NaN must be > 1"},
@@ -301,9 +299,9 @@ func TestStragglerChaosAcceptance(t *testing.T) {
 				seed, rep.Stats.Hedges, rep.Stats.HedgeWins)
 		}
 		for _, rec := range rep.Rounds {
-			if rec.Latency > cfg.Deadline {
+			if rec.Latency > cfg.Pool.Deadline {
 				t.Fatalf("seed %d round %d: served at latency %d past the %d-round budget yet unreported",
-					seed, rec.Round, rec.Latency, cfg.Deadline)
+					seed, rec.Round, rec.Latency, cfg.Pool.Deadline)
 			}
 			totalStalled += rec.DeadlineMissed
 		}
@@ -345,7 +343,7 @@ func TestChaosConfigSLOValidation(t *testing.T) {
 		mutate func(*Config)
 	}{
 		{"zero deadline with SLO enabled", func(c *Config) { c.CheckSLO = true }},
-		{"negative deadline", func(c *Config) { c.Deadline = -3 }},
+		{"negative deadline", func(c *Config) { c.Pool.Deadline = -3 }},
 		{"negative stalls", func(c *Config) { c.Stalls = -1 }},
 	} {
 		cfg := baseConfig(1)

@@ -30,8 +30,10 @@ func FuzzPartitionSchedule(f *testing.F) {
 			Partitions:     partitions,
 			LeaseRounds:    leaseRounds,
 			AsymPartitions: asym,
-			Unfenced:       unfenced,
-			Pool:           pool.Config{TripThreshold: 1, ProbeAfter: 1},
+			Pool: pool.Config{
+				TripThreshold: 1, ProbeAfter: 1,
+				Lease: pool.LeaseConfig{Unfenced: unfenced},
+			},
 		}
 		sw, err := buildColumnsort()
 		if err != nil {

@@ -30,7 +30,7 @@ func goldenFixtures() map[string]Config {
 		"unfenced": func(seed int64) Config {
 			cfg := splitBrainConfig(seed)
 			cfg.Crashes = 0
-			cfg.Unfenced = true
+			cfg.Pool.Lease.Unfenced = true
 			return cfg
 		},
 		"byzantine": byzantineConfig,

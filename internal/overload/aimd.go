@@ -1,75 +1,30 @@
 package overload
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
-// AIMDConfig tunes the closed-loop admission controller. The
-// controlled variable is the admitted fraction of the live ⌊α′m′⌋
+// The AIMD control law over the admitted fraction of the live ⌊α′m′⌋
 // threshold: additive increase on clean rounds, multiplicative
-// decrease on congested ones — the TCP-style control law whose fixed
-// point keeps the goodput-vs-offered-load curve monotone.
-type AIMDConfig struct {
-	// Min and Max bound the admitted fraction. Zero means the defaults
-	// (0.1 and 1.0).
-	Min, Max float64
-	// Increase is the additive fraction step per clean round. 0 means
-	// the default (0.05).
-	Increase float64
-	// Decrease is the multiplicative factor applied per congested
-	// round. 0 means the default (0.5).
-	Decrease float64
-}
-
-func (c AIMDConfig) withDefaults() AIMDConfig {
-	if c.Min == 0 {
-		c.Min = 0.1
-	}
-	if c.Max == 0 {
-		c.Max = 1.0
-	}
-	if c.Increase == 0 {
-		c.Increase = 0.05
-	}
-	if c.Decrease == 0 {
-		c.Decrease = 0.5
-	}
-	return c
-}
-
-// Validate rejects out-of-range AIMD bounds.
-func (c AIMDConfig) Validate() error {
-	d := c.withDefaults()
-	switch {
-	case math.IsNaN(d.Min) || math.IsNaN(d.Max) || d.Min < 0 || d.Min > d.Max || d.Max > 1:
-		return fmt.Errorf("overload: AIMD bounds need 0 < Min ≤ Max ≤ 1, got [%v,%v]", c.Min, c.Max)
-	case math.IsNaN(d.Increase) || d.Increase < 0 || d.Increase > 1:
-		return fmt.Errorf("overload: AIMD additive increase %v outside (0,1]", c.Increase)
-	case math.IsNaN(d.Decrease) || d.Decrease < 0 || d.Decrease >= 1:
-		return fmt.Errorf("overload: AIMD multiplicative decrease %v outside (0,1)", c.Decrease)
-	}
-	return nil
-}
+// decrease on congested ones — the TCP-style law whose fixed point
+// keeps the goodput-vs-offered-load curve monotone. The fraction stays
+// in [aimdMin, aimdMax].
+const (
+	aimdMin      = 0.1
+	aimdMax      = 1.0
+	aimdIncrease = 0.05 // added per clean round
+	aimdDecrease = 0.5  // multiplied in per congested round
+)
 
 // AIMD is the admission controller state. It is not safe for
 // concurrent use; the pool drives it under its own lock.
 type AIMD struct {
-	cfg      AIMDConfig
 	fraction float64
 	// accounting
 	increases, decreases int
 }
 
-// NewAIMD builds a controller starting at the Max fraction (fail open:
-// an idle pool admits the full contract).
-func NewAIMD(cfg AIMDConfig) (*AIMD, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults()
-	return &AIMD{cfg: cfg, fraction: cfg.Max}, nil
-}
+// NewAIMD builds a controller starting at the full fraction (fail
+// open: an idle pool admits the full contract).
+func NewAIMD() *AIMD { return &AIMD{fraction: aimdMax} }
 
 // Fraction returns the current admitted fraction.
 func (a *AIMD) Fraction() float64 { return a.fraction }
@@ -93,18 +48,18 @@ func (a *AIMD) Cap(thr int) int {
 
 // OnCongestion applies the multiplicative decrease.
 func (a *AIMD) OnCongestion() {
-	a.fraction *= a.cfg.Decrease
-	if a.fraction < a.cfg.Min {
-		a.fraction = a.cfg.Min
+	a.fraction *= aimdDecrease
+	if a.fraction < aimdMin {
+		a.fraction = aimdMin
 	}
 	a.decreases++
 }
 
 // OnClean applies the additive increase.
 func (a *AIMD) OnClean() {
-	a.fraction += a.cfg.Increase
-	if a.fraction > a.cfg.Max {
-		a.fraction = a.cfg.Max
+	a.fraction += aimdIncrease
+	if a.fraction > aimdMax {
+		a.fraction = aimdMax
 	}
 	a.increases++
 }

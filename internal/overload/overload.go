@@ -31,14 +31,9 @@ import (
 	"math"
 )
 
-// Config aggregates the closed-loop controller knobs a pool installs.
+// Config tunes the closed-loop controller a pool installs. The AIMD
+// and Brownout control laws are fixed constants.
 type Config struct {
-	// AIMD tunes the admission controller over the admitted fraction.
-	// Zero fields take defaults.
-	AIMD AIMDConfig
-	// Brownout tunes the sustained-overload contract stepdown. Zero
-	// fields take defaults.
-	Brownout BrownoutConfig
 	// BacklogFactor declares congestion when the client-reported
 	// backlog exceeds BacklogFactor × the live threshold. 0 means the
 	// default (2).
@@ -47,8 +42,6 @@ type Config struct {
 
 // WithDefaults fills zero fields.
 func (c Config) WithDefaults() Config {
-	c.AIMD = c.AIMD.withDefaults()
-	c.Brownout = c.Brownout.withDefaults()
 	if c.BacklogFactor == 0 {
 		c.BacklogFactor = 2
 	}
@@ -58,12 +51,6 @@ func (c Config) WithDefaults() Config {
 // Validate rejects malformed controller configurations.
 func (c Config) Validate() error {
 	d := c.WithDefaults()
-	if err := d.AIMD.Validate(); err != nil {
-		return err
-	}
-	if err := d.Brownout.Validate(); err != nil {
-		return err
-	}
 	if math.IsNaN(d.BacklogFactor) || d.BacklogFactor < 1 {
 		return fmt.Errorf("overload: backlog factor %v must be ≥ 1", c.BacklogFactor)
 	}

@@ -156,21 +156,9 @@ func TestSurgeCompoundAndClamp(t *testing.T) {
 }
 
 func TestAIMDControlLaw(t *testing.T) {
-	if _, err := NewAIMD(AIMDConfig{Min: 0.9, Max: 0.5}); err == nil {
-		t.Error("accepted Min > Max")
-	}
-	if _, err := NewAIMD(AIMDConfig{Max: 1.5}); err == nil {
-		t.Error("accepted Max > 1")
-	}
-	if _, err := NewAIMD(AIMDConfig{Decrease: math.NaN()}); err == nil {
-		t.Error("accepted NaN decrease")
-	}
-	a, err := NewAIMD(AIMDConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := NewAIMD()
 	if a.Fraction() != 1.0 {
-		t.Fatalf("controller must start at Max, got %v", a.Fraction())
+		t.Fatalf("controller must start at the full fraction, got %v", a.Fraction())
 	}
 	a.OnCongestion()
 	if a.Fraction() != 0.5 {
@@ -184,7 +172,7 @@ func TestAIMDControlLaw(t *testing.T) {
 		a.OnCongestion()
 	}
 	if a.Fraction() != 0.1 {
-		t.Fatalf("decrease must floor at Min, got %v", a.Fraction())
+		t.Fatalf("decrease must floor at 0.1, got %v", a.Fraction())
 	}
 	if a.Cap(20) != 2 {
 		t.Fatalf("cap at min fraction: %d, want 2", a.Cap(20))
@@ -199,7 +187,7 @@ func TestAIMDControlLaw(t *testing.T) {
 		a.OnClean()
 	}
 	if a.Fraction() != 1.0 {
-		t.Fatalf("increase must ceil at Max, got %v", a.Fraction())
+		t.Fatalf("increase must ceil at 1, got %v", a.Fraction())
 	}
 	if a.Decreases() != 101 || a.Increases() != 101 {
 		t.Errorf("ledger %d/%d, want 101/101", a.Decreases(), a.Increases())
@@ -331,55 +319,53 @@ func TestRetryBackoffJitterBounds(t *testing.T) {
 }
 
 func TestBrownoutStateMachine(t *testing.T) {
-	if _, err := NewBrownout(BrownoutConfig{Step: 1.5}); err == nil {
-		t.Error("accepted step ≥ 1")
+	b := NewBrownout()
+	// Seven congested rounds then a clean one: streak resets, no entry.
+	for i := 0; i < 7; i++ {
+		b.Observe(true)
 	}
-	b, err := NewBrownout(BrownoutConfig{EnterAfter: 3, ExitAfter: 4, Step: 0.5, MaxLevel: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two congested rounds then a clean one: streak resets, no entry.
-	b.Observe(true)
-	b.Observe(true)
 	b.Observe(false)
 	if b.Level() != 0 {
-		t.Fatal("entered before EnterAfter consecutive congested rounds")
+		t.Fatal("entered before 8 consecutive congested rounds")
 	}
-	// Three consecutive congested rounds step down one level.
-	for i := 0; i < 3; i++ {
+	// Eight consecutive congested rounds step down one level.
+	for i := 0; i < 8; i++ {
 		b.Observe(true)
 	}
-	if b.Level() != 1 || b.Scale() != 0.5 {
-		t.Fatalf("level %d scale %v, want 1 and 0.5", b.Level(), b.Scale())
+	if b.Level() != 1 || b.Scale() != 0.75 {
+		t.Fatalf("level %d scale %v, want 1 and 0.75", b.Level(), b.Scale())
 	}
-	// Descent is bounded by MaxLevel.
-	for i := 0; i < 20; i++ {
+	// Descent is bounded at level 3.
+	for i := 0; i < 40; i++ {
 		b.Observe(true)
 	}
-	if b.Level() != 2 || b.Scale() != 0.25 {
-		t.Fatalf("level %d scale %v, want max 2 and 0.25", b.Level(), b.Scale())
+	if b.Level() != 3 || b.Scale() != 0.75*0.75*0.75 {
+		t.Fatalf("level %d scale %v, want max 3 and 0.421875", b.Level(), b.Scale())
 	}
-	// Recovery steps up one level per full clean window.
-	for i := 0; i < 4; i++ {
+	// Recovery steps up one level per full clean window of 16 rounds.
+	for i := 0; i < 15; i++ {
 		b.Observe(false)
 	}
-	if b.Level() != 1 {
-		t.Fatalf("level %d after one clean window, want 1", b.Level())
+	if b.Level() != 3 {
+		t.Fatalf("level %d after 15 clean rounds, want 3", b.Level())
 	}
-	for i := 0; i < 4; i++ {
+	b.Observe(false)
+	if b.Level() != 2 {
+		t.Fatalf("level %d after one clean window, want 2", b.Level())
+	}
+	for i := 0; i < 32; i++ {
 		b.Observe(false)
 	}
 	if b.Level() != 0 {
-		t.Fatalf("level %d after two clean windows, want 0", b.Level())
+		t.Fatalf("level %d after three clean windows, want 0", b.Level())
 	}
-	if b.Enters() != 2 || b.Exits() != 2 {
-		t.Errorf("transition ledger %d/%d, want 2/2", b.Enters(), b.Exits())
+	if b.Enters() != 3 || b.Exits() != 3 {
+		t.Errorf("transition ledger %d/%d, want 3/3", b.Enters(), b.Exits())
 	}
 }
 
-// TestConfigValidate pins every error path of the bundled controller
-// config: each AIMD branch, each brownout branch, and the backlog
-// waterline — one table row per distinct rejection.
+// TestConfigValidate pins every error path of the controller config:
+// the backlog waterline.
 func TestConfigValidate(t *testing.T) {
 	if err := (Config{}).Validate(); err != nil {
 		t.Errorf("rejected defaults: %v", err)
@@ -389,23 +375,6 @@ func TestConfigValidate(t *testing.T) {
 		mutate func(*Config)
 		want   string
 	}{
-		{"NaN AIMD min", func(c *Config) { c.AIMD.Min = math.NaN() }, "AIMD bounds"},
-		{"NaN AIMD max", func(c *Config) { c.AIMD.Max = math.NaN() }, "AIMD bounds"},
-		{"negative AIMD min", func(c *Config) { c.AIMD.Min = -0.1 }, "AIMD bounds"},
-		{"AIMD min above max", func(c *Config) { c.AIMD.Min = 0.9; c.AIMD.Max = 0.2 }, "AIMD bounds"},
-		{"AIMD max above 1", func(c *Config) { c.AIMD.Max = 1.5 }, "AIMD bounds"},
-		{"NaN AIMD increase", func(c *Config) { c.AIMD.Increase = math.NaN() }, "additive increase"},
-		{"negative AIMD increase", func(c *Config) { c.AIMD.Increase = -0.05 }, "additive increase"},
-		{"AIMD increase above 1", func(c *Config) { c.AIMD.Increase = 2 }, "additive increase"},
-		{"NaN AIMD decrease", func(c *Config) { c.AIMD.Decrease = math.NaN() }, "multiplicative decrease"},
-		{"negative AIMD decrease", func(c *Config) { c.AIMD.Decrease = -0.5 }, "multiplicative decrease"},
-		{"AIMD decrease at 1", func(c *Config) { c.AIMD.Decrease = 1 }, "multiplicative decrease"},
-		{"brownout enter window below 1", func(c *Config) { c.Brownout.EnterAfter = -1 }, "brownout windows"},
-		{"brownout exit window below 1", func(c *Config) { c.Brownout.ExitAfter = -1 }, "brownout windows"},
-		{"NaN brownout step", func(c *Config) { c.Brownout.Step = math.NaN() }, "brownout step"},
-		{"negative brownout step", func(c *Config) { c.Brownout.Step = -0.5 }, "brownout step"},
-		{"brownout step at 1", func(c *Config) { c.Brownout.Step = 1 }, "brownout step"},
-		{"negative brownout max level", func(c *Config) { c.Brownout.MaxLevel = -1 }, "brownout max level"},
 		{"NaN backlog factor", func(c *Config) { c.BacklogFactor = math.NaN() }, "backlog factor"},
 		{"backlog factor below 1", func(c *Config) { c.BacklogFactor = 0.5 }, "backlog factor"},
 	} {

@@ -103,10 +103,6 @@ type Config struct {
 	// BackoffMax caps the exponential re-admission backoff, in rounds.
 	// 0 means the default (32).
 	BackoffMax int
-	// ScanLatency is the number of rounds a BIST probe scan takes to
-	// complete (chaos harnesses inject nonzero latencies here). The
-	// probe's verdict lands ScanLatency rounds after it is due.
-	ScanLatency int
 	// RetryAfterCap caps the retry-after rounds advertised to shed
 	// messages. 0 means the default (8).
 	RetryAfterCap int
@@ -195,7 +191,7 @@ type LeaseConfig struct {
 }
 
 func (c Config) withDefaults() (Config, error) {
-	if c.TripThreshold < 0 || c.ProbeAfter < 0 || c.BackoffMax < 0 || c.ScanLatency < 0 || c.RetryAfterCap < 0 {
+	if c.TripThreshold < 0 || c.ProbeAfter < 0 || c.BackoffMax < 0 || c.RetryAfterCap < 0 {
 		return c, fmt.Errorf("pool: negative config field: %+v", c)
 	}
 	if c.TripThreshold == 0 {
@@ -545,8 +541,12 @@ type Pool struct {
 	// shedStreak counts consecutive rounds that shed load, driving the
 	// advertised retry-after backoff.
 	shedStreak int
-	stats      Stats
-	n, m       int
+	// scanLatency is the number of rounds a BIST probe scan takes to
+	// complete: a probe's verdict lands scanLatency rounds after it is
+	// due. Only SetScanLatency changes it.
+	scanLatency int
+	stats       Stats
+	n, m        int
 	// lat is the pool-wide served-latency histogram driving the hedge
 	// trigger quantile; slow is the relative-percentile gray-failure
 	// detector over per-replica latencies.
@@ -614,15 +614,7 @@ func New(cfg Config, switches ...core.FaultInjectable) (*Pool, error) {
 	}
 	p.slow = slow
 	if cfg.Overload != nil {
-		aimd, err := overload.NewAIMD(cfg.Overload.AIMD)
-		if err != nil {
-			return nil, fmt.Errorf("pool: %w", err)
-		}
-		brown, err := overload.NewBrownout(cfg.Overload.Brownout)
-		if err != nil {
-			return nil, fmt.Errorf("pool: %w", err)
-		}
-		p.aimd, p.brown = aimd, brown
+		p.aimd, p.brown = overload.NewAIMD(), overload.NewBrownout()
 	}
 	for i, sw := range switches {
 		if sw == nil {
@@ -792,7 +784,7 @@ func (p *Pool) SetScanLatency(rounds int) error {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.cfg.ScanLatency = rounds
+	p.scanLatency = rounds
 	return nil
 }
 
@@ -811,7 +803,7 @@ func (p *Pool) openBreaker(r *replica, round int64) {
 	} else {
 		r.backoff = min(r.backoff*2, p.cfg.BackoffMax)
 	}
-	r.probeAt = round + int64(r.backoff+p.cfg.ScanLatency)
+	r.probeAt = round + int64(r.backoff+p.scanLatency)
 	r.pendingScan = true
 }
 

@@ -33,11 +33,6 @@ func TestIntegrityConfigValidate(t *testing.T) {
 		{"negative backoff base", func(c *SessionConfig) { c.Integrity.BackoffBase = -1 }},
 		{"backoff max below base", func(c *SessionConfig) { c.Integrity.BackoffBase = 8; c.Integrity.BackoffMax = 2 }},
 		{"negative jitter", func(c *SessionConfig) { c.Integrity.Jitter = -1 }},
-		{"bad adaptive RTO bounds", func(c *SessionConfig) {
-			c.Integrity.AdaptiveRTO = true
-			c.Integrity.RTO.MinRTO = 8
-			c.Integrity.RTO.MaxRTO = 2
-		}},
 		{"bad monitor alpha", func(c *SessionConfig) { c.Integrity.Monitor.Alpha = 2 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

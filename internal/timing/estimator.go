@@ -1,85 +1,35 @@
 package timing
 
-import (
-	"fmt"
-	"math"
+import "math"
+
+// The Jacobson/Karn constants: the EWMA gains of the smoothed RTT and
+// of the mean deviation, the deviation multiplier in
+// RTO = SRTT + rttK·RTTVAR, and the [minRTO, maxRTO] clamp in rounds.
+// The backoff applied by Backoff is clamped to maxRTO too, so a run of
+// timeouts cannot push the timer past the ceiling.
+const (
+	rttAlpha = 1.0 / 8
+	rttBeta  = 1.0 / 4
+	rttK     = 4
+	minRTO   = 1
+	maxRTO   = 64
 )
-
-// EstimatorConfig tunes a Jacobson/Karn round-trip-time estimator.
-type EstimatorConfig struct {
-	// Alpha is the EWMA gain of the smoothed RTT (the weight of the
-	// newest sample). 0 means the classic 1/8.
-	Alpha float64
-	// Beta is the EWMA gain of the mean deviation. 0 means the classic
-	// 1/4.
-	Beta float64
-	// K multiplies the deviation term: RTO = SRTT + K·RTTVAR. 0 means
-	// the classic 4.
-	K float64
-	// MinRTO and MaxRTO clamp the timer, in rounds. Zeros mean 1 and
-	// 64. The backoff applied by Backoff is clamped to MaxRTO too, so a
-	// run of timeouts cannot push the timer past the ceiling.
-	MinRTO, MaxRTO int
-}
-
-func (c EstimatorConfig) withDefaults() EstimatorConfig {
-	if c.Alpha == 0 {
-		c.Alpha = 1.0 / 8
-	}
-	if c.Beta == 0 {
-		c.Beta = 1.0 / 4
-	}
-	if c.K == 0 {
-		c.K = 4
-	}
-	if c.MinRTO == 0 {
-		c.MinRTO = 1
-	}
-	if c.MaxRTO == 0 {
-		c.MaxRTO = 64
-	}
-	return c
-}
-
-// Validate rejects malformed estimator configurations.
-func (c EstimatorConfig) Validate() error {
-	eff := c.withDefaults()
-	switch {
-	case math.IsNaN(c.Alpha) || c.Alpha < 0 || c.Alpha > 1:
-		return fmt.Errorf("timing: estimator alpha %v outside (0,1]", c.Alpha)
-	case math.IsNaN(c.Beta) || c.Beta < 0 || c.Beta > 1:
-		return fmt.Errorf("timing: estimator beta %v outside (0,1]", c.Beta)
-	case math.IsNaN(c.K) || c.K < 0:
-		return fmt.Errorf("timing: estimator K %v must be positive", c.K)
-	case c.MinRTO < 0 || c.MaxRTO < 0:
-		return fmt.Errorf("timing: negative RTO clamp (min %d, max %d)", c.MinRTO, c.MaxRTO)
-	case eff.MaxRTO < eff.MinRTO:
-		return fmt.Errorf("timing: MaxRTO %d < MinRTO %d", eff.MaxRTO, eff.MinRTO)
-	}
-	return nil
-}
 
 // Estimator is a Jacobson/Karn retransmit-timer estimator over
 // round-counted RTTs: SRTT and RTTVAR EWMAs per RFC 6298, Karn's rule
 // (samples from retransmitted frames are discarded — the ack is
 // ambiguous between the original and the retransmit), and exponential
-// timer backoff on timeout that only a clean sample resets.
+// timer backoff on timeout that only a clean sample resets. The zero
+// value is an unprimed estimator ready for use.
 type Estimator struct {
-	cfg          EstimatorConfig
 	srtt, rttvar float64
 	samples      int
 	rejected     int  // Karn-discarded samples
 	shift        uint // current exponential backoff (timer doubles per timeout)
 }
 
-// NewEstimator builds an estimator; zero config fields take the
-// classic Jacobson constants.
-func NewEstimator(cfg EstimatorConfig) (*Estimator, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return &Estimator{cfg: cfg.withDefaults()}, nil
-}
+// NewEstimator builds an unprimed estimator.
+func NewEstimator() *Estimator { return &Estimator{} }
 
 // Sample feeds one measured round trip. retransmitted marks a sample
 // taken from a frame that was ever retransmitted: Karn's rule discards
@@ -100,15 +50,15 @@ func (e *Estimator) Sample(rtt int, retransmitted bool) {
 		e.srtt = r
 		e.rttvar = r / 2
 	} else {
-		e.rttvar = (1-e.cfg.Beta)*e.rttvar + e.cfg.Beta*math.Abs(e.srtt-r)
-		e.srtt = (1-e.cfg.Alpha)*e.srtt + e.cfg.Alpha*r
+		e.rttvar = (1-rttBeta)*e.rttvar + rttBeta*math.Abs(e.srtt-r)
+		e.srtt = (1-rttAlpha)*e.srtt + rttAlpha*r
 	}
 	e.samples++
 	e.shift = 0
 }
 
 // Backoff doubles the retransmit timer (Karn's algorithm on timeout).
-// The doubling saturates once RTO reaches MaxRTO.
+// The doubling saturates once RTO reaches maxRTO.
 func (e *Estimator) Backoff() {
 	if e.shift < 16 {
 		e.shift++
@@ -121,15 +71,15 @@ func (e *Estimator) Backoff() {
 func (e *Estimator) Primed() bool { return e.samples > 0 }
 
 // RTO returns the current retransmission timeout in rounds:
-// (SRTT + K·RTTVAR) · 2^backoff, clamped to [MinRTO, MaxRTO].
+// (SRTT + rttK·RTTVAR) · 2^backoff, clamped to [minRTO, maxRTO].
 func (e *Estimator) RTO() int {
-	rto := e.srtt + e.cfg.K*e.rttvar
-	if rto < float64(e.cfg.MinRTO) {
-		rto = float64(e.cfg.MinRTO)
+	rto := e.srtt + rttK*e.rttvar
+	if rto < minRTO {
+		rto = minRTO
 	}
 	scaled := rto * float64(uint64(1)<<e.shift)
-	if scaled > float64(e.cfg.MaxRTO) {
-		return e.cfg.MaxRTO
+	if scaled > maxRTO {
+		return maxRTO
 	}
 	return int(math.Ceil(scaled))
 }
