@@ -1,5 +1,6 @@
 // Command concsim simulates bit-serial message traffic through a
-// chosen concentrator switch and reports delivery statistics.
+// chosen concentrator switch and reports delivery statistics. The
+// replicated pool of switches is concpool's to drive.
 //
 // Usage examples:
 //
@@ -8,10 +9,8 @@
 //	concsim -switch perfect -n 256 -m 64 -load 0.5 -payload 64
 //	concsim -switch full-revsort -n 4096 -load 0.7
 //	concsim -switch revsort -n 1024 -m 512 -faults 3 -mtbf 25 -scan-every 10
-//	concsim -switch columnsort -n 256 -m 128 -beta 0.75 -replicas 3 -load 0.8
 //	concsim -switch revsort -n 1024 -m 512 -ber 1e-3 -crc crc16 -arq-window 8
 //	concsim -switch revsort -n 1024 -m 512 -ber 1e-3 -adaptive-rto -deadline 8
-//	concsim -switch columnsort -n 256 -m 128 -beta 0.75 -replicas 3 -hedge-quantile 0.9 -deadline 5
 //	concsim -switch columnsort -n 256 -m 128 -policy resend -surge 4 -retry-budget 0.2 -codel-target 3 -codel-interval 6
 //
 // Exit status follows the shared cli contract: 0 on success, 1 on
@@ -33,7 +32,6 @@ import (
 	"concentrators/internal/journal"
 	"concentrators/internal/link"
 	"concentrators/internal/overload"
-	"concentrators/internal/pool"
 	"concentrators/internal/switchsim"
 )
 
@@ -52,13 +50,10 @@ func main() {
 	faults := flag.Int("faults", 0, "run a fault-aware session with up to this many scheduled chip faults (revsort/columnsort only)")
 	mtbf := flag.Float64("mtbf", 25, "mean rounds between chip failures for the fault schedule")
 	scanEvery := flag.Int("scan-every", 10, "run a BIST health scan every this many rounds (0 disables periodic scans)")
-	replicas := flag.Int("replicas", 1, "run traffic through a replicated switch pool of this size (revsort/columnsort only)")
 	ber := flag.Float64("ber", 0, "ambient wire bit-error rate: run a data-plane integrity session (CRC-framed payloads, sliding-window ARQ, link escalation)")
 	crc := flag.String("crc", "crc16", "integrity-session frame checksum: crc8 | crc16 | none")
 	arqWindow := flag.Int("arq-window", 4, "integrity-session ARQ sliding-window size")
 	deadline := flag.Int("deadline", 0, "per-message deadline budget in rounds; late deliveries are booked DeadlineMissed (0 disables the SLO ledger)")
-	hedgeQuantile := flag.Float64("hedge-quantile", 0, "pool mode: hedge rounds slower than this latency quantile onto a spare (0 disables hedging)")
-	hedgeBudget := flag.Float64("hedge-budget", 0, "pool mode: cap hedged rounds at this fraction of all rounds (0 means the default 0.25)")
 	adaptiveRTO := flag.Bool("adaptive-rto", false, "integrity session: adapt the ARQ retransmit timer with a Jacobson/Karn RTT estimator instead of the fixed backoff")
 	surge := flag.Float64("surge", 0, "session mode: multiply the offered load by this factor from one fifth of the way in (0 disables the surge plane)")
 	surgeShape := flag.String("surge-shape", "sustained", "session mode: surge shape — step | ramp | flash | sustained")
@@ -69,7 +64,7 @@ func main() {
 	snapshotEvery := flag.Int("snapshot-every", 0, "durability session: rounds between full journal snapshots (default 16)")
 	unjournaled := flag.Bool("unjournaled", false, "durability session: disable the journal so crashes lose ledger and backlog (the experimental control)")
 	compact := flag.Bool("compact", false, "durability session: truncate the journal to the snapshot on every snapshot append (O(state) journal)")
-	jsonOut := flag.Bool("json", false, "emit machine-readable JSON stats instead of prose (default, session, durability, and pool modes)")
+	jsonOut := flag.Bool("json", false, "emit machine-readable JSON stats instead of prose (default, session, and durability modes)")
 	flag.Usage = cli.Usage("concsim")
 	flag.Parse()
 
@@ -92,11 +87,6 @@ func main() {
 			sw.GateDelays(), sw.ChipsTraversed(), sw.ChipCount())
 	}
 
-	if *replicas > 1 {
-		runPool(*kind, *n, *m, *beta, *replicas, *load, *rounds, *payload, *seed,
-			*hedgeQuantile, *hedgeBudget, *deadline, *jsonOut)
-		return
-	}
 	durable := *crashes > 0 || *unjournaled || *compact || *snapshotEvery > 0
 	if *ber > 0 || *faults > 0 || durable || *policy != "" {
 		// Every session mode runs the one config the session flags
@@ -519,101 +509,4 @@ func runIntegrity(sw core.Concentrator, cfg switchsim.SessionConfig, ber float64
 		os.Exit(cli.ExitViolation)
 	}
 	fmt.Printf("conservation verified: offered = delivered + lost + corrupted-dropped + deadline-missed + backlog\n")
-}
-
-// runPool drives traffic through a replicated switch pool: the primary
-// serves each round, spares stand by for failover, and admitted load is
-// capped at the live ⌊α′m′⌋ threshold.
-func runPool(kind string, n, m int, beta float64, replicas int, load float64, rounds, payload int, seed int64, hedgeQuantile, hedgeBudget float64, deadline int, jsonOut bool) {
-	switches := make([]core.FaultInjectable, replicas)
-	for i := range switches {
-		sw, err := buildSwitch(kind, n, m, beta)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(cli.ExitUsage)
-		}
-		fi, ok := sw.(core.FaultInjectable)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "-replicas needs a multichip fault-injectable switch (revsort or columnsort), not %s\n", sw.Name())
-			os.Exit(cli.ExitUsage)
-		}
-		switches[i] = fi
-	}
-	if core.Threshold(switches[0]) == 0 {
-		fmt.Fprintf(os.Stderr, "pool mode needs a nonvacuous contract: ε = %d ≥ m = %d leaves every replica a threshold of 0 (for columnsort, raise -beta)\n",
-			switches[0].EpsilonBound(), switches[0].Outputs())
-		os.Exit(cli.ExitUsage)
-	}
-	p, err := pool.New(pool.Config{
-		HedgeQuantile: hedgeQuantile, HedgeBudget: hedgeBudget, Deadline: deadline,
-	}, switches...)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(cli.ExitUsage)
-	}
-
-	rng := rand.New(rand.NewSource(seed))
-	var offered, admitted, shed, delivered, violatedRounds int
-	for round := 0; round < rounds; round++ {
-		msgs := switchsim.RandomMessages(rng, n, load, payload)
-		if len(msgs) == 0 {
-			continue
-		}
-		rr, err := p.Run(msgs)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(cli.ExitUsage)
-		}
-		offered += len(msgs)
-		shed += len(rr.Shed)
-		admitted += len(msgs) - len(rr.Shed)
-		if rr.Result != nil {
-			delivered += len(rr.Result.Delivered)
-		}
-		if rr.Violated {
-			violatedRounds++
-		}
-	}
-	s := p.Stats()
-	if jsonOut {
-		cli.EmitJSON(struct {
-			Mode           string `json:"mode"`
-			Replicas       int
-			Threshold      int
-			Rounds         int
-			Offered        int
-			Admitted       int
-			Shed           int
-			Delivered      int
-			ViolatedRounds int
-			Stats          pool.Stats
-		}{"pool", replicas, p.Threshold(), rounds, offered, admitted, shed, delivered, violatedRounds, s})
-		if violatedRounds > 0 {
-			os.Exit(cli.ExitViolation)
-		}
-		return
-	}
-	fmt.Printf("pool: %d replicas, threshold %d\n", replicas, p.Threshold())
-	fmt.Printf("  rounds %d  offered %d, admitted %d, shed %d, delivered %d\n",
-		rounds, offered, admitted, shed, delivered)
-	fmt.Printf("  failovers %d (same-round %d), breaker trips %d, probes %d, repairs %d\n",
-		s.Failovers, s.SameRoundFailovers, s.Trips, s.Probes, s.Repairs)
-	fmt.Printf("  round latency p50 %d, p99 %d, p999 %d\n",
-		s.Latency.P50(), s.Latency.P99(), s.Latency.P999())
-	if hedgeQuantile > 0 {
-		fmt.Printf("  hedges %d (%d won), slow convictions %d, canaries %d\n",
-			s.Hedges, s.HedgeWins, s.SlowConvictions, s.Canaries)
-	}
-	if deadline > 0 {
-		fmt.Printf("  deadline %d rounds: %d deliveries missed the budget\n", deadline, s.DeadlineMissed)
-	}
-	for i, rs := range s.Replicas {
-		fmt.Printf("  replica %d: state %s, threshold %d, served %d rounds, %d violations, latency p50 %d p99 %d\n",
-			i, rs.State, rs.Threshold, rs.RoundsServed, rs.Violations, rs.LatencyP50, rs.LatencyP99)
-	}
-	if violatedRounds > 0 {
-		fmt.Fprintf(os.Stderr, "guarantee violated: %d rounds exhausted every replica\n", violatedRounds)
-		os.Exit(cli.ExitViolation)
-	}
-	fmt.Printf("delivery guarantee (⌊α′m′⌋ = %d per round) verified on every round\n", p.Threshold())
 }
