@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"testing"
 
@@ -151,9 +150,6 @@ func TestConfigValidation(t *testing.T) {
 		{"zero payload", func(c *Config) { c.PayloadBits = 0 }, "payload must be ≥ 1 bit"},
 		{"negative kills", func(c *Config) { c.Kills = -1 }, "negative event counts"},
 		{"negative corruptions", func(c *Config) { c.Corruptions = -1 }, "negative event counts"},
-		{"surge factor of one", func(c *Config) { c.MaxSurgeFactor = 1 }, "MaxSurgeFactor 1 must be > 1"},
-		{"surge factor below one", func(c *Config) { c.MaxSurgeFactor = 0.5 }, "MaxSurgeFactor 0.5 must be > 1"},
-		{"NaN surge factor", func(c *Config) { c.MaxSurgeFactor = math.NaN() }, "MaxSurgeFactor NaN must be > 1"},
 	} {
 		cfg := baseConfig(1)
 		tc.mutate(&cfg)
