@@ -292,7 +292,10 @@ func NewSwitchPool(cfg PoolConfig, replicas ...FaultInjectable) (*SwitchPool, er
 }
 
 // GenerateChaosSchedule derives a deterministic chaos schedule (chip
-// faults, mid-stream primary kills, scan-latency jitter) from a seed.
+// faults, mid-stream primary kills, wire-corruption bursts, stall
+// bursts, load surges, drain/rejoin cycles, partition windows,
+// byzantine lie windows, crash-restarts, scan-latency jitter) from a
+// seed.
 func GenerateChaosSchedule(seed int64, sw FaultInjectable, cfg ChaosConfig) ([]ChaosEvent, error) {
 	return chaos.GenerateSchedule(seed, sw, cfg)
 }
@@ -509,8 +512,8 @@ type (
 	// — the control-visibility counterpart of CrashPlane.
 	PartitionPlane = partition.Plane
 	// LeaseConfig turns on the pool's lease-fenced primary role:
-	// lease duration in rounds, suspicion threshold, and the unfenced
-	// control that disables only the ledger's token check.
+	// lease duration in rounds, the unfenced control that disables
+	// only the ledger's token check, and the partition plane's seed.
 	LeaseConfig = pool.LeaseConfig
 	// PendingAck is a delivery ack buffered behind a cut edge, waiting
 	// for the heal to learn its fencing verdict.
@@ -580,7 +583,7 @@ type (
 	// *claims* it happened, tag included.
 	DeliveryClaim = byzantine.Claim
 	// PoolByzantineConfig arms a pool's edges: verification, witness
-	// audit cadence, dedup window, and the keying seed.
+	// audit cadence, and the keying seed.
 	PoolByzantineConfig = pool.ByzantineConfig
 	// WitnessVerdict is a cross-examination outcome: agree,
 	// contradicted, or inconclusive.
