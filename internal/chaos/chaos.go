@@ -1210,13 +1210,14 @@ func Run(build func() (core.FaultInjectable, error), events []Event, cfg Config)
 			// Data-plane intactness: whatever the schedule did, every
 			// payload the pool counts delivered must match the offered
 			// bits exactly — a corrupted delivery leaking through is a
-			// regression even in a round flagged violated.
-			offered := make(map[int][]byte, len(msgs))
-			for _, m := range msgs {
-				offered[m.Input] = m.Payload
-			}
+			// regression even in a round flagged violated. Deliveries
+			// and msgs are both in ascending input order.
+			next := 0
 			for _, d := range rr.Result.Delivered {
-				if !bytes.Equal(d.Payload, offered[d.Input]) {
+				for next < len(msgs) && msgs[next].Input < d.Input {
+					next++
+				}
+				if next == len(msgs) || msgs[next].Input != d.Input || !bytes.Equal(d.Payload, msgs[next].Payload) {
 					rep.Regressions = append(rep.Regressions,
 						fmt.Sprintf("round %d: corrupted payload delivered from input %d (replica %d)",
 							round, d.Input, rr.ServedBy))

@@ -974,27 +974,31 @@ func (p *Pool) electLocked() {
 // admit applies Lemma 2 admission control: at most thr messages enter;
 // the rest are shed with a retry-after that backs off exponentially
 // over consecutive shedding rounds. The admission window rotates with
-// the round (a round-robin arbiter): under persistent overload every
-// input takes its fair turn at being shed, instead of a fixed
-// input-order priority that starves the high wires forever.
-func (p *Pool) admit(inputs []int, thr int, round int64) (admitted []int, shed []ShedMessage) {
-	if len(inputs) <= thr {
+// the round (a round-robin arbiter): it is the thr messages that start
+// at the first input at or past round mod n, wrapping past the last
+// input, so under persistent overload every input takes its fair turn
+// at being shed, instead of a fixed input-order priority that starves
+// the high wires forever. msgs is in ascending input order, and so are
+// both lists.
+func (p *Pool) admit(msgs []switchsim.Message, thr int, round int64) (admitted []switchsim.Message, shed []ShedMessage) {
+	if len(msgs) <= thr {
 		p.shedStreak = 0
-		return inputs, nil
+		return msgs, nil
 	}
 	p.shedStreak++
 	retryAfter := min(1<<min(p.shedStreak-1, 10), p.cfg.RetryAfterCap)
 	offset := int(round % int64(p.n))
-	order := append([]int(nil), inputs...)
-	rot := func(in int) int { return ((in-offset)%p.n + p.n) % p.n }
-	sort.Slice(order, func(i, j int) bool { return rot(order[i]) < rot(order[j]) })
-	admitted = order[:thr]
-	sort.Ints(admitted)
-	for _, in := range order[thr:] {
-		shed = append(shed, ShedMessage{Input: in, RetryAfter: retryAfter})
-		p.stats.RetryAfterTotal += retryAfter
+	first := sort.Search(len(msgs), func(i int) bool { return msgs[i].Input >= offset })
+	admitted = make([]switchsim.Message, 0, thr)
+	shed = make([]ShedMessage, 0, len(msgs)-thr)
+	for i, msg := range msgs {
+		if (i-first+len(msgs))%len(msgs) < thr {
+			admitted = append(admitted, msg)
+		} else {
+			shed = append(shed, ShedMessage{Input: msg.Input, RetryAfter: retryAfter})
+		}
 	}
-	sort.Slice(shed, func(i, j int) bool { return shed[i].Input < shed[j].Input })
+	p.stats.RetryAfterTotal += retryAfter * len(shed)
 	return admitted, shed
 }
 
@@ -1040,7 +1044,9 @@ func (p *Pool) observeOverloadLocked(thr int, deadlineMissed, violated bool) {
 	p.brown.Observe(congested)
 }
 
-// Run executes one pool round over the given messages. Both arbiters
+// Run executes one pool round over the given messages, which list their
+// inputs in strictly ascending order (one valid bit per input wire at
+// setup); any other batch is an error and no round. Both arbiters
 // share the round: the arbiter's step picks the serving replica
 // (legacy: land due probes and elect the best servable replica; lease:
 // see leaseStepLocked), admission control sheds load above its live
@@ -1049,19 +1055,16 @@ func (p *Pool) observeOverloadLocked(thr int, deadlineMissed, violated bool) {
 // arbiter a holder the arbiter cannot hear serves dark, and stale
 // believers shadow-serve.
 func (p *Pool) Run(msgs []switchsim.Message) (*RoundResult, error) {
-	byInput := make(map[int]switchsim.Message, len(msgs))
-	inputs := make([]int, 0, len(msgs))
+	prev := -1
 	for _, msg := range msgs {
 		if msg.Input < 0 || msg.Input >= p.n {
 			return nil, fmt.Errorf("pool: message input %d out of range [0,%d)", msg.Input, p.n)
 		}
-		if _, dup := byInput[msg.Input]; dup {
-			return nil, fmt.Errorf("pool: two messages on input %d", msg.Input)
+		if msg.Input <= prev {
+			return nil, fmt.Errorf("pool: message input %d after input %d: a batch lists its inputs in strictly ascending order", msg.Input, prev)
 		}
-		byInput[msg.Input] = msg
-		inputs = append(inputs, msg.Input)
+		prev = msg.Input
 	}
-	sort.Ints(inputs)
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -1069,7 +1072,7 @@ func (p *Pool) Run(msgs []switchsim.Message) (*RoundResult, error) {
 	round := p.round
 	p.round++
 	p.stats.Rounds++
-	p.stats.Offered += len(inputs)
+	p.stats.Offered += len(msgs)
 	rr := &RoundResult{Round: round, ServedBy: -1}
 
 	leased := p.cfg.Lease.Rounds > 0
@@ -1086,9 +1089,9 @@ func (p *Pool) Run(msgs []switchsim.Message) (*RoundResult, error) {
 	}
 	if holder < 0 {
 		// No replica can serve: everything is refused.
-		_, rr.Shed = p.admit(inputs, 0, round)
+		_, rr.Shed = p.admit(msgs, 0, round)
 		p.stats.Shed += len(rr.Shed)
-		if len(inputs) > 0 {
+		if len(msgs) > 0 {
 			rr.Violated = true
 			p.stats.Violations++
 		}
@@ -1106,15 +1109,11 @@ func (p *Pool) Run(msgs []switchsim.Message) (*RoundResult, error) {
 		}
 	}
 	thr := p.effectiveThresholdLocked(rawThr)
-	admittedInputs, shed := p.admit(inputs, thr, round)
+	admitted, shed := p.admit(msgs, thr, round)
 	rr.Threshold = thr
 	rr.Shed = shed
-	p.stats.Admitted += len(admittedInputs)
+	p.stats.Admitted += len(admitted)
 	p.stats.Shed += len(shed)
-	admitted := make([]switchsim.Message, 0, len(admittedInputs))
-	for _, in := range admittedInputs {
-		admitted = append(admitted, byInput[in])
-	}
 
 	var frames int
 	if heard && !rr.Frozen {
