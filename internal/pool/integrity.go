@@ -49,19 +49,6 @@ func (p *Pool) InjectWireFault(i int, f link.WireFault) error {
 	return r.plane.Add(f)
 }
 
-// ClearWireFaults drops replica i's corruption plane (the chaos
-// harness's burst-end cleanup for transient noise).
-func (p *Pool) ClearWireFaults(i int) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	r, err := p.replicaLocked(i)
-	if err != nil {
-		return err
-	}
-	r.plane = nil
-	return nil
-}
-
 // applyWireNoiseLocked streams the round's deliveries across replica
 // r's corruption plane. Corrupted or erased deliveries are moved to
 // DroppedInputs (never counted Delivered); every delivery is observed

@@ -15,9 +15,6 @@ func TestInjectWireFaultValidation(t *testing.T) {
 	if err := p.InjectWireFault(5, link.WireFault{Stage: 0, Wire: 0, Mode: link.WireErasure}); err == nil {
 		t.Error("accepted out-of-range replica")
 	}
-	if err := p.ClearWireFaults(-1); err == nil {
-		t.Error("cleared faults on replica -1")
-	}
 	if _, err := New(Config{Monitor: link.MonitorConfig{Alpha: 2}}, newReplicas(t, 1)...); err == nil {
 		t.Error("accepted invalid monitor config")
 	}
@@ -146,29 +143,25 @@ func TestWireQuarantineRepairsContract(t *testing.T) {
 func TestTransientBurstRecovers(t *testing.T) {
 	p := newPool(t, Config{TripThreshold: 1, ProbeAfter: 1}, 2)
 	outStage := len(p.replicas[0].sw.StageChips())
+	// The burst, rounds [0,2): replica 0 corrupts, trips, traffic fails
+	// over. From round 2 the noise is gone: the half-open probe scans a
+	// clean fabric with no quarantined wires on record and restores the
+	// full contract.
 	if err := p.InjectWireFault(0, link.WireFault{
-		Stage: outStage, Wire: link.AllWires, Mode: link.WireStuck, StuckValue: 0,
+		Stage: outStage, Wire: link.AllWires, Mode: link.WireStuck, StuckValue: 0, Until: 2,
 	}); err != nil {
 		t.Fatal(err)
 	}
 	thr := p.Threshold()
-	// The burst: replica 0 corrupts, trips, traffic fails over.
-	for round := 0; round < 2; round++ {
-		if _, err := p.Run(fullMsgs(thr)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := p.ClearWireFaults(0); err != nil {
-		t.Fatal(err)
-	}
-	// Noise gone: the half-open probe scans a clean fabric with no
-	// quarantined wires on record and restores the full contract.
-	for round := 0; round < 10; round++ {
+	for round := 0; round < 12; round++ {
 		if _, err := p.Run(fullMsgs(thr)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	s := p.Stats()
+	if s.Replicas[0].Trips < 1 {
+		t.Fatalf("the burst never tripped replica 0: %+v", s.Replicas[0])
+	}
 	if s.Replicas[0].State != Healthy {
 		t.Errorf("replica 0 state %v after burst cleared, want healthy", s.Replicas[0].State)
 	}

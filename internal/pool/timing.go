@@ -50,19 +50,6 @@ func (p *Pool) InjectTimingFault(i int, f timing.Fault) error {
 	return r.tplane.Add(f)
 }
 
-// ClearTimingFaults drops replica i's timing plane (the chaos
-// harness's stall-end cleanup).
-func (p *Pool) ClearTimingFaults(i int) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	r, err := p.replicaLocked(i)
-	if err != nil {
-		return err
-	}
-	r.tplane = nil
-	return nil
-}
-
 // timingDelayLocked is replica r's extra serving latency this round:
 // the worst per-stage stall along its pipeline, stages summed (a
 // batch crosses every stage; the slowest chip of a stage paces it).

@@ -115,11 +115,13 @@ func TestHedgeBudgetRespected(t *testing.T) {
 
 // A convicted straggler escalates through the existing breaker — and
 // its half-open probes are gated by a timed canary the BIST scan alone
-// would wave through. Clearing the stall lets the canary pass and the
-// replica re-admit.
+// would wave through. Once the stall ends the canary passes and the
+// replica re-admits.
 func TestSlowConvictionAndCanaryGate(t *testing.T) {
 	p := newPool(t, Config{HedgeQuantile: 0.9, HedgeBudget: 1, ProbeAfter: 2}, 2)
-	if err := p.InjectTimingFault(0, straggler(12)); err != nil {
+	stall := straggler(12)
+	stall.Until = 80
+	if err := p.InjectTimingFault(0, stall); err != nil {
 		t.Fatal(err)
 	}
 	thr := p.Threshold()
@@ -145,11 +147,8 @@ func TestSlowConvictionAndCanaryGate(t *testing.T) {
 		t.Fatalf("replica latency quantiles wrong: straggler p99 %d, spare p99 %d",
 			s.Replicas[0].LatencyP99, s.Replicas[1].LatencyP99)
 	}
-	// The stall ends (board reseated): the next canary passes and the
-	// breaker closes within the capped backoff.
-	if err := p.ClearTimingFaults(0); err != nil {
-		t.Fatal(err)
-	}
+	// The stall ends at round 80 (board reseated): the next canary
+	// passes and the breaker closes within the capped backoff.
 	for round := 0; round < 150; round++ {
 		if _, err := p.Run(fullMsgs(thr)); err != nil {
 			t.Fatal(err)
