@@ -69,8 +69,7 @@ func main() {
 	unverified := flag.Bool("unverified", false, "disable receiving-edge provenance verification so replays and fabrications double-count (the blind-ledger control)")
 	jsonOut := flag.Bool("json", false, "emit one machine-readable JSON stats document instead of prose")
 	verbose := flag.Bool("verbose", false, "print every round that fired events or failed over")
-	flag.Usage = cli.Usage("concpool")
-	flag.Parse()
+	cli.Parse("concpool")
 
 	if *m == 0 {
 		*m = *n / 2

@@ -38,7 +38,8 @@ func TestMain(m *testing.M) {
 // traffic, no fault of any kind); -seed 3, which exits 2 because
 // rounds 166 and 167 regress after the round-166 kill of replica 1
 // while replica 0 carries the stuck-output chip fault injected at round
-// 119; and one usage error.
+// 119; two usage errors, an unknown flag among them, which exit 1; and
+// -h, which exits 0.
 func cliCases() []string {
 	return []string{
 		"-faults 0 -kills 0",
@@ -56,6 +57,8 @@ func cliCases() []string {
 		"-replicas 3 -faults 0 -kills 0 -byzantine 4 -unverified -json",
 		"-seed 3",
 		"-replicas 1 -partitions 2",
+		"-bogus",
+		"-h",
 	}
 }
 

@@ -65,8 +65,7 @@ func main() {
 	unjournaled := flag.Bool("unjournaled", false, "durability session: disable the journal so crashes lose ledger and backlog (the experimental control)")
 	compact := flag.Bool("compact", false, "durability session: truncate the journal to the snapshot on every snapshot append (O(state) journal)")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON stats instead of prose (default, session, and durability modes)")
-	flag.Usage = cli.Usage("concsim")
-	flag.Parse()
+	cli.Parse("concsim")
 
 	if *m == 0 {
 		*m = *n / 2

@@ -38,8 +38,8 @@ func TestMain(m *testing.M) {
 
 // cliCases are the corpus command lines: the package doc's usage
 // examples, every session policy, the overload flags, crash durability,
-// fault sessions under every policy, integrity sessions, and a usage
-// error.
+// fault sessions under every policy, integrity sessions, two usage
+// errors (an unknown flag among them, exit 1), and -h (exit 0).
 func cliCases() []string {
 	rs := "-switch revsort -n 64 -m 48 -rounds 40 -seed 7 "
 	cs := "-switch columnsort -n 64 -m 32 -beta 0.75 -rounds 60 -seed 5 "
@@ -67,6 +67,8 @@ func cliCases() []string {
 		cs + "-ber 1e-2 -crc crc8",
 		rs + "-ber 1e-3 -adaptive-rto -deadline 8",
 		"-switch perfect -n 64 -m 32 -faults 2",
+		"-bogus",
+		"-h",
 	}
 	for _, pol := range []string{"drop", "resend", "buffer", "misroute"} {
 		for _, base := range []string{rs, cs} {
