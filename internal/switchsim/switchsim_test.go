@@ -32,6 +32,30 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// CheckGuarantee pairs deliveries with messages in order: a delivery
+// from an input that sent nothing fails even with an empty payload, and
+// so do deliveries out of the messages' order.
+func TestCheckGuaranteeWalksMessageOrder(t *testing.T) {
+	sw, _ := core.NewPerfectSwitch(8, 8)
+	msgs := []Message{{Input: 1}, {Input: 4}, {Input: 7}}
+	res, err := Run(sw, msgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckGuarantee(sw, msgs, res); err != nil {
+		t.Fatal(err)
+	}
+	res.Delivered[1].Input = 5
+	if CheckGuarantee(sw, msgs, res) == nil {
+		t.Error("passed a delivery from input 5, which sent nothing")
+	}
+	res.Delivered[1].Input = 4
+	res.Delivered[0], res.Delivered[1] = res.Delivered[1], res.Delivered[0]
+	if CheckGuarantee(sw, msgs, res) == nil {
+		t.Error("passed deliveries out of the messages' order")
+	}
+}
+
 func TestRunDeliversIntactPayloads(t *testing.T) {
 	sw, _ := core.NewPerfectSwitch(8, 8)
 	msgs := []Message{
