@@ -88,13 +88,14 @@ func DecodePayload(bits []byte) []byte { return switchsim.DecodePayload(bits) }
 func Run(sw Concentrator, msgs []Message) (*Result, error) { return switchsim.Run(sw, msgs) }
 
 // CheckGuarantee verifies the §1 delivery guarantee and payload
-// integrity of a Result.
+// integrity of a Result, pairing deliveries with msgs in msgs' order
+// (the order Run keeps).
 func CheckGuarantee(sw Concentrator, msgs []Message, res *Result) error {
 	return switchsim.CheckGuarantee(sw, msgs, res)
 }
 
 // RandomMessages generates Bernoulli traffic: one message per input
-// with the given probability.
+// with the given probability, in ascending input order.
 func RandomMessages(rng *rand.Rand, n int, load float64, payloadBits int) []Message {
 	return switchsim.RandomMessages(rng, n, load, payloadBits)
 }
@@ -258,7 +259,9 @@ func RunIntegritySession(sw FaultInjectable, cfg SessionConfig) (*SessionStats, 
 type (
 	// SwitchPool fronts N fault-injectable switch replicas (primary +
 	// hot spares) behind a single Route/Run facade with health-gated
-	// failover and ⌊α′m′⌋ admission control.
+	// failover and ⌊α′m′⌋ admission control. Run takes a round's
+	// messages in strictly ascending input order and rejects any other
+	// batch.
 	SwitchPool = pool.Pool
 	// PoolConfig tunes the pool's circuit breaker and admission control.
 	PoolConfig = pool.Config
@@ -286,7 +289,9 @@ const (
 )
 
 // NewSwitchPool builds a pool over the given replicas (all must share
-// the same n×m geometry); replica 0 starts as the primary.
+// the same n×m geometry); replica 0 starts as the primary. Each Run
+// round takes its messages in strictly ascending input order, as
+// RandomMessages builds them.
 func NewSwitchPool(cfg PoolConfig, replicas ...FaultInjectable) (*SwitchPool, error) {
 	return pool.New(cfg, replicas...)
 }
