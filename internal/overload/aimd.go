@@ -14,20 +14,30 @@ const (
 	aimdDecrease = 0.5  // multiplied in per congested round
 )
 
-// AIMD is the admission controller state. It is not safe for
-// concurrent use; the pool drives it under its own lock.
-type AIMD struct {
-	fraction float64
-	// accounting
-	increases, decreases int
+// AIMD is the admission controller. It is not safe for concurrent
+// use; the pool drives it under its own lock.
+type AIMD struct{ state AIMDSnapshot }
+
+// AIMDSnapshot is an AIMD controller's whole mutable state.
+type AIMDSnapshot struct {
+	Fraction float64
+	// Increases and Decreases count the clean rounds credited and the
+	// congestion signals absorbed.
+	Increases, Decreases int
 }
 
 // NewAIMD builds a controller starting at the full fraction (fail
 // open: an idle pool admits the full contract).
-func NewAIMD() *AIMD { return &AIMD{fraction: aimdMax} }
+func NewAIMD() *AIMD { return &AIMD{AIMDSnapshot{Fraction: aimdMax}} }
+
+// Snapshot returns the controller's state.
+func (a *AIMD) Snapshot() AIMDSnapshot { return a.state }
+
+// Restore replaces the controller's state with a snapshot.
+func (a *AIMD) Restore(s AIMDSnapshot) { a.state = s }
 
 // Fraction returns the current admitted fraction.
-func (a *AIMD) Fraction() float64 { return a.fraction }
+func (a *AIMD) Fraction() float64 { return a.state.Fraction }
 
 // Cap returns the admission cap the fraction implies over a live
 // threshold: ⌈fraction·thr⌉, never below 1 while the fabric has any
@@ -36,7 +46,7 @@ func (a *AIMD) Cap(thr int) int {
 	if thr <= 0 {
 		return 0
 	}
-	c := int(math.Ceil(a.fraction * float64(thr)))
+	c := int(math.Ceil(a.state.Fraction * float64(thr)))
 	if c < 1 {
 		c = 1
 	}
@@ -48,25 +58,25 @@ func (a *AIMD) Cap(thr int) int {
 
 // OnCongestion applies the multiplicative decrease.
 func (a *AIMD) OnCongestion() {
-	a.fraction *= aimdDecrease
-	if a.fraction < aimdMin {
-		a.fraction = aimdMin
+	a.state.Fraction *= aimdDecrease
+	if a.state.Fraction < aimdMin {
+		a.state.Fraction = aimdMin
 	}
-	a.decreases++
+	a.state.Decreases++
 }
 
 // OnClean applies the additive increase.
 func (a *AIMD) OnClean() {
-	a.fraction += aimdIncrease
-	if a.fraction > aimdMax {
-		a.fraction = aimdMax
+	a.state.Fraction += aimdIncrease
+	if a.state.Fraction > aimdMax {
+		a.state.Fraction = aimdMax
 	}
-	a.increases++
+	a.state.Increases++
 }
 
 // Decreases returns how many congestion signals the controller has
 // absorbed; Increases how many clean rounds it has credited.
-func (a *AIMD) Decreases() int { return a.decreases }
+func (a *AIMD) Decreases() int { return a.state.Decreases }
 
 // Increases returns the clean-round credit count.
-func (a *AIMD) Increases() int { return a.increases }
+func (a *AIMD) Increases() int { return a.state.Increases }

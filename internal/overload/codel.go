@@ -50,13 +50,20 @@ func (c CoDelConfig) Validate() error {
 // message) is deliberate: it is the message most likely past its
 // deadline anyway, and shedding it frees capacity for young traffic.
 type CoDel struct {
-	cfg        CoDelConfig
-	firstAbove int // round the sojourn first exceeded Target (−1: not above)
-	dropNext   int // next scheduled drop round while draining
-	draining   bool
-	count      int // drops this episode, drives the √count acceleration
-	episodes   int
-	dropped    int
+	cfg   CoDelConfig
+	state CoDelSnapshot
+}
+
+// CoDelSnapshot is a CoDel drain's whole mutable state.
+type CoDelSnapshot struct {
+	// FirstAbove is the round the sojourn first exceeded Target (−1:
+	// not above); DropNext the next scheduled drop round while
+	// Draining.
+	FirstAbove, DropNext int
+	Draining             bool
+	// Count is the drops this episode, which drive the √count
+	// acceleration.
+	Count, Episodes, Dropped int
 }
 
 // NewCoDel builds the drain.
@@ -64,12 +71,18 @@ func NewCoDel(cfg CoDelConfig) (*CoDel, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &CoDel{cfg: cfg.withDefaults(), firstAbove: -1}, nil
+	return &CoDel{cfg: cfg.withDefaults(), state: CoDelSnapshot{FirstAbove: -1}}, nil
 }
+
+// Snapshot returns the drain's state.
+func (c *CoDel) Snapshot() CoDelSnapshot { return c.state }
+
+// Restore replaces the drain's state with a snapshot.
+func (c *CoDel) Restore(s CoDelSnapshot) { c.state = s }
 
 // spacing is the interval/√count control law, floored at one round.
 func (c *CoDel) spacing() int {
-	s := int(math.Round(float64(c.cfg.Interval) / math.Sqrt(float64(c.count))))
+	s := int(math.Round(float64(c.cfg.Interval) / math.Sqrt(float64(c.state.Count))))
 	if s < 1 {
 		s = 1
 	}
@@ -82,38 +95,39 @@ func (c *CoDel) spacing() int {
 // returns false; the √count acceleration lets a persistent episode
 // drain multiple heads per round.
 func (c *CoDel) Drop(round, sojourn int) bool {
+	s := &c.state
 	if sojourn < c.cfg.Target {
-		c.firstAbove = -1
-		c.draining = false
+		s.FirstAbove = -1
+		s.Draining = false
 		return false
 	}
-	if c.firstAbove < 0 {
+	if s.FirstAbove < 0 {
 		// First observation above target: arm the interval timer.
-		c.firstAbove = round
+		s.FirstAbove = round
 		return false
 	}
-	if !c.draining {
-		if round-c.firstAbove < c.cfg.Interval {
+	if !s.Draining {
+		if round-s.FirstAbove < c.cfg.Interval {
 			return false
 		}
-		c.draining = true
-		c.episodes++
-		c.count = 1
-		c.dropped++
-		c.dropNext = round + c.spacing()
+		s.Draining = true
+		s.Episodes++
+		s.Count = 1
+		s.Dropped++
+		s.DropNext = round + c.spacing()
 		return true
 	}
-	if round >= c.dropNext {
-		c.count++
-		c.dropped++
-		c.dropNext = round + c.spacing()
+	if round >= s.DropNext {
+		s.Count++
+		s.Dropped++
+		s.DropNext = round + c.spacing()
 		return true
 	}
 	return false
 }
 
 // Episodes returns how many drain episodes have opened.
-func (c *CoDel) Episodes() int { return c.episodes }
+func (c *CoDel) Episodes() int { return c.state.Episodes }
 
 // Dropped returns the total queue heads shed by the drain.
-func (c *CoDel) Dropped() int { return c.dropped }
+func (c *CoDel) Dropped() int { return c.state.Dropped }

@@ -24,6 +24,13 @@
 //     steps the advertised contract down (lower effective α: admit
 //     less, deliver predictably) and back up through a probation
 //     window, with every transition booked.
+//
+// Each state machine keeps its mutable state in one exported …Snapshot
+// struct, which Snapshot returns and Restore assigns whole, so a
+// checkpoint cannot miss a field. The journal plane serializes these
+// structs (gob) inside its records; a recovered incarnation rebuilds
+// each machine from its config, which is deterministic and never
+// journaled, and restores the snapshot on top.
 package overload
 
 import (

@@ -61,12 +61,17 @@ func (c RetryConfig) Validate() error {
 	return nil
 }
 
-// RetryBudget is the token-bucket state. Not safe for concurrent use.
+// RetryBudget is the token bucket. Not safe for concurrent use.
 type RetryBudget struct {
-	cfg    RetryConfig
-	tokens float64
-	// accounting
-	allowed, denied int
+	cfg   RetryConfig
+	state RetrySnapshot
+}
+
+// RetrySnapshot is a RetryBudget's whole mutable state.
+type RetrySnapshot struct {
+	Tokens float64
+	// Allowed and Denied count the retries admitted and shed.
+	Allowed, Denied int
 }
 
 // NewRetryBudget builds a budget starting with a full burst.
@@ -75,26 +80,32 @@ func NewRetryBudget(cfg RetryConfig) (*RetryBudget, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	return &RetryBudget{cfg: cfg, tokens: cfg.Burst}, nil
+	return &RetryBudget{cfg: cfg, state: RetrySnapshot{Tokens: cfg.Burst}}, nil
 }
+
+// Snapshot returns the budget's state.
+func (b *RetryBudget) Snapshot() RetrySnapshot { return b.state }
+
+// Restore replaces the budget's state with a snapshot.
+func (b *RetryBudget) Restore(s RetrySnapshot) { b.state = s }
 
 // Earn credits one fresh offer's worth of retry tokens.
 func (b *RetryBudget) Earn() {
-	b.tokens += b.cfg.Budget
-	if b.tokens > b.cfg.Burst {
-		b.tokens = b.cfg.Burst
+	b.state.Tokens += b.cfg.Budget
+	if b.state.Tokens > b.cfg.Burst {
+		b.state.Tokens = b.cfg.Burst
 	}
 }
 
 // Allow spends one token if available; a false return means the retry
 // is over budget and the message must be shed (fail fast).
 func (b *RetryBudget) Allow() bool {
-	if b.tokens >= 1 {
-		b.tokens--
-		b.allowed++
+	if b.state.Tokens >= 1 {
+		b.state.Tokens--
+		b.state.Allowed++
 		return true
 	}
-	b.denied++
+	b.state.Denied++
 	return false
 }
 
@@ -115,11 +126,11 @@ func (b *RetryBudget) Backoff(attempt int, rng *rand.Rand) int {
 }
 
 // Tokens returns the current bucket level.
-func (b *RetryBudget) Tokens() float64 { return b.tokens }
+func (b *RetryBudget) Tokens() float64 { return b.state.Tokens }
 
 // Allowed returns how many retries the budget admitted; Denied how
 // many it shed.
-func (b *RetryBudget) Allowed() int { return b.allowed }
+func (b *RetryBudget) Allowed() int { return b.state.Allowed }
 
 // Denied returns the fail-fast count.
-func (b *RetryBudget) Denied() int { return b.denied }
+func (b *RetryBudget) Denied() int { return b.state.Denied }
