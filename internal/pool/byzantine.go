@@ -94,7 +94,7 @@ func (p *Pool) settleClaimsLocked(r *replica, round int64, wres *switchsim.Resul
 	physical := len(wres.Delivered)
 	rr.TrueDelivered = physical
 	if p.bplane == nil && !p.cfg.Byzantine.Verify {
-		p.stats.Delivered += physical
+		p.ledger.Delivered += physical
 		return
 	}
 	p.ensureEdgesLocked()
@@ -156,10 +156,10 @@ func (p *Pool) settleClaimsLocked(r *replica, round int64, wres *switchsim.Resul
 				booked++
 			case byzantine.VerdictForged:
 				rr.Forged++
-				p.stats.Forged++
+				p.ledger.Forged++
 			case byzantine.VerdictDuplicated:
 				rr.Duplicated++
-				p.stats.Duplicated++
+				p.ledger.Duplicated++
 			}
 		}
 	} else {
@@ -167,7 +167,7 @@ func (p *Pool) settleClaimsLocked(r *replica, round int64, wres *switchsim.Resul
 		// replays and fabrications double-count straight into Delivered.
 		booked = len(claims)
 	}
-	p.stats.Delivered += booked
+	p.ledger.Delivered += booked
 
 	p.auditLocked(r, round, claims[:physical], admitted, rr)
 
@@ -184,7 +184,7 @@ func (p *Pool) settleClaimsLocked(r *replica, round int64, wres *switchsim.Resul
 		}
 		if claim.Equivocates(booked) {
 			rr.Equivocated = true
-			p.stats.Equivocations++
+			p.ledger.Equivocations++
 			if r.state != Quarantined {
 				p.trip(r, round)
 			}
@@ -232,16 +232,16 @@ func (p *Pool) auditLocked(r *replica, round int64, claims []byzantine.Claim, ad
 		}
 		wouts = append(wouts, wout)
 	}
-	p.stats.Audits++
+	p.ledger.Audits++
 	verdict := health.CrossExamine(c.Output, wouts)
 	if verdict == health.WitnessContradicted {
-		p.stats.AuditDisagreements++
+		p.ledger.AuditDisagreements++
 	}
 	if p.wtally == nil {
 		p.wtally = health.NewWitnessTally(len(p.replicas))
 	}
 	if p.wtally.Observe(r.id, verdict, usable) {
-		p.stats.WitnessConvictions++
+		p.ledger.WitnessConvictions++
 		if r.state != Quarantined {
 			p.trip(r, round)
 		}

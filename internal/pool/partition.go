@@ -89,7 +89,7 @@ func (p *Pool) leaseStepLocked(round int64, rr *RoundResult) (vis, reach []bool,
 	}
 	frozen := heard < len(p.replicas)/2+1
 	if frozen {
-		p.stats.FrozenRounds++
+		p.ledger.FrozenRounds++
 		rr.Frozen = true
 	}
 
@@ -126,15 +126,15 @@ func (p *Pool) bookAcksLocked(token uint64, frames int, rr *RoundResult) {
 		return
 	}
 	if token == p.fenceToken {
-		p.stats.Delivered += frames
+		p.ledger.Delivered += frames
 		return
 	}
 	if p.cfg.Lease.Unfenced {
-		p.stats.Delivered += frames
-		p.stats.StaleDelivered += frames
+		p.ledger.Delivered += frames
+		p.ledger.StaleDelivered += frames
 		return
 	}
-	p.stats.Fenced += frames
+	p.ledger.Fenced += frames
 	rr.Fenced += frames
 }
 
@@ -170,8 +170,8 @@ func (p *Pool) grantLocked(round int64, next int, reach []bool) {
 	nr.leaseUntil = p.leaseExpiry
 	p.active = next
 	if old >= 0 && old != next {
-		p.stats.LeaseHandoffs++
-		p.stats.Failovers++
+		p.ledger.LeaseHandoffs++
+		p.ledger.Failovers++
 		if reach[old] {
 			p.replicas[old].leaseToken, p.replicas[old].leaseUntil = 0, -1
 		}
@@ -254,7 +254,7 @@ func (p *Pool) shadowServeLocked(round int64, admitted []switchsim.Message, rr *
 			continue
 		}
 		rr.ShadowDelivered += frames
-		p.stats.ShadowServed += frames
+		p.ledger.ShadowServed += frames
 		dual = dual || primaryFrames > 0
 		if vis[s.id] {
 			p.bookAcksLocked(s.leaseToken, frames, rr)
@@ -263,7 +263,7 @@ func (p *Pool) shadowServeLocked(round int64, admitted []switchsim.Message, rr *
 		}
 	}
 	if dual {
-		p.stats.DualPrimaryRounds++
+		p.ledger.DualPrimaryRounds++
 	}
 }
 
@@ -278,7 +278,7 @@ func (p *Pool) serveDarkLocked(round int64, admitted []switchsim.Message, rr *Ro
 	res, err := switchsim.Run(r.contract(), admitted)
 	if err != nil {
 		rr.Violated = true
-		p.stats.Violations++
+		p.ledger.Violations++
 		return 0
 	}
 	res, _ = p.applyWireNoiseLocked(r, round, res)

@@ -212,7 +212,7 @@ func TestAdmitMatchesRotatedSort(t *testing.T) {
 			}
 			wantAdmitted, wantShed := admitReference(inputs, p.n, thr, round)
 			retryAfter := min(1<<min(p.shedStreak, 10), p.cfg.RetryAfterCap)
-			before := p.stats.RetryAfterTotal
+			before := p.ledger.RetryAfterTotal
 			admitted, shed := p.admit(msgs, thr, round)
 			var gotAdmitted, gotShed []int
 			for _, m := range admitted {
@@ -228,7 +228,7 @@ func TestAdmitMatchesRotatedSort(t *testing.T) {
 				t.Fatalf("inputs %v, thr %d, round %d: admitted %v shed %v, want %v and %v",
 					inputs, thr, round, gotAdmitted, gotShed, wantAdmitted, wantShed)
 			}
-			if got, want := p.stats.RetryAfterTotal-before, retryAfter*len(wantShed); got != want {
+			if got, want := p.ledger.RetryAfterTotal-before, retryAfter*len(wantShed); got != want {
 				t.Fatalf("inputs %v, thr %d, round %d: RetryAfterTotal grew %d, want %d",
 					inputs, thr, round, got, want)
 			}
