@@ -37,11 +37,6 @@ import (
 // when their round's delta commits; a torn round's offers are re-made
 // identically by the re-execution, so they are counted exactly once.
 
-// pendingRec is the serializable form of a pendingMsg.
-type pendingRec struct {
-	Input, FirstRound, Eligible, Offers int
-}
-
 // histDelta is one latency bucket's increment within a round.
 type histDelta struct {
 	Lat, Count int
@@ -112,10 +107,7 @@ func decodeRec(data []byte, v any) error {
 // Buffer backlog in its own Buffered field and every other policy's in
 // RetryPool, each in the machine's order (ascending input for Buffer).
 func (st *Session) backlogRecs() (retry, buffered []pendingRec) {
-	recs := make([]pendingRec, len(st.pending))
-	for i, pm := range st.pending {
-		recs[i] = pendingRec{Input: pm.input, FirstRound: pm.firstRound, Eligible: pm.eligible, Offers: pm.offers}
-	}
+	recs := append([]pendingRec(nil), st.pending...)
 	if st.cfg.Policy == Buffer {
 		return nil, recs
 	}
@@ -124,12 +116,7 @@ func (st *Session) backlogRecs() (retry, buffered []pendingRec) {
 
 // restoreBacklog rebuilds the backlog from its journal form.
 func (st *Session) restoreBacklog(retry, buffered []pendingRec) {
-	st.pending = nil
-	for _, recs := range [][]pendingRec{retry, buffered} {
-		for _, r := range recs {
-			st.pending = append(st.pending, &pendingMsg{input: r.Input, firstRound: r.FirstRound, eligible: r.Eligible, offers: r.Offers})
-		}
-	}
+	st.pending = append(append([]pendingRec(nil), retry...), buffered...)
 }
 
 func copyHist(m map[int]int) map[int]int {

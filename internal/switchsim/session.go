@@ -321,13 +321,12 @@ func (s SessionStats) MeanLatency() float64 {
 	return float64(total) / float64(count)
 }
 
-type pendingMsg struct {
-	input      int
-	firstRound int
-	// eligible is the first round this message may be (re-)offered.
-	eligible int
-	// offers counts how many times the message entered the switch.
-	offers int
+// pendingRec is one backlog entry, in the form the journal writes it.
+type pendingRec struct {
+	Input, FirstRound int
+	// Eligible is the first round the message may be (re-)offered;
+	// Offers counts how many times it entered the switch.
+	Eligible, Offers int
 }
 
 // newSessionStats builds the stats record with every histogram live.
@@ -366,8 +365,8 @@ type Session struct {
 	// pending is the backlog: retries (Resend), deflected messages
 	// (Misroute), or messages held at their input wires (Buffer, kept
 	// in ascending input order because Run reports drops in the order
-	// of the input-sorted offers).
-	pending []*pendingMsg
+	// of the input-sorted offers). The journal writes it as it stands.
+	pending []pendingRec
 
 	// round is the next round to execute.
 	round int
@@ -444,11 +443,11 @@ func (st *Session) Step(sw core.Concentrator, rng *rand.Rand) ([]Message, *Resul
 			oi := 0
 			for i, pm := range st.pending {
 				o := st.pending[oi]
-				if pm.firstRound < o.firstRound || (pm.firstRound == o.firstRound && pm.input < o.input) {
+				if pm.FirstRound < o.FirstRound || (pm.FirstRound == o.FirstRound && pm.Input < o.Input) {
 					oi = i
 				}
 			}
-			if !st.codel.Drop(round, round-st.pending[oi].firstRound) {
+			if !st.codel.Drop(round, round-st.pending[oi].FirstRound) {
 				break
 			}
 			st.pending = append(st.pending[:oi], st.pending[oi+1:]...)
@@ -456,12 +455,13 @@ func (st *Session) Step(sw core.Concentrator, rng *rand.Rand) ([]Message, *Resul
 		}
 	}
 
-	offered := map[int]*pendingMsg{}
+	offered := map[int]*pendingRec{}
 	// busy marks inputs whose sender is still blocked on an
 	// unacknowledged message that is not yet eligible to retry.
 	busy := map[int]bool{}
-	var waiting []*pendingMsg
-	for _, pm := range st.pending {
+	var waiting []pendingRec
+	for i := range st.pending {
+		pm := &st.pending[i]
 		switch {
 		case cfg.Policy == Misroute:
 			// Deflected messages re-enter at random free inputs; with
@@ -474,23 +474,23 @@ func (st *Session) Step(sw core.Concentrator, rng *rand.Rand) ([]Message, *Resul
 				}
 			}
 			if in == -1 {
-				waiting = append(waiting, pm)
+				waiting = append(waiting, *pm)
 				continue
 			}
-			pm.input = in
-		case pm.eligible > round:
+			pm.Input = in
+		case pm.Eligible > round:
 			// A Resend retry re-enters on its original input once the
 			// ack timeout elapses; until then its sender is blocked. A
 			// buffered message is always eligible.
-			waiting = append(waiting, pm)
-			busy[pm.input] = true
+			waiting = append(waiting, *pm)
+			busy[pm.Input] = true
 			continue
-		case offered[pm.input] != nil:
+		case offered[pm.Input] != nil:
 			// Two waiting messages for one input cannot happen: the
 			// backlog holds at most one per input.
-			return nil, nil, fmt.Errorf("switchsim: duplicate retry for input %d", pm.input)
+			return nil, nil, fmt.Errorf("switchsim: duplicate retry for input %d", pm.Input)
 		}
-		offered[pm.input] = pm
+		offered[pm.Input] = pm
 		stats.Retries++
 	}
 	st.pending = waiting
@@ -508,7 +508,7 @@ func (st *Session) Step(sw core.Concentrator, rng *rand.Rand) ([]Message, *Resul
 			stats.Refused++
 			continue
 		}
-		offered[in] = &pendingMsg{input: in, firstRound: round}
+		offered[in] = &pendingRec{Input: in, FirstRound: round}
 		stats.Offered++
 		if st.budget != nil {
 			st.budget.Earn()
@@ -537,7 +537,7 @@ func (st *Session) Step(sw core.Concentrator, rng *rand.Rand) ([]Message, *Resul
 	msgs := make([]Message, 0, len(ins))
 	for _, in := range ins {
 		pm := offered[in]
-		pm.offers++
+		pm.Offers++
 		payload := make([]byte, cfg.PayloadBits)
 		for b := range payload {
 			payload[b] = byte(rng.Intn(2))
@@ -554,7 +554,7 @@ func (st *Session) Step(sw core.Concentrator, rng *rand.Rand) ([]Message, *Resul
 		// deadline budget, late ones book DeadlineMissed instead of
 		// Delivered.
 		stats.DeliveredPerRound[round]++
-		stats.bookDelivery(round-pm.firstRound, pm.offers > 1, cfg.Deadline)
+		stats.bookDelivery(round-pm.FirstRound, pm.Offers > 1, cfg.Deadline)
 	}
 	for _, in := range res.DroppedInputs {
 		pm := offered[in]
@@ -565,7 +565,7 @@ func (st *Session) Step(sw core.Concentrator, rng *rand.Rand) ([]Message, *Resul
 		case Resend:
 			switch {
 			case st.budget == nil:
-				pm.eligible = round + 1 + st.retryDelay(pm.offers)
+				pm.Eligible = round + 1 + st.retryDelay(pm.Offers)
 			case !st.budget.Allow():
 				// Over the retry budget: fail fast instead of feeding
 				// the storm. The input wire is freed.
@@ -574,10 +574,10 @@ func (st *Session) Step(sw core.Concentrator, rng *rand.Rand) ([]Message, *Resul
 			default:
 				// Full-jitter exponential backoff desynchronizes the
 				// shed cohort (Backoff ≥ 1 keeps the ack RTT).
-				pm.eligible = round + cfg.AckDelay + st.budget.Backoff(pm.offers, rng)
+				pm.Eligible = round + cfg.AckDelay + st.budget.Backoff(pm.Offers, rng)
 			}
 		}
-		st.pending = append(st.pending, pm)
+		st.pending = append(st.pending, *pm)
 	}
 	if w := st.backlog(); w > stats.MaxBacklog {
 		stats.MaxBacklog = w
