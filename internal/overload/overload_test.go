@@ -1,6 +1,7 @@
 package overload
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -416,4 +417,117 @@ func TestRetryConfigValidate(t *testing.T) {
 			}
 		})
 	}
+}
+
+// checkTwins drives a machine through a seeded warm-up, restores a
+// fresh twin from its Snapshot, then makes the same calls on both.
+// call(m, round, x) makes the call draw x selects in that round and
+// reports everything the machine answers; the two reports must agree
+// at every round. Bit 0 of x is sticky (it flips with probability
+// 1/12), so a call can key a regime on it long enough to cross the
+// machines' streak and interval thresholds.
+func checkTwins[M any](t *testing.T, fresh func() M, restore func(from, to M), call func(m M, round, x int) string) {
+	t.Helper()
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		draws := make([]int, 400)
+		regime := 0
+		for i := range draws {
+			if rng.Intn(12) == 0 {
+				regime ^= 1
+			}
+			draws[i] = rng.Intn(1<<20)<<1 | regime
+		}
+		orig := fresh()
+		split := rng.Intn(200)
+		for round, x := range draws[:split] {
+			call(orig, round, x)
+		}
+		twin := fresh()
+		restore(orig, twin)
+		for round := split; round < len(draws); round++ {
+			want, got := call(orig, round, draws[round]), call(twin, round, draws[round])
+			if got != want {
+				t.Fatalf("seed %d round %d (restored at %d): twin answers %s, original %s", seed, round, split, got, want)
+			}
+		}
+	}
+}
+
+// TestSnapshotTwinsContinueIdentically: each machine's Snapshot holds
+// its whole mutable state, so a twin restored from it continues
+// exactly as the original.
+func TestSnapshotTwinsContinueIdentically(t *testing.T) {
+	t.Run("AIMD", func(t *testing.T) {
+		checkTwins(t, NewAIMD,
+			func(from, to *AIMD) { to.Restore(from.Snapshot()) },
+			func(a *AIMD, _, x int) string {
+				if x&1 == 1 {
+					a.OnCongestion()
+				} else {
+					a.OnClean()
+				}
+				return fmt.Sprint(a.Snapshot(), a.Fraction(), a.Cap(37), a.Increases(), a.Decreases())
+			})
+	})
+	t.Run("Brownout", func(t *testing.T) {
+		checkTwins(t, NewBrownout,
+			func(from, to *Brownout) { to.Restore(from.Snapshot()) },
+			func(b *Brownout, _, x int) string {
+				changed := b.Observe(x&1 == 1)
+				return fmt.Sprint(changed, b.Snapshot(), b.Level(), b.Scale(), b.Enters(), b.Exits())
+			})
+	})
+	t.Run("CoDel", func(t *testing.T) {
+		fresh := func() *CoDel {
+			c, err := NewCoDel(CoDelConfig{Target: 2, Interval: 6})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}
+		checkTwins(t, fresh,
+			func(from, to *CoDel) { to.Restore(from.Snapshot()) },
+			func(c *CoDel, round, x int) string {
+				// A standing queue in regime 1, a draining one in 0;
+				// each shed head leaves a younger one.
+				sojourn := (x >> 1) % 3
+				if x&1 == 1 {
+					sojourn = 2 + (x>>1)%12
+				}
+				var drops []bool
+				for k := 0; k < 4; k++ {
+					drops = append(drops, c.Drop(round, sojourn-k))
+					if !drops[k] {
+						break
+					}
+				}
+				return fmt.Sprint(drops, c.Snapshot(), c.Episodes(), c.Dropped())
+			})
+	})
+	t.Run("RetryBudget", func(t *testing.T) {
+		fresh := func() *RetryBudget {
+			b, err := NewRetryBudget(RetryConfig{Budget: 0.3, Burst: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}
+		checkTwins(t, fresh,
+			func(from, to *RetryBudget) { to.Restore(from.Snapshot()) },
+			func(b *RetryBudget, _, x int) string {
+				// Fresh offers refill the bucket in regime 1; retries
+				// drain it in regime 0.
+				var answer any
+				switch {
+				case x&1 == 1 && x%5 != 0:
+					b.Earn()
+				case x%3 == 0:
+					answer = b.Backoff(1+(x>>2)%6, rand.New(rand.NewSource(int64(x))))
+				default:
+					answer = b.Allow()
+				}
+				return fmt.Sprint(answer, b.Snapshot(), b.Tokens(), b.Allowed(), b.Denied())
+			})
+	})
 }

@@ -200,6 +200,34 @@ func TestPoolSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStatsSpreadsEveryLedgerCounter: each LedgerCheckpoint counter,
+// restored at a value of its own, reads back from the Stats field of
+// the same name. It fails when Stats drops a counter or a counter has
+// no Stats field.
+func TestStatsSpreadsEveryLedgerCounter(t *testing.T) {
+	p := newPool(t, Config{}, 2)
+	cp := p.Snapshot()
+	ledger := reflect.ValueOf(&cp.Ledger).Elem()
+	for i := 0; i < ledger.NumField(); i++ {
+		ledger.Field(i).SetInt(int64(1000 + i))
+	}
+	if err := p.Restore(cp); err != nil {
+		t.Fatal(err)
+	}
+	stats := reflect.ValueOf(p.Stats())
+	for i := 0; i < ledger.NumField(); i++ {
+		name := ledger.Type().Field(i).Name
+		if f := stats.FieldByName(name); !f.IsValid() {
+			t.Errorf("ledger counter %s has no Stats field", name)
+		} else if f.Int() != int64(1000+i) {
+			t.Errorf("Stats().%s = %d, want the restored %d", name, f.Int(), 1000+i)
+		}
+	}
+	if got := p.Snapshot().Ledger; got != cp.Ledger {
+		t.Errorf("snapshot ledger %+v, restored %+v", got, cp.Ledger)
+	}
+}
+
 func TestCheckpointErrorPaths(t *testing.T) {
 	p := newPool(t, Config{ProbeAfter: 1}, 2)
 	if _, err := p.CheckpointReplica(5); err == nil {
