@@ -201,3 +201,43 @@ func TestPath(t *testing.T) {
 		t.Fatalf("single-chip path %v", single)
 	}
 }
+
+// TestCrossFollowsPath: Cross corrupts a frame exactly as Corrupt does
+// link by link along Path, stopping at an erasure, and allocates
+// nothing; Live tells the rounds with a fault in its window.
+func TestCrossFollowsPath(t *testing.T) {
+	p := NewCorruptionPlane(5)
+	mustAdd(t, p, WireFault{Stage: AllStages, Wire: AllWires, Mode: WireBitFlip, BER: 0.05, From: 2, Until: 40})
+	mustAdd(t, p, WireFault{Stage: 2, Wire: 3, Mode: WireErasure, From: 10, Until: 20})
+	mustAdd(t, p, WireFault{Stage: 0, Wire: AllWires, Mode: WireBurst, BurstLen: 3, From: 30, Until: 50})
+	for round := 0; round < 60; round++ {
+		if live := round >= 2 && round < 50; p.Live(round) != live {
+			t.Errorf("round %d: Live = %v, want %v", round, !live, live)
+		}
+		for _, stages := range []int{0, 1, 3} {
+			for input := 0; input < 6; input++ {
+				output := (input + round) % 5
+				want := bytes.Repeat([]byte{1, 0, 0, 1}, 8)
+				wantErased := false
+				for _, at := range Path(stages, input, output) {
+					if _, wantErased = p.Corrupt(round, at, want); wantErased {
+						break
+					}
+				}
+				got := bytes.Repeat([]byte{1, 0, 0, 1}, 8)
+				if erased := p.Cross(round, stages, input, output, got); erased != wantErased || !bytes.Equal(got, want) {
+					t.Fatalf("round %d stages %d %d→%d: Cross erased %v bits %v, Path walk erased %v bits %v",
+						round, stages, input, output, erased, got, wantErased, want)
+				}
+			}
+		}
+	}
+	var none *CorruptionPlane
+	if none.Live(0) || none.Cross(0, 2, 1, 1, []byte{1}) {
+		t.Error("a nil plane is live or erases")
+	}
+	bits := make([]byte, 56)
+	if a := testing.AllocsPerRun(100, func() { p.Cross(5, 3, 2, 4, bits) }); a != 0 {
+		t.Errorf("Cross allocated %v times per call", a)
+	}
+}
