@@ -2,7 +2,7 @@ package health
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"concentrators/internal/core"
 	"concentrators/internal/link"
@@ -24,23 +24,12 @@ import (
 // degraded contract covering all of them.
 type LinkEscalator struct {
 	sw    core.FaultInjectable
-	wires map[int]bool // physical output wires quarantined so far
+	wires []int // physical output wires quarantined so far, ascending
 }
 
 // NewLinkEscalator builds the escalator for sw.
 func NewLinkEscalator(sw core.FaultInjectable) *LinkEscalator {
-	return &LinkEscalator{sw: sw, wires: make(map[int]bool)}
-}
-
-// Wires returns the physical output wires quarantined so far,
-// ascending.
-func (e *LinkEscalator) Wires() []int {
-	ws := make([]int, 0, len(e.wires))
-	for w := range e.wires {
-		ws = append(ws, w)
-	}
-	sort.Ints(ws)
-	return ws
+	return &LinkEscalator{sw: sw}
 }
 
 // Escalate quarantines the output wire behind the suspect link and
@@ -54,10 +43,13 @@ func (e *LinkEscalator) Escalate(at link.LinkAddr) (*switchsim.LinkEscalation, e
 	if err != nil {
 		return nil, err
 	}
-	e.wires[at.Wire] = true
+	i, quarantined := slices.BinarySearch(e.wires, at.Wire)
+	if !quarantined {
+		e.wires = slices.Insert(e.wires, i, at.Wire)
+	}
 
 	faults := append([]LocalizedFault(nil), rep.Faults...)
-	for _, w := range e.Wires() {
+	for _, w := range e.wires {
 		wf, err := OutputWireFault(e.sw, w)
 		if err != nil {
 			return nil, err
@@ -73,14 +65,13 @@ func (e *LinkEscalator) Escalate(at link.LinkAddr) (*switchsim.LinkEscalation, e
 		// wire would be worse than living with its corruption. Leave
 		// the contract alone (the monitor still stops charging the
 		// link, so the session keeps running on its current switch).
-		delete(e.wires, at.Wire)
-		return &switchsim.LinkEscalation{ScanRoutes: rep.Routes, ChipFaults: len(rep.Faults)}, nil
+		e.wires = slices.Delete(e.wires, i, i+1)
+		return &switchsim.LinkEscalation{ScanRoutes: rep.Routes}, nil
 	}
 	return &switchsim.LinkEscalation{
 		Serving:    deg,
 		OutputWire: deg.OutputWire,
 		ScanRoutes: rep.Routes,
-		ChipFaults: len(rep.Faults),
 	}, nil
 }
 
