@@ -24,6 +24,7 @@ import (
 	"os"
 	"time"
 
+	"concentrators/cmd/internal/cli"
 	"concentrators/internal/bench"
 )
 
@@ -34,7 +35,7 @@ func main() {
 	benchOut := flag.String("bench-out", "", "write the perf suite report as JSON to this file")
 	baseline := flag.String("baseline", "", "compare the perf suite against this JSON baseline; exit 2 on regression")
 	benchTime := flag.Duration("bench-time", 25*time.Millisecond, "minimum timing window per perf case")
-	flag.Parse()
+	cli.Parse("concbench")
 
 	if *doBench {
 		os.Exit(runBench(*benchOut, *baseline, *benchTime))
@@ -114,7 +115,7 @@ func runBench(outPath, baselinePath string, benchTime time.Duration) int {
 			for _, r := range regs {
 				fmt.Fprintln(os.Stderr, "  "+r)
 			}
-			return 2
+			return cli.ExitViolation
 		}
 		fmt.Printf("no perf regressions vs %s\n", baselinePath)
 	}

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 
+	"concentrators/cmd/internal/cli"
 	"concentrators/internal/core"
 	"concentrators/internal/layout"
 )
@@ -24,7 +25,7 @@ func main() {
 	r := flag.Int("r", 8, "columnsort rows")
 	s := flag.Int("s", 4, "columnsort columns")
 	m := flag.Int("m", 0, "outputs (default n/2)")
-	flag.Parse()
+	cli.Parse("conclayout")
 
 	if *m == 0 {
 		*m = *n / 2

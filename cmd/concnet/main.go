@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 
+	"concentrators/cmd/internal/cli"
 	"concentrators/internal/bitonic"
 	"concentrators/internal/gatelevel"
 	"concentrators/internal/hyper"
@@ -30,7 +31,7 @@ func main() {
 	amount := flag.Int("amount", 1, "hardwired shifter rotation")
 	opt := flag.Bool("opt", false, "run the optimizer before reporting")
 	dotPath := flag.String("dot", "", "write Graphviz DOT to this file")
-	flag.Parse()
+	cli.Parse("concnet")
 	if *m == 0 {
 		*m = *n / 2
 	}

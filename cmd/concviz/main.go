@@ -16,6 +16,7 @@ import (
 	"math/rand"
 	"os"
 
+	"concentrators/cmd/internal/cli"
 	"concentrators/internal/bitvec"
 	"concentrators/internal/core"
 )
@@ -29,7 +30,7 @@ func main() {
 	m := flag.Int("m", 0, "outputs (custom mode; default n/2)")
 	k := flag.Int("k", 0, "number of valid messages (default: the figure's count, or n/3)")
 	seed := flag.Int64("seed", 1, "random seed for message placement")
-	flag.Parse()
+	cli.Parse("concviz")
 
 	rng := rand.New(rand.NewSource(*seed))
 	if *design != "" {

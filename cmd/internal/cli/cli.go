@@ -1,7 +1,7 @@
-// Package cli holds the exit-code contract and output plumbing shared
-// by the concsim and concpool commands, so the two binaries cannot
-// drift: one exit-code table, printed by both usage texts, and one
-// JSON emitter.
+// Package cli holds the exit-code contract and output plumbing the
+// commands share, so they cannot drift: one exit-code table, which
+// every command's usage text prints, one command-line parser, and the
+// JSON emitter of concsim and concpool.
 package cli
 
 import (
@@ -12,10 +12,12 @@ import (
 	"os"
 )
 
-// The shared exit-code contract. Every guarantee the simulators check
-// — delivery contracts, deadline SLOs, conservation laws, fencing —
-// reports a breach the same way, so CI and scripts can gate on the
-// code without knowing which command (or which guarantee) ran.
+// The shared exit-code contract of all six commands. Every guarantee
+// the simulators check — delivery contracts, deadline SLOs,
+// conservation laws, fencing — and concbench's perf gate report a
+// breach the same way, so CI and scripts can gate on the code without
+// knowing which command (or which guarantee) ran. conclayout, concnet
+// and concviz check no guarantee, so they exit only 0 or 1.
 const (
 	// ExitOK: the run completed with every checked guarantee intact.
 	ExitOK = 0
@@ -24,8 +26,8 @@ const (
 	ExitUsage = 1
 	// ExitViolation: the run completed and observed a breach — a
 	// delivery-guarantee regression, a missed deadline SLO, a broken
-	// conservation law, or a frame delivered under a stale fencing
-	// token.
+	// conservation law, a frame delivered under a stale fencing token,
+	// or a perf-suite regression against concbench's -baseline.
 	ExitViolation = 2
 )
 
@@ -35,7 +37,8 @@ func ExitCodeTable() string {
   %d  run completed with every checked guarantee intact
   %d  usage, construction, or configuration error
   %d  guarantee breach: delivery regression, missed deadline SLO,
-     broken conservation law, or a fencing-token violation`,
+     broken conservation law, a fencing-token violation, or a perf
+     regression against concbench -baseline`,
 		ExitOK, ExitUsage, ExitViolation)
 }
 
