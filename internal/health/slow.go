@@ -92,6 +92,10 @@ type slowWindow struct {
 type SlowDetector struct {
 	cfg     SlowConfig
 	windows []slowWindow
+	// Scratch, so a sweep allocates nothing: sorted holds the window
+	// being sorted, quants every replica's quantile (−1 below
+	// MinSamples), and peers the quantiles a median is taken over.
+	sorted, quants, peers []int
 }
 
 // NewSlowDetector builds a detector over the given replica count.
@@ -102,7 +106,7 @@ func NewSlowDetector(cfg SlowConfig, replicas int) (*SlowDetector, error) {
 	if replicas < 1 {
 		return nil, fmt.Errorf("health: slow detector needs ≥ 1 replica, got %d", replicas)
 	}
-	d := &SlowDetector{cfg: cfg.withDefaults(), windows: make([]slowWindow, replicas)}
+	d := &SlowDetector{cfg: cfg.withDefaults(), windows: make([]slowWindow, replicas), quants: make([]int, replicas)}
 	for i := range d.windows {
 		d.windows[i].ring = make([]int, d.cfg.Window)
 	}
@@ -136,65 +140,79 @@ func (d *SlowDetector) Quantile(replica int) (lat int, ok bool) {
 	if w.filled < d.cfg.MinSamples {
 		return 0, false
 	}
-	lats := append([]int(nil), w.ring[:w.filled]...)
-	sort.Ints(lats)
-	rank := int(math.Ceil(d.cfg.Quantile * float64(len(lats))))
+	d.sorted = append(d.sorted[:0], w.ring[:w.filled]...)
+	sort.Ints(d.sorted)
+	rank := int(math.Ceil(d.cfg.Quantile * float64(w.filled)))
 	if rank < 1 {
 		rank = 1
 	}
-	return lats[rank-1], true
+	return d.sorted[rank-1], true
+}
+
+// quantiles fills d.quants with every replica's windowed quantile, −1
+// for a replica whose window holds fewer than MinSamples.
+func (d *SlowDetector) quantiles() []int {
+	for i := range d.windows {
+		d.quants[i] = -1
+		if q, ok := d.Quantile(i); ok {
+			d.quants[i] = q
+		}
+	}
+	return d.quants
 }
 
 // PeerMedian returns the median windowed quantile across every replica
 // except the given one; ok is false unless at least one peer has
 // MinSamples.
 func (d *SlowDetector) PeerMedian(replica int) (lat float64, ok bool) {
-	var peers []int
-	for i := range d.windows {
-		if i == replica {
-			continue
-		}
-		if q, qok := d.Quantile(i); qok {
-			peers = append(peers, q)
-		}
-	}
-	if len(peers) == 0 {
-		return 0, false
-	}
-	sort.Ints(peers)
-	mid := len(peers) / 2
-	if len(peers)%2 == 1 {
-		return float64(peers[mid]), true
-	}
-	return float64(peers[mid-1]+peers[mid]) / 2, true
+	return d.peerMedian(d.quantiles(), replica)
 }
 
-// overLine reports whether replica's quantile is currently above the
+// peerMedian is PeerMedian over the quantiles qs.
+func (d *SlowDetector) peerMedian(qs []int, replica int) (lat float64, ok bool) {
+	d.peers = d.peers[:0]
+	for i, q := range qs {
+		if i != replica && q >= 0 {
+			d.peers = append(d.peers, q)
+		}
+	}
+	if len(d.peers) == 0 {
+		return 0, false
+	}
+	sort.Ints(d.peers)
+	mid := len(d.peers) / 2
+	if len(d.peers)%2 == 1 {
+		return float64(d.peers[mid]), true
+	}
+	return float64(d.peers[mid-1]+d.peers[mid]) / 2, true
+}
+
+// overLine reports whether replica's quantile in qs is above the
 // conviction line (Factor × peer median, floored at the peer median
 // plus one round so a pool of equally fast replicas never convicts on
 // quantization noise).
-func (d *SlowDetector) overLine(replica int) bool {
-	q, ok := d.Quantile(replica)
-	if !ok {
+func (d *SlowDetector) overLine(qs []int, replica int) bool {
+	if qs[replica] < 0 {
 		return false
 	}
-	med, ok := d.PeerMedian(replica)
+	med, ok := d.peerMedian(qs, replica)
 	if !ok {
 		return false
 	}
 	line := math.Max(d.cfg.Factor*med, med+1)
-	return float64(q) > line
+	return float64(qs[replica]) > line
 }
 
 // Sweep advances every replica's persistence streak and returns the
 // replicas newly crossing Persistence consecutive over-the-line sweeps
-// — the convictions. A convicted replica's window is left intact so
-// the pool's canary probe can compare against it; call Reset once the
-// replica is re-admitted.
+// — the convictions. Each window is sorted once per sweep. A convicted
+// replica's window is left intact so the pool's canary probe can
+// compare against it; call Reset once the replica is re-admitted.
 func (d *SlowDetector) Sweep() (convicted []int) {
+	qs := d.quantiles()
 	for i := range d.windows {
 		w := &d.windows[i]
-		if !d.overLine(i) {
+		if !d.overLine(qs, i) {
 			w.streak = 0
 			continue
 		}

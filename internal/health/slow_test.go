@@ -2,6 +2,9 @@ package health
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -143,6 +146,149 @@ func TestSlowDetectorResetGivesFreshTrial(t *testing.T) {
 		d.Observe(1, 1)
 		if got := d.Sweep(); len(got) > 0 {
 			t.Fatalf("repaired replica re-convicted: %v", got)
+		}
+	}
+}
+
+// refQuantile, refPeerMedian and refOverLine are the detector's
+// original definitions, which copy and sort a window for every quantile
+// they read: the reference Sweep's one-sort-per-window form must match.
+func refQuantile(d *SlowDetector, replica int) (int, bool) {
+	w := &d.windows[replica]
+	if w.filled < d.cfg.MinSamples {
+		return 0, false
+	}
+	lats := append([]int(nil), w.ring[:w.filled]...)
+	sort.Ints(lats)
+	rank := int(math.Ceil(d.cfg.Quantile * float64(len(lats))))
+	if rank < 1 {
+		rank = 1
+	}
+	return lats[rank-1], true
+}
+
+func refPeerMedian(d *SlowDetector, replica int) (float64, bool) {
+	var peers []int
+	for i := range d.windows {
+		if i == replica {
+			continue
+		}
+		if q, ok := refQuantile(d, i); ok {
+			peers = append(peers, q)
+		}
+	}
+	if len(peers) == 0 {
+		return 0, false
+	}
+	sort.Ints(peers)
+	mid := len(peers) / 2
+	if len(peers)%2 == 1 {
+		return float64(peers[mid]), true
+	}
+	return float64(peers[mid-1]+peers[mid]) / 2, true
+}
+
+func refOverLine(d *SlowDetector, replica int) bool {
+	q, ok := refQuantile(d, replica)
+	if !ok {
+		return false
+	}
+	med, ok := refPeerMedian(d, replica)
+	if !ok {
+		return false
+	}
+	return float64(q) > math.Max(d.cfg.Factor*med, med+1)
+}
+
+// Sweep, Quantile and PeerMedian give the reference's answers on random
+// windows: 1–5 replicas filling at ragged rates, so windows sit on both
+// sides of MinSamples, with occasional resets and a slow replica.
+func TestSlowSweepMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 400; trial++ {
+		replicas := 1 + rng.Intn(5)
+		window := 2 + rng.Intn(15)
+		cfg := SlowConfig{
+			Window:      window,
+			MinSamples:  1 + rng.Intn(window),
+			Persistence: 1 + rng.Intn(3),
+			Quantile:    []float64{0, 0.5, 0.75, 1}[rng.Intn(4)],
+			Factor:      []float64{0, 1.5, 3}[rng.Intn(3)],
+		}
+		d, err := NewSlowDetector(cfg, replicas)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slow := rng.Intn(replicas)
+		streaks := make([]int, replicas)
+		for sweep := 0; sweep < 16; sweep++ {
+			for i := 0; i < replicas; i++ {
+				for k := rng.Intn(3); k > 0; k-- {
+					lat := 1 + rng.Intn(3)
+					if i == slow {
+						lat *= 1 + rng.Intn(12)
+					}
+					d.Observe(i, lat)
+				}
+			}
+			if rng.Intn(8) == 0 {
+				i := rng.Intn(replicas)
+				d.Reset(i)
+				streaks[i] = 0
+			}
+			for i := 0; i < replicas; i++ {
+				q, ok := d.Quantile(i)
+				rq, rok := refQuantile(d, i)
+				if q != rq || ok != rok {
+					t.Fatalf("trial %d sweep %d: Quantile(%d) = %d,%v, reference %d,%v", trial, sweep, i, q, ok, rq, rok)
+				}
+				m, ok := d.PeerMedian(i)
+				rm, rok := refPeerMedian(d, i)
+				if m != rm || ok != rok {
+					t.Fatalf("trial %d sweep %d: PeerMedian(%d) = %v,%v, reference %v,%v", trial, sweep, i, m, ok, rm, rok)
+				}
+			}
+			var want []int
+			for i := range streaks {
+				if !refOverLine(d, i) {
+					streaks[i] = 0
+					continue
+				}
+				streaks[i]++
+				if streaks[i] == d.cfg.Persistence {
+					want = append(want, i)
+				}
+			}
+			if got := d.Sweep(); !slices.Equal(got, want) {
+				t.Fatalf("trial %d sweep %d (%+v, %d replicas): Sweep convicted %v, reference %v", trial, sweep, cfg, replicas, got, want)
+			}
+			for i, w := range d.windows {
+				if w.streak != streaks[i] {
+					t.Fatalf("trial %d sweep %d: replica %d streak %d, reference %d", trial, sweep, i, w.streak, streaks[i])
+				}
+			}
+		}
+	}
+}
+
+// A sweep over full windows allocates nothing, with peers to compare
+// against and without, and neither does the canary's PeerMedian.
+func TestSlowSweepAllocatesNothing(t *testing.T) {
+	for _, replicas := range []int{1, 3} {
+		d, err := NewSlowDetector(SlowConfig{}, replicas)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 32; k++ {
+			for i := 0; i < replicas; i++ {
+				d.Observe(i, (1+k%3)*(1+9*i)) // replicas 1 and 2 run 10× and 19× slower
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			d.Sweep()
+			d.PeerMedian(0)
+		}); allocs != 0 {
+			t.Errorf("%d replicas: %v allocs per sweep, want 0", replicas, allocs)
 		}
 	}
 }

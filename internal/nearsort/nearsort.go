@@ -83,7 +83,12 @@ func CheckPartialConcentration(valid *bitvec.Vector, out []int, m, eps int) erro
 	if len(out) != valid.Len() {
 		return fmt.Errorf("nearsort: out has %d entries for %d inputs", len(out), valid.Len())
 	}
-	used := make([]bool, m)
+	// The taken outputs, one bit each: on the stack up to 4096 outputs.
+	var stack [64]uint64
+	used := stack[:]
+	if m > 64*len(stack) {
+		used = make([]uint64, (m+63)/64)
+	}
 	routed := 0
 	for i, o := range out {
 		if o == -1 {
@@ -95,10 +100,11 @@ func CheckPartialConcentration(valid *bitvec.Vector, out []int, m, eps int) erro
 		if o < 0 || o >= m {
 			return fmt.Errorf("nearsort: input %d routed to out-of-range output %d", i, o)
 		}
-		if used[o] {
+		bit := uint64(1) << uint(o&63)
+		if used[o>>6]&bit != 0 {
 			return fmt.Errorf("nearsort: output %d carries two messages", o)
 		}
-		used[o] = true
+		used[o>>6] |= bit
 		routed++
 	}
 	k := valid.Count()

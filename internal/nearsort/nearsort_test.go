@@ -102,25 +102,68 @@ func TestCheckPartialConcentrationHappyPath(t *testing.T) {
 	if err := CheckPartialConcentration(valid, out, 3, 0); err != nil {
 		t.Errorf("valid routing rejected: %v", err)
 	}
+	// Neighbouring outputs across a word of the taken-output set, and
+	// past the 4096 outputs it holds on the stack.
+	for _, c := range []struct {
+		out []int
+		m   int
+	}{{[]int{63, 64}, 128}, {[]int{4095, 4096}, 4097}} {
+		if err := CheckPartialConcentration(bitvec.MustParse("11"), c.out, c.m, 0); err != nil {
+			t.Errorf("outputs %v of %d rejected: %v", c.out, c.m, err)
+		}
+	}
+}
+
+// Judging a routing at the pool-healthy shape (n=4096, m=2048, load
+// 0.4) allocates nothing.
+func TestCheckPartialConcentrationAllocatesNothing(t *testing.T) {
+	const n, m = 4096, 2048
+	valid := bitvec.New(n)
+	out := make([]int, n)
+	k := 0
+	for i := range out {
+		out[i] = -1
+		if i%5 < 2 {
+			valid.Set(i, true)
+			out[i] = k
+			k++
+		}
+	}
+	if err := CheckPartialConcentration(valid, out, m, 0); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		_ = CheckPartialConcentration(valid, out, m, 0)
+	}); allocs != 0 {
+		t.Errorf("%v allocs per check, want 0", allocs)
+	}
 }
 
 func TestCheckPartialConcentrationViolations(t *testing.T) {
 	valid := bitvec.MustParse("10110")
 	cases := []struct {
-		name string
-		out  []int
-		m    int
-		eps  int
+		name  string
+		valid string // "" is 10110
+		out   []int
+		m     int
+		eps   int
 	}{
-		{"wrong length", []int{0, 1}, 3, 0},
-		{"invalid input routed", []int{0, 1, 2, -1, -1}, 3, 0},
-		{"out of range", []int{3, -1, 0, 1, -1}, 3, 0},
-		{"duplicate output", []int{0, -1, 0, 1, -1}, 3, 0},
-		{"too few routed (k≤αm)", []int{0, -1, 1, -1, -1}, 4, 0},
-		{"too few routed (k>αm)", []int{0, -1, -1, -1, -1}, 2, 0},
+		{"wrong length", "", []int{0, 1}, 3, 0},
+		{"invalid input routed", "", []int{0, 1, 2, -1, -1}, 3, 0},
+		{"out of range", "", []int{3, -1, 0, 1, -1}, 3, 0},
+		{"duplicate output", "", []int{0, -1, 0, 1, -1}, 3, 0},
+		{"duplicate output 63", "11", []int{63, 63}, 128, 0},
+		{"duplicate output 64", "11", []int{64, 64}, 128, 0},
+		{"duplicate output past 4096 outputs", "11", []int{4096, 4096}, 4097, 0},
+		{"too few routed (k≤αm)", "", []int{0, -1, 1, -1, -1}, 4, 0},
+		{"too few routed (k>αm)", "", []int{0, -1, -1, -1, -1}, 2, 0},
 	}
 	for _, c := range cases {
-		if err := CheckPartialConcentration(valid, c.out, c.m, c.eps); err == nil {
+		v := valid
+		if c.valid != "" {
+			v = bitvec.MustParse(c.valid)
+		}
+		if err := CheckPartialConcentration(v, c.out, c.m, c.eps); err == nil {
 			t.Errorf("%s: violation not detected", c.name)
 		}
 	}

@@ -98,7 +98,7 @@ func (p *Pool) settleClaimsLocked(r *replica, round int64, wres *switchsim.Resul
 		return
 	}
 	p.ensureEdgesLocked()
-	epoch := r.leaseToken
+	epoch := r.LeaseToken
 	rnd := int(round)
 
 	// Sending edge: stamp every physically delivered frame.
@@ -111,39 +111,39 @@ func (p *Pool) settleClaimsLocked(r *replica, round int64, wres *switchsim.Resul
 	}
 
 	// The actor's scheduled lies, applied to the claim stream only.
-	if k := p.bplane.Misroutes(rnd, r.id); k > 0 && physical > 0 && p.m > 1 {
+	if k := p.bplane.Misroutes(rnd, r.ID); k > 0 && physical > 0 && p.m > 1 {
 		// A misrouted frame keeps its genuine payload and tag; only the
 		// acked output moves — guaranteed to a different output, so the
 		// lie is real whenever the plane says so.
 		for d := 0; d < k; d++ {
-			c := &claims[p.bplane.Pick(rnd, r.id, 2*d, physical)]
-			c.Output = (c.Output + 1 + p.bplane.Pick(rnd, r.id, 2*d+1, p.m-1)) % p.m
+			c := &claims[p.bplane.Pick(rnd, r.ID, 2*d, physical)]
+			c.Output = (c.Output + 1 + p.bplane.Pick(rnd, r.ID, 2*d+1, p.m-1)) % p.m
 			rr.Misrouted++
 		}
 	}
-	for d := 0; d < p.bplane.Replays(rnd, r.id) && len(r.recent) > 0; d++ {
-		claims = append(claims, r.recent[p.bplane.Pick(rnd, r.id, 64+d, len(r.recent))])
+	for d := 0; d < p.bplane.Replays(rnd, r.ID) && len(r.Recent) > 0; d++ {
+		claims = append(claims, r.Recent[p.bplane.Pick(rnd, r.ID, 64+d, len(r.Recent))])
 		rr.ReplayedInjected++
 	}
-	for d := 0; d < p.bplane.Fabrications(rnd, r.id); d++ {
+	for d := 0; d < p.bplane.Fabrications(rnd, r.ID); d++ {
 		// The forger copies plausible public header fields but holds no
 		// key: the sum is ForgeSum garbage.
 		claims = append(claims, byzantine.Claim{
-			Input:  p.bplane.Pick(rnd, r.id, 128+2*d, p.n),
-			Output: p.bplane.Pick(rnd, r.id, 129+2*d, p.m),
+			Input:  p.bplane.Pick(rnd, r.ID, 128+2*d, p.n),
+			Output: p.bplane.Pick(rnd, r.ID, 129+2*d, p.m),
 			Tag: byzantine.Tag{
 				Epoch: uint32(epoch & (1<<byzantine.EpochBits - 1)),
 				Seq:   p.stamper.NextSeq() + uint32(d),
-				Sum:   p.bplane.ForgeSum(rnd, r.id, d),
+				Sum:   p.bplane.ForgeSum(rnd, r.ID, d),
 			},
 		})
 		rr.ForgedInjected++
 	}
 	// Only now does this round's genuine traffic enter the replay
 	// surface: a replay re-emits *prior* rounds' frames.
-	r.recent = append(r.recent, claims[:physical]...)
-	if len(r.recent) > recentCap {
-		r.recent = r.recent[len(r.recent)-recentCap:]
+	r.Recent = append(r.Recent, claims[:physical]...)
+	if len(r.Recent) > recentCap {
+		r.Recent = r.Recent[len(r.Recent)-recentCap:]
 	}
 
 	// Receiving edge: every claim crosses the full bit-stream framing —
@@ -177,15 +177,15 @@ func (p *Pool) settleClaimsLocked(r *replica, round int64, wres *switchsim.Resul
 	// breaker; under the lease machinery the convict stops being
 	// servable, so the next maintenance pass hands the lease off and
 	// the bumped fencing token locks the equivocator out.
-	if p.bplane.Equivocating(rnd, r.id) {
+	if p.bplane.Equivocating(rnd, r.ID) {
 		claim := health.HealthClaim{
-			ToArbiter: booked + p.bplane.Inflation(rnd, r.id),
+			ToArbiter: booked + p.bplane.Inflation(rnd, r.ID),
 			ToPeers:   max(booked-1, 0),
 		}
 		if claim.Equivocates(booked) {
 			rr.Equivocated = true
 			p.ledger.Equivocations++
-			if r.state != Quarantined {
+			if r.State != Quarantined {
 				p.trip(r, round)
 			}
 		}
@@ -220,7 +220,7 @@ func (p *Pool) auditLocked(r *replica, round int64, claims []byzantine.Claim, ad
 		if len(wouts) == 2 {
 			break
 		}
-		if w.id == r.id || w.killed || w.state == Quarantined || w.degraded != nil {
+		if w.ID == r.ID || w.Killed || w.State == Quarantined || w.degraded != nil {
 			continue
 		}
 		wout := -1
@@ -240,9 +240,9 @@ func (p *Pool) auditLocked(r *replica, round int64, claims []byzantine.Claim, ad
 	if p.wtally == nil {
 		p.wtally = health.NewWitnessTally(len(p.replicas))
 	}
-	if p.wtally.Observe(r.id, verdict, usable) {
+	if p.wtally.Observe(r.ID, verdict, usable) {
 		p.ledger.WitnessConvictions++
-		if r.state != Quarantined {
+		if r.State != Quarantined {
 			p.trip(r, round)
 		}
 	}

@@ -2,7 +2,7 @@ package pool
 
 import (
 	"fmt"
-	"sort"
+	"maps"
 
 	"concentrators/internal/byzantine"
 	"concentrators/internal/health"
@@ -28,39 +28,53 @@ import (
 // journaling every observation would make the checkpoint O(history)
 // instead of O(state).
 //
-// The pool's counters are one LedgerCheckpoint and the overload
-// machines' states are their snapshot structs, so a checkpoint copies
-// them whole and cannot miss a field. What a restart forgets is written
-// once, in wipeLocked (Drain, Revive) and coldStartLocked (monitors).
+// Each checkpointed struct is the live state it records: the pool's
+// counters are one LedgerCheckpoint, the overload machines' states are
+// their snapshot structs, and every replica embeds its
+// ReplicaCheckpoint. A checkpoint copies them whole and cannot miss a
+// field; only the replica's plane fields are filled in the copy, from
+// the live planes. What a restart forgets is written once, in
+// wipeLocked (Drain, Revive) and coldStartLocked (monitors).
 //
 // Degraded contracts are not serialized either: they are pure
 // functions of the fault record, so Restore re-derives them through
 // the same rebuildContractLocked path that built them live.
 
 // ReplicaCheckpoint is the serializable control-plane state of one
-// replica.
+// replica, and, embedded in it, that replica's live state.
 type ReplicaCheckpoint struct {
 	ID     int
 	State  State
 	Killed bool
 
-	// Breaker machine.
+	// Breaker machine. Backoff is the current re-admission backoff
+	// (0 = never tripped); ProbeAt is the round of the next half-open
+	// probe verdict (−1 none); PendingScan reports a probe scan in
+	// flight (half-open).
 	ConsecViol  int
 	Backoff     int
 	ProbeAt     int64
 	PendingScan bool
 
-	// Gray-failure conviction (gates rejoin behind a timed canary).
+	// Gray-failure conviction (gates rejoin behind a timed canary:
+	// BIST cannot see slowness).
 	SlowConvicted bool
 
 	// Primary-lease belief: the fencing token and horizon of the last
 	// grant the board heard. The belief is durable — a restarted
 	// controller must still fence a board serving on a pre-crash grant.
+	// It is the board's own view: a board serving past LeaseUntil has
+	// self-fenced, and one serving with LeaseToken behind the arbiter's
+	// current token is a stale believer whose deliveries the ledger
+	// fences.
 	LeaseToken uint64
 	LeaseUntil int64
 
 	// Fault record: scan-localized chip faults plus quarantined output
 	// wires, from which the degraded contract is re-derived.
+	// KnownFaults holds one entry per chip, sorted by (stage, chip);
+	// WireFaults maps each output wire the receiver's link monitor
+	// quarantined to its fault, and is never nil in a live replica.
 	KnownFaults []health.LocalizedFault
 	WireFaults  map[int]health.LocalizedFault
 
@@ -68,7 +82,8 @@ type ReplicaCheckpoint struct {
 	// controller reboot; a rebuilt pool re-injects them from here).
 	// Every plane's faults are recorded in insertion order, the order
 	// the plane applies them in: a restored plane re-adds them in that
-	// order and draws exactly what the original drew.
+	// order and draws exactly what the original drew. A live replica
+	// keeps its planes beside this struct and these six fields zero.
 	HasWirePlane      bool
 	WirePlaneSeed     int64
 	WirePlaneFaults   []link.WireFault
@@ -77,9 +92,9 @@ type ReplicaCheckpoint struct {
 	TimingPlaneFaults []timing.Fault
 
 	// Byzantine replay surface: the ring of recently emitted genuine
-	// claims. It must survive a restart — a Replay fault re-emits these
-	// exact tags, and a receiver that forgot them would book the replay
-	// Delivered instead of Duplicated.
+	// claims, what a Replay fault re-emits verbatim, original tags and
+	// all. It must survive a restart — a receiver that forgot them
+	// would book the replay Delivered instead of Duplicated.
 	Recent []byzantine.Claim
 
 	// Accounting.
@@ -162,33 +177,12 @@ type Checkpoint struct {
 	Replicas         []ReplicaCheckpoint
 }
 
+// checkpointLocked copies r's live state and records its planes.
 func (r *replica) checkpointLocked() ReplicaCheckpoint {
-	cp := ReplicaCheckpoint{
-		ID: r.id, State: r.state, Killed: r.killed,
-		ConsecViol: r.consecViol, Backoff: r.backoff,
-		ProbeAt: r.probeAt, PendingScan: r.pendingScan,
-		SlowConvicted: r.slowConvicted,
-		LeaseToken:    r.leaseToken, LeaseUntil: r.leaseUntil,
-		WireFaults: make(map[int]health.LocalizedFault, len(r.wireFaults)),
-		Trips:      r.trips, Probes: r.probes, Scans: r.scans,
-		Violations: r.violations, RoundsServed: r.roundsServed,
-		Repairs: r.repairs, Corrupted: r.corrupted,
-		LinkQuarantines: r.linkQuarantines,
-		SlowConvictions: r.slowConvictions, Canaries: r.canaries,
-	}
-	for _, lf := range r.known {
-		cp.KnownFaults = append(cp.KnownFaults, lf)
-	}
-	sort.Slice(cp.KnownFaults, func(i, j int) bool {
-		a, b := cp.KnownFaults[i], cp.KnownFaults[j]
-		if a.Stage != b.Stage {
-			return a.Stage < b.Stage
-		}
-		return a.Chip < b.Chip
-	})
-	for w, lf := range r.wireFaults {
-		cp.WireFaults[w] = lf
-	}
+	cp := r.ReplicaCheckpoint
+	cp.KnownFaults = append([]health.LocalizedFault(nil), r.KnownFaults...)
+	cp.WireFaults = maps.Clone(r.WireFaults)
+	cp.Recent = append([]byzantine.Claim(nil), r.Recent...)
 	if r.plane != nil {
 		cp.HasWirePlane = true
 		cp.WirePlaneSeed = r.plane.Seed()
@@ -199,37 +193,31 @@ func (r *replica) checkpointLocked() ReplicaCheckpoint {
 		cp.TimingPlaneSeed = r.tplane.Seed()
 		cp.TimingPlaneFaults = append([]timing.Fault(nil), r.tplane.Faults()...)
 	}
-	cp.Recent = append([]byzantine.Claim(nil), r.recent...)
 	return cp
 }
 
 // restoreReplicaLocked overwrites r's control plane from the
 // checkpoint and re-derives its serving contract. Monitoring state
 // (latency record, link monitor, slow-detector window) restarts cold.
+// The checkpoint may come from a journal, so its fault record goes
+// through the probe's merge rule, which sorts it.
 func (p *Pool) restoreReplicaLocked(r *replica, cp ReplicaCheckpoint) error {
-	r.state = cp.State
-	r.killed = cp.Killed
-	r.consecViol = cp.ConsecViol
-	r.backoff = cp.Backoff
-	r.probeAt = cp.ProbeAt
-	r.pendingScan = cp.PendingScan
-	r.slowConvicted = cp.SlowConvicted
-	r.leaseToken = cp.LeaseToken
-	r.leaseUntil = cp.LeaseUntil
-	r.known = make(map[[2]int]health.LocalizedFault, len(cp.KnownFaults))
+	r.ReplicaCheckpoint = cp
+	r.KnownFaults = nil
 	for _, lf := range cp.KnownFaults {
-		r.known[[2]int{lf.Stage, lf.Chip}] = lf
+		r.learnFault(lf)
 	}
-	r.wireFaults = make(map[int]health.LocalizedFault, len(cp.WireFaults))
-	for w, lf := range cp.WireFaults {
-		r.wireFaults[w] = lf
-	}
+	r.WireFaults = make(map[int]health.LocalizedFault, len(cp.WireFaults))
+	maps.Copy(r.WireFaults, cp.WireFaults)
+	r.Recent = append([]byzantine.Claim(nil), cp.Recent...)
+	r.HasWirePlane, r.WirePlaneSeed, r.WirePlaneFaults = false, 0, nil
+	r.HasTimingPlane, r.TimingPlaneSeed, r.TimingPlaneFaults = false, 0, nil
 	r.plane = nil
 	if cp.HasWirePlane {
 		r.plane = link.NewCorruptionPlane(cp.WirePlaneSeed)
 		for _, f := range cp.WirePlaneFaults {
 			if err := r.plane.Add(f); err != nil {
-				return fmt.Errorf("pool: replica %d checkpoint carries invalid wire fault: %w", r.id, err)
+				return fmt.Errorf("pool: replica %d checkpoint carries invalid wire fault: %w", r.ID, err)
 			}
 		}
 	}
@@ -238,18 +226,13 @@ func (p *Pool) restoreReplicaLocked(r *replica, cp ReplicaCheckpoint) error {
 		r.tplane = timing.NewPlane(cp.TimingPlaneSeed)
 		for _, f := range cp.TimingPlaneFaults {
 			if err := r.tplane.Add(f); err != nil {
-				return fmt.Errorf("pool: replica %d checkpoint carries invalid timing fault: %w", r.id, err)
+				return fmt.Errorf("pool: replica %d checkpoint carries invalid timing fault: %w", r.ID, err)
 			}
 		}
 	}
-	r.recent = append([]byzantine.Claim(nil), cp.Recent...)
-	r.trips, r.probes, r.scans = cp.Trips, cp.Probes, cp.Scans
-	r.violations, r.roundsServed, r.repairs = cp.Violations, cp.RoundsServed, cp.Repairs
-	r.corrupted, r.linkQuarantines = cp.Corrupted, cp.LinkQuarantines
-	r.slowConvictions, r.canaries = cp.SlowConvictions, cp.Canaries
 	p.coldStartLocked(r)
 	if err := p.rebuildContractLocked(r); err != nil {
-		return fmt.Errorf("pool: replica %d contract does not rebuild from checkpoint: %w", r.id, err)
+		return fmt.Errorf("pool: replica %d contract does not rebuild from checkpoint: %w", r.ID, err)
 	}
 	return nil
 }
@@ -286,14 +269,14 @@ func (p *Pool) Drain(i int) error {
 	if err != nil {
 		return err
 	}
-	if r.killed {
+	if r.Killed {
 		return fmt.Errorf("pool: replica %d is killed; revive it instead of draining", i)
 	}
 	p.wipeLocked(r)
-	r.state = Quarantined
-	r.pendingScan = false
-	r.probeAt = -1
-	r.consecViol = 0
+	r.State = Quarantined
+	r.PendingScan = false
+	r.ProbeAt = -1
+	r.ConsecViol = 0
 	return nil
 }
 
@@ -304,11 +287,11 @@ func (p *Pool) Drain(i int) error {
 // arbiter's suspicion memory of it, and the monitors.
 func (p *Pool) wipeLocked(r *replica) {
 	r.degraded = nil
-	r.known = make(map[[2]int]health.LocalizedFault)
-	r.wireFaults = make(map[int]health.LocalizedFault)
-	r.slowConvicted = false
-	r.leaseToken, r.leaseUntil = 0, -1
-	p.susp.Forget(r.id)
+	r.KnownFaults = nil
+	r.WireFaults = make(map[int]health.LocalizedFault)
+	r.SlowConvicted = false
+	r.LeaseToken, r.LeaseUntil = 0, -1
+	p.susp.Forget(r.ID)
 	p.coldStartLocked(r)
 }
 
@@ -316,7 +299,7 @@ func (p *Pool) wipeLocked(r *replica) {
 // record, its slow-detector window and a fresh link monitor.
 func (p *Pool) coldStartLocked(r *replica) {
 	r.lat.Reset()
-	p.slow.Reset(r.id)
+	p.slow.Reset(r.ID)
 	if monitor, err := link.NewLinkMonitor(p.cfg.Monitor); err == nil {
 		r.monitor = monitor
 	}
@@ -337,7 +320,7 @@ func (p *Pool) Rejoin(i int, cp ReplicaCheckpoint) error {
 	if err != nil {
 		return err
 	}
-	if r.killed {
+	if r.Killed {
 		return fmt.Errorf("pool: replica %d is killed; revive it instead of rejoining", i)
 	}
 	if cp.ID != i {
@@ -346,10 +329,10 @@ func (p *Pool) Rejoin(i int, cp ReplicaCheckpoint) error {
 	if err := p.restoreReplicaLocked(r, cp); err != nil {
 		return err
 	}
-	r.killed = false
-	r.state = Quarantined
-	r.probeAt = p.round + 1
-	r.pendingScan = true
+	r.Killed = false
+	r.State = Quarantined
+	r.ProbeAt = p.round + 1
+	r.PendingScan = true
 	return nil
 }
 

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/gob"
 	"reflect"
+	"slices"
 	"testing"
 
+	"concentrators/internal/byzantine"
 	"concentrators/internal/core"
+	"concentrators/internal/health"
 	"concentrators/internal/link"
 	"concentrators/internal/overload"
 	"concentrators/internal/partition"
@@ -484,4 +487,153 @@ func FuzzCheckpointPlanes(f *testing.F) {
 		orig, restored, _ := restoreThroughGob(t, decodePlaneFaults(raw))
 		checkSameDraws(t, orig, restored)
 	})
+}
+
+// TestCheckpointReplicaEveryField: a replica restored from a checkpoint
+// with every field set, each scalar to a value of its own, reads back
+// from Snapshot as exactly what was restored, and the snapshot is a
+// copy that later changes to the live replica leave alone. A field
+// restore or checkpoint skips, or a record they share with the live
+// replica, fails it.
+func TestCheckpointReplicaEveryField(t *testing.T) {
+	p := newPool(t, Config{}, 2)
+	sw := p.replicas[1].sw
+	outStage := len(sw.StageChips())
+	cp := p.Snapshot()
+	rc := &cp.Replicas[1]
+	rv := reflect.ValueOf(rc).Elem()
+	for i := 0; i < rv.NumField(); i++ {
+		switch f := rv.Field(i); {
+		case rv.Type().Field(i).Name == "ID": // the replica's index, 1
+		case f.Kind() == reflect.Bool:
+			f.SetBool(true)
+		case f.CanInt():
+			f.SetInt(int64(100 + i))
+		case f.CanUint():
+			f.SetUint(uint64(100 + i))
+		}
+	}
+	// The records take values the restore accepts: chip faults a scan
+	// localized, a quarantined output wire, valid plane faults.
+	probe, err := core.NewColumnsortSwitchBeta(64, 32, 0.75)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plane := core.NewFaultPlane()
+	plane.Add(core.ChipFault{Stage: 1, Chip: 0, Mode: core.ChipStuckOutput, A: 0})
+	plane.Add(core.ChipFault{Stage: 1, Chip: 1, Mode: core.ChipStuckOutput, A: 1})
+	if err := probe.SetFaultPlane(plane); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := health.Scan(probe)
+	if err != nil || len(rep.Faults) != 2 {
+		t.Fatalf("scan localized %v (%v), want two faults", rep.Faults, err)
+	}
+	rc.KnownFaults = rep.Faults
+	wire, err := health.OutputWireFault(sw, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc.WireFaults = map[int]health.LocalizedFault{5: wire}
+	rc.WirePlaneFaults = []link.WireFault{{Stage: outStage, Wire: 3, Mode: link.WireStuck}}
+	rc.TimingPlaneFaults = []timing.Fault{straggler(2)}
+	rc.Recent = []byzantine.Claim{{Input: 7, Output: 8, Payload: []byte{1, 0}, Tag: byzantine.Tag{Epoch: 9, Seq: 10, Sum: 11}}}
+	for i := 0; i < rv.NumField(); i++ {
+		if name := rv.Type().Field(i).Name; name != "ID" && rv.Field(i).IsZero() {
+			t.Fatalf("field %s is not set: give it a value here", name)
+		}
+	}
+
+	if err := p.Restore(cp); err != nil {
+		t.Fatal(err)
+	}
+	got := p.Snapshot()
+	if !reflect.DeepEqual(got, cp) {
+		t.Fatalf("snapshot differs from the restored checkpoint\n got: %+v\nwant: %+v", got.Replicas[1], cp.Replicas[1])
+	}
+
+	// The live replica owns its records: changing them moves neither
+	// the checkpoint it came from nor the snapshot taken of it.
+	want := p.Snapshot()
+	r := p.replicas[1]
+	r.KnownFaults[0].Pattern++
+	r.WireFaults[5] = health.LocalizedFault{}
+	r.Recent[0].Input++
+	r.Trips++
+	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(cp, want) {
+		t.Fatal("a change to the live replica reached a checkpoint")
+	}
+
+	// A record read back from a journal comes out sorted by (stage,
+	// chip), whatever order it was written in.
+	slices.Reverse(cp.Replicas[1].KnownFaults)
+	if err := p.Restore(cp); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Snapshot().Replicas[1].KnownFaults; !reflect.DeepEqual(got, want.Replicas[1].KnownFaults) {
+		t.Fatalf("restored fault record %v, want %v", got, want.Replicas[1].KnownFaults)
+	}
+}
+
+// TestCheckpointReviveForgetsPlane: a replica restored with wire and
+// timing planes, then killed and revived onto a fresh board, reports no
+// plane in its next checkpoint. The live copy of the plane fields must
+// stay zero, or the checkpoint would bring the old board back.
+func TestCheckpointReviveForgetsPlane(t *testing.T) {
+	p := newPool(t, Config{}, 2)
+	cp := p.Snapshot()
+	rc := &cp.Replicas[0]
+	rc.HasWirePlane, rc.WirePlaneSeed = true, 9
+	rc.WirePlaneFaults = []link.WireFault{{Stage: len(p.replicas[0].sw.StageChips()), Wire: 3, Mode: link.WireStuck}}
+	rc.HasTimingPlane, rc.TimingPlaneSeed = true, 9
+	rc.TimingPlaneFaults = []timing.Fault{straggler(2)}
+	if err := p.Restore(cp); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := p.CheckpointReplica(0); err != nil || !got.HasWirePlane || !got.HasTimingPlane {
+		t.Fatalf("restored replica's checkpoint lost its planes: %+v, %v", got, err)
+	}
+	if err := p.Kill(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Revive(0); err != nil {
+		t.Fatal(err)
+	}
+	got, err := p.CheckpointReplica(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.HasWirePlane || got.WirePlaneSeed != 0 || got.WirePlaneFaults != nil ||
+		got.HasTimingPlane || got.TimingPlaneSeed != 0 || got.TimingPlaneFaults != nil {
+		t.Fatalf("revived replica's checkpoint carries the old board's planes: %+v", got)
+	}
+}
+
+// TestCheckpointRestoreThenEscalate: a checkpoint whose WireFaults is
+// nil, as one built by hand or decoded from a nil map carries, restores
+// to a replica whose link monitor can still convict a wire: the live
+// record is never nil.
+func TestCheckpointRestoreThenEscalate(t *testing.T) {
+	p := newPool(t, Config{
+		TripThreshold: 3,
+		Monitor:       link.MonitorConfig{Alpha: 0.9, Threshold: 0.5, MinFrames: 2},
+	}, 1)
+	cp := p.Snapshot()
+	cp.Replicas[0].WireFaults = nil
+	if err := p.Restore(cp); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.InjectWireFault(0, link.WireFault{
+		Stage: len(p.replicas[0].sw.StageChips()), Wire: 0, Mode: link.WireStuck,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 12; round++ {
+		if _, err := p.Run(fullMsgs(p.Threshold())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := p.Stats(); s.LinksQuarantined != 1 {
+		t.Fatalf("%d wires quarantined after restore, want 1", s.LinksQuarantined)
+	}
 }

@@ -85,7 +85,7 @@ func (p *Pool) applyWireNoiseLocked(r *replica, round int64, res *switchsim.Resu
 		r.monitor.Observe(at, bad)
 		if bad {
 			corrupted++
-			r.corrupted++
+			r.Corrupted++
 			p.ledger.CorruptedDeliveries++
 			out.DroppedInputs = append(out.DroppedInputs, d.Input)
 			continue
@@ -108,20 +108,20 @@ func (p *Pool) escalateLinksLocked(r *replica) {
 			r.monitor.Escalate(at)
 			continue
 		}
-		r.wireFaults[at.Wire] = lf
+		r.WireFaults[at.Wire] = lf
 		if err := p.rebuildContractLocked(r); err != nil {
-			delete(r.wireFaults, at.Wire)
+			delete(r.WireFaults, at.Wire)
 			_ = p.rebuildContractLocked(r) // restore the previous contract
 			r.monitor.Escalate(at)
 			continue
 		}
 		r.monitor.Escalate(at)
-		r.linkQuarantines++
+		r.LinkQuarantines++
 		p.ledger.LinksQuarantined++
-		if r.state == Healthy || r.state == Suspect {
-			r.state = Repaired
-			r.consecViol = 0
-			r.repairs++
+		if r.State == Healthy || r.State == Suspect {
+			r.State = Repaired
+			r.ConsecViol = 0
+			r.Repairs++
 			p.ledger.Repairs++
 		}
 	}
@@ -133,11 +133,9 @@ func (p *Pool) escalateLinksLocked(r *replica) {
 // restored. It is an error for the rebuilt contract to guarantee
 // nothing (threshold ≤ 0); the previous contract is left in place.
 func (p *Pool) rebuildContractLocked(r *replica) error {
-	all := make([]health.LocalizedFault, 0, len(r.known)+len(r.wireFaults))
-	for _, lf := range r.known {
-		all = append(all, lf)
-	}
-	for _, lf := range r.wireFaults {
+	all := make([]health.LocalizedFault, 0, len(r.KnownFaults)+len(r.WireFaults))
+	all = append(all, r.KnownFaults...)
+	for _, lf := range r.WireFaults {
 		all = append(all, lf)
 	}
 	if len(all) == 0 {
@@ -149,7 +147,7 @@ func (p *Pool) rebuildContractLocked(r *replica) error {
 		return err
 	}
 	if core.Threshold(d) <= 0 {
-		return fmt.Errorf("pool: rebuilt contract for replica %d guarantees nothing", r.id)
+		return fmt.Errorf("pool: rebuilt contract for replica %d guarantees nothing", r.ID)
 	}
 	r.degraded = d
 	return nil

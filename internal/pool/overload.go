@@ -213,10 +213,7 @@ func RunOverloadSession(p *Pool, cfg OverloadSessionConfig) (*OverloadSessionSta
 		p.NoteBacklog(backlog)
 
 		// Fresh arrivals at the surge-multiplied load.
-		load := cfg.Load
-		if cfg.Surge != nil {
-			load = cfg.Surge.Load(round, cfg.Load)
-		}
+		load := cfg.Surge.Load(round, cfg.Load)
 		for in := 0; in < n; in++ {
 			if rng.Float64() >= load {
 				continue
@@ -247,34 +244,39 @@ func RunOverloadSession(p *Pool, cfg OverloadSessionConfig) (*OverloadSessionSta
 			return nil, err
 		}
 
-		// Book deliveries against the freshness SLO.
-		settled := make(map[int]bool, len(msgs))
+		// Shed heads re-schedule by the retry rule.
+		for _, sh := range rr.Shed {
+			retire(sh.Input, round, sh.RetryAfter)
+		}
+		// The deliveries and the shed list ascend by input, as msgs
+		// does, so one walk settles every other head: a delivered head
+		// is booked against the freshness SLO, and a head admitted but
+		// lost (contract violation, fabric drop) re-enters by the retry
+		// rule with no advertised wait.
+		var delivered []switchsim.Delivery
 		if rr.Result != nil {
-			for _, d := range rr.Result.Delivered {
-				if len(queues[d.Input]) == 0 {
-					return nil, fmt.Errorf("pool: delivery on input %d with empty client queue", d.Input)
-				}
-				if age := round - queues[d.Input][0].firstRound; cfg.Deadline > 0 && age > cfg.Deadline {
+			delivered = rr.Result.Delivered
+		}
+		shed := rr.Shed
+		for _, msg := range msgs {
+			switch in := msg.Input; {
+			case len(shed) > 0 && shed[0].Input == in:
+				shed = shed[1:]
+			case len(delivered) > 0 && delivered[0].Input == in:
+				delivered = delivered[1:]
+				if age := round - queues[in][0].firstRound; cfg.Deadline > 0 && age > cfg.Deadline {
 					stats.DeadlineMissed++
 				} else {
 					stats.Delivered++
 					stats.GoodputPerRound[round]++
 				}
-				pop(d.Input)
-				settled[d.Input] = true
+				pop(in)
+			default:
+				retire(in, round, 0)
 			}
 		}
-		// Shed heads re-schedule by the retry rule.
-		for _, sh := range rr.Shed {
-			settled[sh.Input] = true
-			retire(sh.Input, round, sh.RetryAfter)
-		}
-		// Heads admitted but lost (contract violation, fabric drop)
-		// re-enter by the same rule with no advertised wait.
-		for _, msg := range msgs {
-			if !settled[msg.Input] {
-				retire(msg.Input, round, 0)
-			}
+		if len(delivered) > 0 {
+			return nil, fmt.Errorf("pool: delivery on input %d matches no offered head", delivered[0].Input)
 		}
 
 		if backlog > stats.MaxBacklog {

@@ -110,7 +110,7 @@ func (p *Pool) leaseStepLocked(round int64, rr *RoundResult) (vis, reach []bool,
 	holder = -1
 	if h := p.leaseHolder; h >= 0 {
 		r := p.replicas[h]
-		if !r.killed && r.leaseToken == p.fenceToken && round <= r.leaseUntil {
+		if !r.Killed && r.LeaseToken == p.fenceToken && round <= r.LeaseUntil {
 			holder = h
 		}
 	}
@@ -166,14 +166,14 @@ func (p *Pool) grantLocked(round int64, next int, reach []bool) {
 	p.leaseHolder = next
 	p.leaseExpiry = round + int64(p.cfg.Lease.Rounds)
 	nr := p.replicas[next]
-	nr.leaseToken = p.fenceToken
-	nr.leaseUntil = p.leaseExpiry
+	nr.LeaseToken = p.fenceToken
+	nr.LeaseUntil = p.leaseExpiry
 	p.active = next
 	if old >= 0 && old != next {
 		p.ledger.LeaseHandoffs++
 		p.ledger.Failovers++
 		if reach[old] {
-			p.replicas[old].leaseToken, p.replicas[old].leaseUntil = 0, -1
+			p.replicas[old].LeaseToken, p.replicas[old].LeaseUntil = 0, -1
 		}
 	}
 }
@@ -202,10 +202,10 @@ func (p *Pool) leaseMaintainLocked(round int64, vis, reach []bool, frozen bool) 
 			// horizon advance while the board's belief ages out.
 			p.leaseExpiry = round + int64(p.cfg.Lease.Rounds)
 			if reach[h] {
-				r.leaseToken = p.fenceToken
-				r.leaseUntil = p.leaseExpiry
+				r.LeaseToken = p.fenceToken
+				r.LeaseUntil = p.leaseExpiry
 			}
-			if round <= r.leaseUntil {
+			if round <= r.LeaseUntil {
 				return // holder is serving under a live belief
 			}
 			// Heard, willing, self-fenced, and unreachable: the arbiter
@@ -240,8 +240,8 @@ func (p *Pool) shadowServeLocked(round int64, admitted []switchsim.Message, rr *
 	}
 	dual := false
 	for _, s := range p.replicas {
-		if s.killed || s.leaseToken == 0 || s.leaseToken == p.fenceToken ||
-			round > s.leaseUntil || s.id == rr.ServedBy {
+		if s.Killed || s.LeaseToken == 0 || s.LeaseToken == p.fenceToken ||
+			round > s.LeaseUntil || s.ID == rr.ServedBy {
 			continue
 		}
 		res, err := switchsim.Run(s.contract(), admitted)
@@ -256,10 +256,10 @@ func (p *Pool) shadowServeLocked(round int64, admitted []switchsim.Message, rr *
 		rr.ShadowDelivered += frames
 		p.ledger.ShadowServed += frames
 		dual = dual || primaryFrames > 0
-		if vis[s.id] {
-			p.bookAcksLocked(s.leaseToken, frames, rr)
+		if vis[s.ID] {
+			p.bookAcksLocked(s.LeaseToken, frames, rr)
 		} else {
-			p.inflight = append(p.inflight, PendingAck{Replica: s.id, Token: s.leaseToken, Frames: frames})
+			p.inflight = append(p.inflight, PendingAck{Replica: s.ID, Token: s.LeaseToken, Frames: frames})
 		}
 	}
 	if dual {
@@ -282,16 +282,16 @@ func (p *Pool) serveDarkLocked(round int64, admitted []switchsim.Message, rr *Ro
 		return 0
 	}
 	res, _ = p.applyWireNoiseLocked(r, round, res)
-	r.roundsServed++
+	r.RoundsServed++
 	rr.Latency = 1 + p.timingDelayLocked(r, round)
 	rr.Result = res
-	rr.ServedBy = r.id
+	rr.ServedBy = r.ID
 	frames := len(res.Delivered)
-	if vis[r.id] {
+	if vis[r.ID] {
 		// Frozen but heard: the ack lands now, under the current token.
-		p.bookAcksLocked(r.leaseToken, frames, rr)
+		p.bookAcksLocked(r.LeaseToken, frames, rr)
 	} else if frames > 0 {
-		p.inflight = append(p.inflight, PendingAck{Replica: r.id, Token: r.leaseToken, Frames: frames})
+		p.inflight = append(p.inflight, PendingAck{Replica: r.ID, Token: r.LeaseToken, Frames: frames})
 	}
 	return frames
 }

@@ -40,8 +40,10 @@
 package pool
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -248,54 +250,28 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// replica is one switch in the pool with its breaker state.
+// replica is one switch in the pool. Its embedded ReplicaCheckpoint is
+// its live control-plane state, so a checkpoint is a copy of it; the
+// six plane fields there stay zero and only the copy checkpointLocked
+// returns fills them. What a checkpoint must not hold lives beside it:
+// the switch, the contract derived from the fault record, the board's
+// chaos-injected planes, and the monitors, which restart cold.
 type replica struct {
-	id       int
+	ReplicaCheckpoint
+
 	sw       core.FaultInjectable
 	stages   int // len(sw.StageChips()): the board's output links sit at this stage
 	degraded *health.DegradedSwitch
-	known    map[[2]int]health.LocalizedFault
 
-	// Data-plane integrity: the board's wire corruption plane (chaos
-	// injection), the receiver's link monitor over its output wires,
-	// and the wires that monitor has quarantined.
-	plane      *link.CorruptionPlane
-	monitor    *link.LinkMonitor
-	wireFaults map[int]health.LocalizedFault
+	// Board hardware: the wire corruption plane and the timing fault
+	// plane (chaos injection).
+	plane  *link.CorruptionPlane
+	tplane *timing.Plane
 
-	// Gray-failure plane: the board's timing fault plane (chaos
-	// injection), its observed serving-latency histogram, and whether
-	// the slow detector has convicted it (a conviction gates the next
-	// probe behind a timed canary — BIST cannot see slowness).
-	tplane        *timing.Plane
-	lat           timing.Histogram
-	slowConvicted bool
-
-	// Primary-lease belief (ground truth of what the board itself
-	// heard): the fencing token of its last received grant and the
-	// round that grant is valid through. A board serving past
-	// leaseUntil has self-fenced; a board serving with leaseToken
-	// behind the arbiter's current token is a stale believer whose
-	// deliveries the ledger fences.
-	leaseToken uint64
-	leaseUntil int64
-
-	// Byzantine replay surface: the ring of this actor's recently
-	// emitted genuine claims — what a Replay fault re-emits verbatim,
-	// original tags and all.
-	recent []byzantine.Claim
-
-	state       State
-	killed      bool
-	consecViol  int
-	backoff     int   // current re-admission backoff (0 = never tripped)
-	probeAt     int64 // round of the next half-open probe verdict (−1 none)
-	pendingScan bool  // a probe scan is in flight (half-open)
-
-	// accounting
-	trips, probes, scans, violations, roundsServed, repairs int
-	corrupted, linkQuarantines                              int
-	slowConvictions, canaries                               int
+	// Monitors: the receiver's link monitor over the board's output
+	// wires and the observed serving-latency histogram.
+	monitor *link.LinkMonitor
+	lat     timing.Histogram
 }
 
 // contract returns the replica's live serving contract: the degraded
@@ -312,7 +288,7 @@ func (r *replica) threshold() int { return core.Threshold(r.contract()) }
 
 // servable reports whether the arbiter may target traffic here.
 func (r *replica) servable() bool {
-	if r.killed || r.state == Quarantined {
+	if r.Killed || r.State == Quarantined {
 		return false
 	}
 	return r.threshold() > 0
@@ -320,7 +296,7 @@ func (r *replica) servable() bool {
 
 // rank orders replicas for election: lower is better.
 func (r *replica) rank() int {
-	if r.state == Suspect {
+	if r.State == Suspect {
 		return 1
 	}
 	return 0
@@ -637,10 +613,11 @@ func New(cfg Config, switches ...core.FaultInjectable) (*Pool, error) {
 			return nil, fmt.Errorf("pool: %w", err)
 		}
 		p.replicas = append(p.replicas, &replica{
-			id: i, sw: sw, stages: len(sw.StageChips()), probeAt: -1,
-			known:      make(map[[2]int]health.LocalizedFault),
-			monitor:    monitor,
-			wireFaults: make(map[int]health.LocalizedFault),
+			ReplicaCheckpoint: ReplicaCheckpoint{
+				ID: i, ProbeAt: -1,
+				WireFaults: make(map[int]health.LocalizedFault),
+			},
+			sw: sw, stages: len(sw.StageChips()), monitor: monitor,
 		})
 	}
 	return p, nil
@@ -699,13 +676,13 @@ func (p *Pool) Stats() Stats {
 	}
 	for i, r := range p.replicas {
 		s.Replicas[i] = ReplicaStats{
-			State: r.state, Killed: r.killed,
+			State: r.State, Killed: r.Killed,
 			Outputs: r.contract().Outputs(), Threshold: r.threshold(),
-			Trips: r.trips, Probes: r.probes, Scans: r.scans,
-			Violations: r.violations, Repairs: r.repairs,
-			RoundsServed: r.roundsServed,
-			Corrupted:    r.corrupted, LinksQuarantined: r.linkQuarantines,
-			SlowConvictions: r.slowConvictions, Canaries: r.canaries,
+			Trips: r.Trips, Probes: r.Probes, Scans: r.Scans,
+			Violations: r.Violations, Repairs: r.Repairs,
+			RoundsServed: r.RoundsServed,
+			Corrupted:    r.Corrupted, LinksQuarantined: r.LinkQuarantines,
+			SlowConvictions: r.SlowConvictions, Canaries: r.Canaries,
 			LatencyP50: r.lat.P50(), LatencyP99: r.lat.P99(),
 		}
 	}
@@ -749,9 +726,9 @@ func (p *Pool) Kill(i int) error {
 	if err != nil {
 		return err
 	}
-	r.killed = true
-	r.state = Quarantined
-	r.consecViol = 0
+	r.Killed = true
+	r.State = Quarantined
+	r.ConsecViol = 0
 	p.openBreaker(r, p.round)
 	return nil
 }
@@ -768,10 +745,10 @@ func (p *Pool) Revive(i int) error {
 	if err != nil {
 		return err
 	}
-	if !r.killed {
+	if !r.Killed {
 		return fmt.Errorf("pool: replica %d is not killed", i)
 	}
-	r.killed = false
+	r.Killed = false
 	p.wipeLocked(r)
 	// The swapped board brings fresh wires and fresh silicon too: its
 	// corruption and timing planes go with the controller state.
@@ -780,9 +757,9 @@ func (p *Pool) Revive(i int) error {
 	if err := r.sw.SetFaultPlane(core.NewFaultPlane()); err != nil {
 		return err
 	}
-	r.state = Quarantined
-	r.probeAt = p.round + 1
-	r.pendingScan = true
+	r.State = Quarantined
+	r.ProbeAt = p.round + 1
+	r.PendingScan = true
 	return nil
 }
 
@@ -808,33 +785,33 @@ func (p *Pool) replicaLocked(i int) (*replica, error) {
 // openBreaker schedules the replica's next half-open probe with
 // exponential re-admission backoff.
 func (p *Pool) openBreaker(r *replica, round int64) {
-	if r.backoff == 0 {
-		r.backoff = p.cfg.ProbeAfter
+	if r.Backoff == 0 {
+		r.Backoff = p.cfg.ProbeAfter
 	} else {
-		r.backoff = min(r.backoff*2, p.cfg.BackoffMax)
+		r.Backoff = min(r.Backoff*2, p.cfg.BackoffMax)
 	}
-	r.probeAt = round + int64(r.backoff+p.scanLatency)
-	r.pendingScan = true
+	r.ProbeAt = round + int64(r.Backoff+p.scanLatency)
+	r.PendingScan = true
 }
 
 // trip opens replica r's circuit breaker.
 func (p *Pool) trip(r *replica, round int64) {
-	r.trips++
+	r.Trips++
 	p.ledger.Trips++
-	r.state = Quarantined
-	r.consecViol = 0
+	r.State = Quarantined
+	r.ConsecViol = 0
 	p.openBreaker(r, round)
 }
 
 // noteViolation records one contract violation against r and trips the
 // breaker once the consecutive count reaches the threshold.
 func (p *Pool) noteViolation(r *replica, round int64) {
-	r.violations++
-	r.consecViol++
-	if r.state == Healthy || r.state == Repaired {
-		r.state = Suspect
+	r.Violations++
+	r.ConsecViol++
+	if r.State == Healthy || r.State == Repaired {
+		r.State = Suspect
 	}
-	if r.consecViol >= p.cfg.TripThreshold {
+	if r.ConsecViol >= p.cfg.TripThreshold {
 		p.trip(r, round)
 	}
 }
@@ -848,11 +825,11 @@ func (p *Pool) noteViolation(r *replica, round int64) {
 // replica.
 func (p *Pool) probeDueLocked(round int64, vis []bool, frozen bool) {
 	for _, r := range p.replicas {
-		if !r.pendingScan || r.probeAt < 0 || round < r.probeAt {
+		if !r.PendingScan || r.ProbeAt < 0 || round < r.ProbeAt {
 			continue
 		}
-		if frozen || (vis != nil && !vis[r.id]) {
-			r.probeAt = round + 1
+		if frozen || (vis != nil && !vis[r.ID]) {
+			r.ProbeAt = round + 1
 			continue
 		}
 		p.probeOneLocked(r, round)
@@ -861,22 +838,22 @@ func (p *Pool) probeDueLocked(round int64, vis []bool, frozen bool) {
 
 // probeOneLocked lands one due half-open probe verdict on replica r.
 func (p *Pool) probeOneLocked(r *replica, round int64) {
-	r.pendingScan = false
-	r.probeAt = -1
-	r.probes++
+	r.PendingScan = false
+	r.ProbeAt = -1
+	r.Probes++
 	p.ledger.Probes++
-	if r.killed {
+	if r.Killed {
 		p.openBreaker(r, round) // power is off: probe fails outright
 		return
 	}
 	rep, err := health.Scan(r.sw)
-	r.scans++
+	r.Scans++
 	p.ledger.Scans++
 	if err != nil {
 		p.openBreaker(r, round)
 		return
 	}
-	if r.slowConvicted {
+	if r.SlowConvicted {
 		// A slow conviction gates re-admission behind a timed
 		// canary replay: the BIST scan above only vouches for
 		// correctness, and a gray replica is perfectly correct.
@@ -884,8 +861,8 @@ func (p *Pool) probeOneLocked(r *replica, round int64) {
 			p.openBreaker(r, round)
 			return
 		}
-		r.slowConvicted = false
-		p.slow.Reset(r.id)
+		r.SlowConvicted = false
+		p.slow.Reset(r.ID)
 		r.lat.Reset()
 	}
 	if rep.Healthy {
@@ -895,29 +872,26 @@ func (p *Pool) probeOneLocked(r *replica, round int64) {
 		// keeps the degraded contract when any are on record —
 		// otherwise a clean probe would re-admit at full contract
 		// and the noisy wire would flap the breaker forever.
-		r.known = make(map[[2]int]health.LocalizedFault)
+		r.KnownFaults = nil
 		if err := p.rebuildContractLocked(r); err != nil {
 			p.openBreaker(r, round)
 			return
 		}
 		if r.degraded != nil {
-			r.state = Repaired
+			r.State = Repaired
 		} else {
-			r.state = Healthy
-			r.backoff = 0
+			r.State = Healthy
+			r.Backoff = 0
 		}
-		r.consecViol = 0
-		r.repairs++
+		r.ConsecViol = 0
+		r.Repairs++
 		p.ledger.Repairs++
 		return
 	}
 	for _, lf := range rep.Faults {
-		key := [2]int{lf.Stage, lf.Chip}
-		if old, seen := r.known[key]; !seen || (!old.ModeKnown && lf.ModeKnown) {
-			r.known[key] = lf
-		}
+		r.learnFault(lf)
 	}
-	if len(rep.Faults) == 0 && len(r.wireFaults) == 0 {
+	if len(rep.Faults) == 0 && len(r.WireFaults) == 0 {
 		// Violations without a localized chip or a convicted wire:
 		// the scan cannot derive a degradation that covers them.
 		// Keep the breaker open.
@@ -928,12 +902,28 @@ func (p *Pool) probeOneLocked(r *replica, round int64) {
 		p.openBreaker(r, round) // nothing worth serving survives
 		return
 	}
-	r.state = Repaired
-	r.consecViol = 0
-	r.repairs++
+	r.State = Repaired
+	r.ConsecViol = 0
+	r.Repairs++
 	p.ledger.Repairs++
 	// backoff is deliberately NOT reset: a repaired replica that
 	// trips again waits longer before its next re-admission.
+}
+
+// learnFault merges one scan-localized chip fault into r's record,
+// which stays sorted by (stage, chip): a new chip is inserted, and a
+// known chip's unknown mode is upgraded to a known one, never the
+// reverse.
+func (r *replica) learnFault(lf health.LocalizedFault) {
+	i, seen := slices.BinarySearchFunc(r.KnownFaults, lf, func(a, b health.LocalizedFault) int {
+		return cmp.Or(cmp.Compare(a.Stage, b.Stage), cmp.Compare(a.Chip, b.Chip))
+	})
+	switch {
+	case !seen:
+		r.KnownFaults = slices.Insert(r.KnownFaults, i, lf)
+	case !r.KnownFaults[i].ModeKnown && lf.ModeKnown:
+		r.KnownFaults[i] = lf
+	}
 }
 
 // bestLocked elects the best servable replica not in skip that the
@@ -1153,14 +1143,14 @@ func (p *Pool) serveLocked(round int64, cur int, admitted []switchsim.Message, r
 		r := p.replicas[cur]
 		res, ok := p.judgedAttemptLocked(r, round, admitted)
 		if ok {
-			r.consecViol = 0
-			if r.state == Suspect {
+			r.ConsecViol = 0
+			if r.State == Suspect {
 				// A clean round closes the breaker — back to the state
 				// the live contract implies.
 				if r.degraded != nil {
-					r.state = Repaired
+					r.State = Repaired
 				} else {
-					r.state = Healthy
+					r.State = Healthy
 				}
 			}
 			lat := 1 + p.timingDelayLocked(r, round)
@@ -1179,12 +1169,12 @@ func (p *Pool) serveLocked(round int64, cur int, admitted []switchsim.Message, r
 				}
 			}
 			r.lat.Observe(lat)
-			p.slow.Observe(r.id, lat)
-			winner.roundsServed++
+			p.slow.Observe(r.ID, lat)
+			winner.RoundsServed++
 			p.lat.Observe(wlat)
 			rr.Latency = wlat
 			rr.Result = wres
-			rr.ServedBy = winner.id
+			rr.ServedBy = winner.ID
 			rr.Threshold = p.effectiveThresholdLocked(winner.threshold())
 			p.settleClaimsLocked(winner, round, wres, admitted, rr)
 			if p.cfg.Deadline > 0 && wlat > p.cfg.Deadline {
@@ -1196,7 +1186,7 @@ func (p *Pool) serveLocked(round int64, cur int, admitted []switchsim.Message, r
 			return len(wres.Delivered)
 		}
 		p.noteViolation(r, round)
-		tried[r.id] = true
+		tried[r.ID] = true
 		next := p.bestLocked(tried, vis, reach)
 		if next < 0 {
 			// Every servable replica violated: best effort, flagged.
@@ -1205,9 +1195,9 @@ func (p *Pool) serveLocked(round int64, cur int, admitted []switchsim.Message, r
 			frames := 0
 			if res != nil {
 				rr.Result = res
-				rr.ServedBy = r.id
+				rr.ServedBy = r.ID
 				frames = len(res.Delivered)
-				p.bookAcksLocked(r.leaseToken, frames, rr)
+				p.bookAcksLocked(r.LeaseToken, frames, rr)
 			}
 			p.observeOverloadLocked(rawThr, false, true)
 			return frames
@@ -1323,7 +1313,7 @@ func (p *Pool) States() []State {
 	defer p.mu.Unlock()
 	out := make([]State, len(p.replicas))
 	for i, r := range p.replicas {
-		out[i] = r.state
+		out[i] = r.State
 	}
 	return out
 }

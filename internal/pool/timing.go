@@ -84,7 +84,7 @@ func (p *Pool) shouldHedgeLocked(lat int) bool {
 // spare was available or the spare violated (which is booked against
 // the spare's breaker, exactly like a failover attempt).
 func (p *Pool) hedgeLocked(primary *replica, tried map[int]bool, admitted []switchsim.Message, round int64) (*replica, *switchsim.Result, int) {
-	skip := map[int]bool{primary.id: true}
+	skip := map[int]bool{primary.ID: true}
 	for id := range tried {
 		skip[id] = true
 	}
@@ -101,7 +101,7 @@ func (p *Pool) hedgeLocked(primary *replica, tried map[int]bool, admitted []swit
 	}
 	slat := 1 + p.timingDelayLocked(s, round)
 	s.lat.Observe(slat)
-	p.slow.Observe(s.id, slat)
+	p.slow.Observe(s.ID, slat)
 	return s, sres, slat
 }
 
@@ -110,10 +110,10 @@ func (p *Pool) hedgeLocked(primary *replica, tried map[int]bool, admitted []swit
 // to its peers. With no peer evidence on record the canary passes —
 // there is nothing to be slower than.
 func (p *Pool) canaryPassLocked(r *replica, round int64) bool {
-	r.canaries++
+	r.Canaries++
 	p.ledger.Canaries++
 	lat := 1 + p.timingDelayLocked(r, round)
-	med, ok := p.slow.PeerMedian(r.id)
+	med, ok := p.slow.PeerMedian(r.ID)
 	if !ok {
 		return true
 	}
@@ -127,11 +127,11 @@ func (p *Pool) canaryPassLocked(r *replica, round int64) bool {
 func (p *Pool) sweepSlowLocked(round int64) {
 	for _, id := range p.slow.Sweep() {
 		r := p.replicas[id]
-		if r.killed || r.state == Quarantined {
+		if r.Killed || r.State == Quarantined {
 			continue
 		}
-		r.slowConvicted = true
-		r.slowConvictions++
+		r.SlowConvicted = true
+		r.SlowConvictions++
 		p.ledger.SlowConvictions++
 		p.trip(r, round)
 	}

@@ -441,10 +441,7 @@ func runIntegritySession(sw core.Concentrator, cfg SessionConfig) (*SessionStats
 		// 3. Arrivals join their input's queue (a quarantined input
 		// refuses them: its wire is out of service), at the surge
 		// plane's multiplied load.
-		load := cfg.Load
-		if cfg.Surge != nil {
-			load = cfg.Surge.Load(round, cfg.Load)
-		}
+		load := cfg.Surge.Load(round, cfg.Load)
 		for in := 0; in < n; in++ {
 			if rng.Float64() >= load {
 				continue

@@ -455,10 +455,12 @@ func (st *Session) Step(sw core.Concentrator, rng *rand.Rand) ([]Message, *Resul
 		}
 	}
 
-	offered := map[int]*pendingRec{}
-	// busy marks inputs whose sender is still blocked on an
-	// unacknowledged message that is not yet eligible to retry.
-	busy := map[int]bool{}
+	// offered[in] is this round's offer on input in, and count how many
+	// there are. A sender still blocked on an unacknowledged message
+	// that is not yet eligible to retry holds its input with &blocked.
+	offered := make([]*pendingRec, st.n)
+	count := 0
+	var blocked pendingRec
 	var waiting []pendingRec
 	for i := range st.pending {
 		pm := &st.pending[i]
@@ -478,47 +480,46 @@ func (st *Session) Step(sw core.Concentrator, rng *rand.Rand) ([]Message, *Resul
 				continue
 			}
 			pm.Input = in
+		case offered[pm.Input] != nil:
+			// Two waiting messages for one input cannot happen: the
+			// backlog holds at most one per input.
+			return nil, nil, fmt.Errorf("switchsim: duplicate retry for input %d", pm.Input)
 		case pm.Eligible > round:
 			// A Resend retry re-enters on its original input once the
 			// ack timeout elapses; until then its sender is blocked. A
 			// buffered message is always eligible.
 			waiting = append(waiting, *pm)
-			busy[pm.Input] = true
+			offered[pm.Input] = &blocked
 			continue
-		case offered[pm.Input] != nil:
-			// Two waiting messages for one input cannot happen: the
-			// backlog holds at most one per input.
-			return nil, nil, fmt.Errorf("switchsim: duplicate retry for input %d", pm.Input)
 		}
 		offered[pm.Input] = pm
+		count++
 		stats.Retries++
 	}
 	st.pending = waiting
 
 	// New arrivals, at the surge plane's multiplied load.
-	load := cfg.Load
-	if cfg.Surge != nil {
-		load = cfg.Surge.Load(round, cfg.Load)
-	}
+	load := cfg.Surge.Load(round, cfg.Load)
 	for in := 0; in < st.n; in++ {
 		if rng.Float64() >= load {
 			continue
 		}
-		if offered[in] != nil || busy[in] {
+		if offered[in] != nil {
 			stats.Refused++
 			continue
 		}
 		offered[in] = &pendingRec{Input: in, FirstRound: round}
+		count++
 		stats.Offered++
 		if st.budget != nil {
 			st.budget.Earn()
 		}
 	}
 
-	if len(offered) > stats.MaxOffered {
-		stats.MaxOffered = len(offered)
+	if count > stats.MaxOffered {
+		stats.MaxOffered = count
 	}
-	if len(offered) == 0 {
+	if count == 0 {
 		if w := st.backlog(); w > stats.MaxBacklog {
 			stats.MaxBacklog = w
 		}
@@ -528,15 +529,12 @@ func (st *Session) Step(sw core.Concentrator, rng *rand.Rand) ([]Message, *Resul
 	// Offers enter the fabric in input order. The fixed order matters:
 	// payload bits and retry backoffs draw from the shared rng stream,
 	// and crash recovery re-executes rounds expecting bit-identical
-	// draws — map iteration order would scramble them.
-	ins := make([]int, 0, len(offered))
-	for in := range offered {
-		ins = append(ins, in)
-	}
-	sort.Ints(ins)
-	msgs := make([]Message, 0, len(ins))
-	for _, in := range ins {
-		pm := offered[in]
+	// draws.
+	msgs := make([]Message, 0, count)
+	for in, pm := range offered {
+		if pm == nil || pm == &blocked {
+			continue
+		}
 		pm.Offers++
 		payload := make([]byte, cfg.PayloadBits)
 		for b := range payload {
