@@ -13,9 +13,10 @@
 // Experiment ids follow the per-experiment index in DESIGN.md. The
 // perf suite measures the word-parallel route kernel, healthy and with
 // a one-chip fault plane installed, the zero-alloc session round, the
-// pool's failover-sweep round, wire corruption along a frame's path and
-// one integrity (ARQ) session; -baseline gates ns/op within +20% of the
-// committed baseline and forbids allocs/op growth.
+// pool's failover-sweep round, wire corruption along a frame's path,
+// one integrity (ARQ) session and one journaled chaos replay; -baseline
+// gates ns/op within +20% of the committed baseline and forbids
+// allocs/op growth.
 package main
 
 import (

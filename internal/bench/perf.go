@@ -3,10 +3,11 @@ package bench
 // The perf suite: machine-readable micro-benchmarks of the data-plane
 // hot paths — the word-parallel route kernel, healthy and with a
 // one-chip fault plane installed, the zero-alloc session round against
-// the allocating one, the pool's failover-sweep round, and the
-// wire-noise layer with the integrity session it drives. cmd/concbench
-// serializes a PerfReport to JSON (BENCH_11.json) and ComparePerf
-// gates CI on regressions against a committed baseline.
+// the allocating one, the pool's failover-sweep round, the wire-noise
+// layer with the integrity session it drives, and a chaos replay with
+// its journaled checkpoints. cmd/concbench serializes a PerfReport to
+// JSON (BENCH_11.json) and ComparePerf gates CI on regressions against
+// a committed baseline.
 
 import (
 	"encoding/json"
@@ -20,9 +21,11 @@ import (
 	"time"
 
 	"concentrators/internal/bitvec"
+	"concentrators/internal/chaos"
 	"concentrators/internal/core"
 	"concentrators/internal/health"
 	"concentrators/internal/link"
+	"concentrators/internal/overload"
 	"concentrators/internal/pool"
 	"concentrators/internal/switchsim"
 )
@@ -333,6 +336,45 @@ func wirePerf(minTime time.Duration, out *[]PerfResult) error {
 	return nil
 }
 
+// chaosPerf measures one chaos replay of perfbench's chaos-mixed shape
+// over a fixed schedule: 200 rounds of a 3-replica Columnsort n=256
+// pool at load 0.7 under kills, wire corruption, stalls, surges,
+// crashes and scan-latency jitter, journaling a checkpoint of the pool
+// after every round, with the pool configured as concpool configures it
+// for those flags. One operation is the whole replay.
+func chaosPerf(minTime time.Duration, out *[]PerfResult) error {
+	const n, seed = 256, 76
+	build := func() (core.FaultInjectable, error) {
+		sw, err := core.NewColumnsortSwitchBeta(n, n/2, 0.75)
+		return sw, err
+	}
+	cfg := chaos.Config{
+		Replicas: 3, Rounds: 200, Load: 0.7, PayloadBits: 8, Seed: seed,
+		Kills: 2, Corruptions: 2, Stalls: 3, Surges: 2, Crashes: 3,
+		ScanLatencyJitter: true,
+		Pool: pool.Config{
+			TripThreshold: 1, ProbeAfter: 2, BackoffMax: 32, RetryAfterCap: 8,
+			Overload: &overload.Config{},
+		},
+	}
+	probe, err := build()
+	if err != nil {
+		return err
+	}
+	events, err := chaos.GenerateSchedule(seed, probe, cfg)
+	if err != nil {
+		return err
+	}
+	*out = append(*out, measure(fmt.Sprintf("chaos_replay/%d", n), n, minTime, func() {
+		rep, err := chaos.Run(build, events, cfg)
+		if err != nil {
+			panic(err)
+		}
+		perfSink += rep.Stats.Delivered
+	}))
+	return nil
+}
+
 // RunPerfSuite measures every hot-path case with the given minimum
 // timing window per case and returns the machine-readable report.
 func RunPerfSuite(minTime time.Duration) (*PerfReport, error) {
@@ -350,6 +392,9 @@ func RunPerfSuite(minTime time.Duration) (*PerfReport, error) {
 		return nil, err
 	}
 	if err := wirePerf(minTime, &rep.Results); err != nil {
+		return nil, err
+	}
+	if err := chaosPerf(minTime, &rep.Results); err != nil {
 		return nil, err
 	}
 	return rep, nil

@@ -26,7 +26,6 @@ package chaos
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -950,6 +949,7 @@ func Run(build func() (core.FaultInjectable, error), events []Event, cfg Config)
 	var (
 		store     *journal.MemStore
 		w         *journal.Writer
+		ckpt      journal.Encoder[pool.Checkpoint]
 		lastFrame int // framed size of the newest checkpoint append
 		drained   = map[int]pool.ReplicaCheckpoint{}
 	)
@@ -1087,8 +1087,7 @@ func Run(build func() (core.FaultInjectable, error), events []Event, cfg Config)
 					}
 					if res.SnapshotIndex >= 0 {
 						restored := new(pool.Checkpoint)
-						if err = gob.NewDecoder(bytes.NewReader(res.Records[res.SnapshotIndex].Payload)).Decode(restored); err != nil {
-							err = fmt.Errorf("decoding checkpoint: %w", err)
+						if err = journal.Decode(res.Records[res.SnapshotIndex].Payload, restored); err != nil {
 							break
 						}
 						if err = np.Restore(restored); err != nil {
@@ -1255,12 +1254,12 @@ func Run(build func() (core.FaultInjectable, error), events []Event, cfg Config)
 			// End-of-round checkpoint append: this record is what the next
 			// incarnation restores, and the one a torn crash next round
 			// would shear.
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(p.Snapshot()); err != nil {
-				return nil, fmt.Errorf("chaos: round %d: encoding checkpoint: %w", round, err)
+			payload, err := ckpt.Encode(p.Snapshot())
+			if err != nil {
+				return nil, fmt.Errorf("chaos: round %d: %w", round, err)
 			}
-			w.Append(journal.KindSnapshot, buf.Bytes())
-			lastFrame = buf.Len() + journal.FrameOverhead
+			w.Append(journal.KindSnapshot, payload)
+			lastFrame = len(payload) + journal.FrameOverhead
 			rep.Crash.SnapshotsWritten++
 		}
 		prev = stats

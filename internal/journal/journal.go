@@ -38,9 +38,9 @@ import (
 	"hash/crc32"
 )
 
-// Record kinds. The journal itself is payload-agnostic — sessions and
-// pools gob-encode their own state — but the kind byte lets replay
-// route records without decoding them.
+// Record kinds. Framing and replay are payload-agnostic — the payload
+// is a gob record written by Encoder and read by Decode — but the kind
+// byte lets replay route records without decoding them.
 const (
 	// KindSnapshot is a full state snapshot; replay may start at the
 	// last valid one and discard everything before it.

@@ -38,7 +38,7 @@ import (
 //
 // Degraded contracts are not serialized either: they are pure
 // functions of the fault record, so Restore re-derives them through
-// the same rebuildContractLocked path that built them live.
+// contractFor, the derivation that built them live.
 
 // ReplicaCheckpoint is the serializable control-plane state of one
 // replica, and, embedded in it, that replica's live state.
@@ -196,45 +196,63 @@ func (r *replica) checkpointLocked() ReplicaCheckpoint {
 	return cp
 }
 
-// restoreReplicaLocked overwrites r's control plane from the
-// checkpoint and re-derives its serving contract. Monitoring state
-// (latency record, link monitor, slow-detector window) restarts cold.
-// The checkpoint may come from a journal, so its fault record goes
-// through the probe's merge rule, which sorts it.
-func (p *Pool) restoreReplicaLocked(r *replica, cp ReplicaCheckpoint) error {
-	r.ReplicaCheckpoint = cp
-	r.KnownFaults = nil
+// restoredReplica is a replica's control plane rebuilt from a
+// checkpoint and not yet installed. Restore and Rejoin build every
+// part that can fail before they assign anything, so a checkpoint they
+// reject leaves the pool as it was.
+type restoredReplica struct {
+	ReplicaCheckpoint
+	plane    *link.CorruptionPlane
+	tplane   *timing.Plane
+	degraded *health.DegradedSwitch
+}
+
+// rebuild validates cp against r's board and builds the live state it
+// restores: the fault record, through the probe's merge rule (the
+// checkpoint may come from a journal, and the rule sorts it), copies
+// of the wire map and the replay ring, the planes, and the serving
+// contract the fault record derives. The plane fields stay zero, as in
+// every live replica.
+func (r *replica) rebuild(cp ReplicaCheckpoint) (restoredReplica, error) {
+	b := restoredReplica{ReplicaCheckpoint: cp}
+	b.KnownFaults = nil
 	for _, lf := range cp.KnownFaults {
-		r.learnFault(lf)
+		b.learnFault(lf)
 	}
-	r.WireFaults = make(map[int]health.LocalizedFault, len(cp.WireFaults))
-	maps.Copy(r.WireFaults, cp.WireFaults)
-	r.Recent = append([]byzantine.Claim(nil), cp.Recent...)
-	r.HasWirePlane, r.WirePlaneSeed, r.WirePlaneFaults = false, 0, nil
-	r.HasTimingPlane, r.TimingPlaneSeed, r.TimingPlaneFaults = false, 0, nil
-	r.plane = nil
+	b.WireFaults = make(map[int]health.LocalizedFault, len(cp.WireFaults))
+	maps.Copy(b.WireFaults, cp.WireFaults)
+	b.Recent = append([]byzantine.Claim(nil), cp.Recent...)
+	b.HasWirePlane, b.WirePlaneSeed, b.WirePlaneFaults = false, 0, nil
+	b.HasTimingPlane, b.TimingPlaneSeed, b.TimingPlaneFaults = false, 0, nil
 	if cp.HasWirePlane {
-		r.plane = link.NewCorruptionPlane(cp.WirePlaneSeed)
+		b.plane = link.NewCorruptionPlane(cp.WirePlaneSeed)
 		for _, f := range cp.WirePlaneFaults {
-			if err := r.plane.Add(f); err != nil {
-				return fmt.Errorf("pool: replica %d checkpoint carries invalid wire fault: %w", r.ID, err)
+			if err := b.plane.Add(f); err != nil {
+				return b, fmt.Errorf("pool: replica %d checkpoint carries invalid wire fault: %w", cp.ID, err)
 			}
 		}
 	}
-	r.tplane = nil
 	if cp.HasTimingPlane {
-		r.tplane = timing.NewPlane(cp.TimingPlaneSeed)
+		b.tplane = timing.NewPlane(cp.TimingPlaneSeed)
 		for _, f := range cp.TimingPlaneFaults {
-			if err := r.tplane.Add(f); err != nil {
-				return fmt.Errorf("pool: replica %d checkpoint carries invalid timing fault: %w", r.ID, err)
+			if err := b.tplane.Add(f); err != nil {
+				return b, fmt.Errorf("pool: replica %d checkpoint carries invalid timing fault: %w", cp.ID, err)
 			}
 		}
 	}
-	p.coldStartLocked(r)
-	if err := p.rebuildContractLocked(r); err != nil {
-		return fmt.Errorf("pool: replica %d contract does not rebuild from checkpoint: %w", r.ID, err)
+	var err error
+	if b.degraded, err = contractFor(r.sw, &b.ReplicaCheckpoint); err != nil {
+		return b, fmt.Errorf("pool: replica %d contract does not rebuild from checkpoint: %w", cp.ID, err)
 	}
-	return nil
+	return b, nil
+}
+
+// installLocked makes b replica r's live state and restarts r's
+// monitors (latency record, link monitor, slow-detector window) cold.
+func (p *Pool) installLocked(r *replica, b restoredReplica) {
+	r.ReplicaCheckpoint = b.ReplicaCheckpoint
+	r.plane, r.tplane, r.degraded = b.plane, b.tplane, b.degraded
+	p.coldStartLocked(r)
 }
 
 // CheckpointReplica captures replica i's control-plane state — the
@@ -326,9 +344,11 @@ func (p *Pool) Rejoin(i int, cp ReplicaCheckpoint) error {
 	if cp.ID != i {
 		return fmt.Errorf("pool: checkpoint belongs to replica %d, not %d", cp.ID, i)
 	}
-	if err := p.restoreReplicaLocked(r, cp); err != nil {
+	b, err := r.rebuild(cp)
+	if err != nil {
 		return err
 	}
+	p.installLocked(r, b)
 	r.Killed = false
 	r.State = Quarantined
 	r.ProbeAt = p.round + 1
@@ -386,7 +406,7 @@ func (p *Pool) Snapshot() *Checkpoint {
 // the recovery path of a control process restart. Monitoring state
 // (latency histograms, link monitors, slow-detector windows) restarts
 // cold; everything a ledger or a state machine depends on is restored
-// exactly.
+// exactly. A checkpoint it rejects changes nothing.
 func (p *Pool) Restore(cp *Checkpoint) error {
 	if cp == nil {
 		return fmt.Errorf("pool: nil checkpoint")
@@ -399,13 +419,37 @@ func (p *Pool) Restore(cp *Checkpoint) error {
 	if cp.Active < 0 || cp.Active >= len(p.replicas) {
 		return fmt.Errorf("pool: checkpoint active replica %d out of range [0,%d)", cp.Active, len(p.replicas))
 	}
+	built := make([]restoredReplica, len(cp.Replicas))
 	for idx, rcp := range cp.Replicas {
 		if rcp.ID != idx {
 			return fmt.Errorf("pool: checkpoint replica %d carries id %d", idx, rcp.ID)
 		}
-		if err := p.restoreReplicaLocked(p.replicas[idx], rcp); err != nil {
+		var err error
+		if built[idx], err = p.replicas[idx].rebuild(rcp); err != nil {
 			return err
 		}
+	}
+	var pplane *partition.Plane
+	if cp.HasPartitionPlane {
+		pplane = partition.NewPlane(cp.PartitionSeed)
+		for _, f := range cp.PartitionFaults {
+			if err := pplane.Add(f); err != nil {
+				return fmt.Errorf("pool: checkpoint carries invalid partition fault: %w", err)
+			}
+		}
+	}
+	var bplane *byzantine.Plane
+	if cp.HasBehaviorPlane {
+		bplane = byzantine.NewPlane(cp.BehaviorSeed)
+		for _, f := range cp.BehaviorFaults {
+			if err := bplane.Add(f); err != nil {
+				return fmt.Errorf("pool: checkpoint carries invalid behavior fault: %w", err)
+			}
+		}
+	}
+	// Every check has passed; nothing below fails.
+	for idx, b := range built {
+		p.installLocked(p.replicas[idx], b)
 	}
 	p.round = cp.Round
 	p.active = cp.Active
@@ -417,24 +461,7 @@ func (p *Pool) Restore(cp *Checkpoint) error {
 	p.leaseExpiry = cp.LeaseExpiry
 	p.susp = health.RestoreSuspicionClock(len(p.replicas), cp.Suspicion)
 	p.inflight = append([]PendingAck(nil), cp.InFlight...)
-	p.pplane = nil
-	if cp.HasPartitionPlane {
-		p.pplane = partition.NewPlane(cp.PartitionSeed)
-		for _, f := range cp.PartitionFaults {
-			if err := p.pplane.Add(f); err != nil {
-				return fmt.Errorf("pool: checkpoint carries invalid partition fault: %w", err)
-			}
-		}
-	}
-	p.bplane = nil
-	if cp.HasBehaviorPlane {
-		p.bplane = byzantine.NewPlane(cp.BehaviorSeed)
-		for _, f := range cp.BehaviorFaults {
-			if err := p.bplane.Add(f); err != nil {
-				return fmt.Errorf("pool: checkpoint carries invalid behavior fault: %w", err)
-			}
-		}
-	}
+	p.pplane, p.bplane = pplane, bplane
 	p.stamper, p.verifier = nil, nil
 	if cp.VerifierWindow != nil || cp.StamperNextSeq > 0 {
 		// The key is not in the checkpoint; it re-derives from config.

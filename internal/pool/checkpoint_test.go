@@ -5,11 +5,13 @@ import (
 	"encoding/gob"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"concentrators/internal/byzantine"
 	"concentrators/internal/core"
 	"concentrators/internal/health"
+	"concentrators/internal/journal"
 	"concentrators/internal/link"
 	"concentrators/internal/overload"
 	"concentrators/internal/partition"
@@ -635,5 +637,110 @@ func TestCheckpointRestoreThenEscalate(t *testing.T) {
 	}
 	if s := p.Stats(); s.LinksQuarantined != 1 {
 		t.Fatalf("%d wires quarantined after restore, want 1", s.LinksQuarantined)
+	}
+}
+
+// TestCheckpointRestoreIsAtomic checks that a checkpoint Restore or
+// Rejoin rejects changes nothing: a checkpoint that would also move
+// the round, the ledger and replica 0's state fails on replica 1's
+// invalid wire fault, on an invalid partition fault, and (Rejoin) on
+// an invalid timing fault, and Snapshot() afterwards equals Snapshot()
+// before the call.
+func TestCheckpointRestoreIsAtomic(t *testing.T) {
+	p := newPool(t, Config{ProbeAfter: 1}, 2)
+	for round := 0; round < 6; round++ {
+		if _, err := p.Run(fullMsgs(8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	changed := func() *Checkpoint {
+		cp := p.Snapshot()
+		cp.Round += 50
+		cp.Ledger.Delivered += 1000
+		cp.Replicas[0].State = Quarantined
+		cp.Replicas[0].Trips = 77
+		return cp
+	}
+	badWire := changed()
+	badWire.Replicas[1].HasWirePlane = true
+	badWire.Replicas[1].WirePlaneFaults = []link.WireFault{{Stage: link.AllStages, Wire: link.AllWires, Mode: link.WireBitFlip, BER: 2}}
+	badCut := changed()
+	badCut.HasPartitionPlane = true
+	badCut.PartitionFaults = []partition.Fault{{Mode: partition.SymmetricCut, Replica: -5}}
+	for _, tc := range []struct {
+		name string
+		cp   *Checkpoint
+	}{{"invalid wire fault", badWire}, {"invalid partition fault", badCut}} {
+		before := p.Snapshot()
+		if err := p.Restore(tc.cp); err == nil || !strings.Contains(err.Error(), tc.name) {
+			t.Fatalf("Restore returned %v, want an error on the %s", err, tc.name)
+		}
+		if after := p.Snapshot(); !reflect.DeepEqual(after, before) {
+			t.Errorf("%s: a rejected Restore changed the pool\n got: %+v\nwant: %+v", tc.name, after, before)
+		}
+	}
+	if err := p.Drain(1); err != nil {
+		t.Fatal(err)
+	}
+	rcp := badWire.Replicas[1]
+	rcp.HasWirePlane, rcp.WirePlaneFaults = false, nil
+	rcp.Trips = 77
+	rcp.HasTimingPlane = true
+	rcp.TimingPlaneFaults = []timing.Fault{{Stage: link.AllStages, Wire: link.AllWires, Mode: timing.Jitter, Prob: 3}}
+	before := p.Snapshot()
+	if err := p.Rejoin(1, rcp); err == nil || !strings.Contains(err.Error(), "invalid timing fault") {
+		t.Fatalf("Rejoin returned %v, want an error on the invalid timing fault", err)
+	}
+	if after := p.Snapshot(); !reflect.DeepEqual(after, before) {
+		t.Errorf("a rejected Rejoin changed the pool\n got: %+v\nwant: %+v", after, before)
+	}
+}
+
+// TestCheckpointRecordsMatchFreshGob checks the journal record of every
+// checkpoint runScenario's pool takes, under the legacy and the lease
+// arbiter: journal.Encoder writes what a fresh gob encoder writes.
+// gob orders a map's entries at random, so a checkpoint whose wire
+// map holds two or more entries must match in length and decoded value
+// only.
+func TestCheckpointRecordsMatchFreshGob(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		seed int64
+	}{{"legacy", legacyScenario, 1}, {"leased", leasedScenario, 99}} {
+		var enc journal.Encoder[Checkpoint]
+		round := 0
+		runScenario(t, tc.cfg, tc.seed, 80, true, func(p *Pool) {
+			round++
+			cp := p.Snapshot()
+			got, err := enc.Encode(cp)
+			if err != nil {
+				t.Fatalf("%s round %d: %v", tc.name, round, err)
+			}
+			var want bytes.Buffer
+			if err := gob.NewEncoder(&want).Encode(cp); err != nil {
+				t.Fatal(err)
+			}
+			ordered := true
+			for _, r := range cp.Replicas {
+				ordered = ordered && len(r.WireFaults) < 2
+			}
+			if bytes.Equal(got, want.Bytes()) {
+				return
+			}
+			if ordered || len(got) != want.Len() {
+				t.Fatalf("%s round %d: record differs from a fresh encoder's (%d vs %d bytes)", tc.name, round, len(got), want.Len())
+			}
+			var a, b Checkpoint
+			if err := journal.Decode(got, &a); err != nil {
+				t.Fatal(err)
+			}
+			if err := journal.Decode(want.Bytes(), &b); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("%s round %d: record decodes to %+v, want %+v", tc.name, round, a, b)
+			}
+		})
 	}
 }

@@ -34,8 +34,9 @@ var update = flag.Bool("update", false, "rewrite the golden digests from the cur
 // deadlines — and records every RoundResult plus the final Stats. The
 // schedule and traffic derive from the seed only. The round-25 stall
 // lands on replica 0, quarantined by then, unless stallActive puts it
-// on the replica serving then, which makes the pool hedge.
-func runScenario(t *testing.T, cfg Config, seed int64, rounds int, stallActive bool) ([]RoundResult, Stats) {
+// on the replica serving then, which makes the pool hedge. A non-nil
+// after sees the pool at the end of every round.
+func runScenario(t *testing.T, cfg Config, seed int64, rounds int, stallActive bool, after func(*Pool)) ([]RoundResult, Stats) {
 	t.Helper()
 	p := newPool(t, cfg, 4)
 	rng := rand.New(rand.NewSource(seed))
@@ -79,6 +80,9 @@ func runScenario(t *testing.T, cfg Config, seed int64, rounds int, stallActive b
 			t.Fatal(err)
 		}
 		rrs = append(rrs, *rr)
+		if after != nil {
+			after(p)
+		}
 	}
 	return rrs, p.Stats()
 }
@@ -112,7 +116,7 @@ func TestGoldenScenarios(t *testing.T) {
 		{"legacy-hedged", legacyScenario, 1234, true},
 		{"leased", leasedScenario, 99, false},
 	} {
-		rrs, st := runScenario(t, tc.cfg, tc.seed, 80, tc.stallActive)
+		rrs, st := runScenario(t, tc.cfg, tc.seed, 80, tc.stallActive, nil)
 		if tc.stallActive && st.Hedges == 0 {
 			t.Errorf("%s/%d: a stall on the serving replica hedged no round", tc.name, tc.seed)
 		}

@@ -128,27 +128,36 @@ func (p *Pool) escalateLinksLocked(r *replica) {
 }
 
 // rebuildContractLocked rederives replica r's serving contract from
-// its full fault record: scan-localized chip faults plus quarantined
-// output wires. With no faults on record the full contract is
-// restored. It is an error for the rebuilt contract to guarantee
-// nothing (threshold ≤ 0); the previous contract is left in place.
+// its full fault record. It is an error for the rebuilt contract to
+// guarantee nothing (threshold ≤ 0); the previous contract is left in
+// place.
 func (p *Pool) rebuildContractLocked(r *replica) error {
-	all := make([]health.LocalizedFault, 0, len(r.KnownFaults)+len(r.WireFaults))
-	all = append(all, r.KnownFaults...)
-	for _, lf := range r.WireFaults {
-		all = append(all, lf)
-	}
-	if len(all) == 0 {
-		r.degraded = nil
-		return nil
-	}
-	d, err := health.NewDegradedSwitch(r.sw, all)
+	d, err := contractFor(r.sw, &r.ReplicaCheckpoint)
 	if err != nil {
 		return err
 	}
-	if core.Threshold(d) <= 0 {
-		return fmt.Errorf("pool: rebuilt contract for replica %d guarantees nothing", r.ID)
-	}
 	r.degraded = d
 	return nil
+}
+
+// contractFor derives the serving contract of board sw from fault
+// record c: scan-localized chip faults plus quarantined output wires.
+// With no faults on record it is nil, the full contract of sw itself.
+func contractFor(sw core.FaultInjectable, c *ReplicaCheckpoint) (*health.DegradedSwitch, error) {
+	all := make([]health.LocalizedFault, 0, len(c.KnownFaults)+len(c.WireFaults))
+	all = append(all, c.KnownFaults...)
+	for _, lf := range c.WireFaults {
+		all = append(all, lf)
+	}
+	if len(all) == 0 {
+		return nil, nil
+	}
+	d, err := health.NewDegradedSwitch(sw, all)
+	if err != nil {
+		return nil, err
+	}
+	if core.Threshold(d) <= 0 {
+		return nil, fmt.Errorf("pool: rebuilt contract for replica %d guarantees nothing", c.ID)
+	}
+	return d, nil
 }

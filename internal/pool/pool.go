@@ -910,19 +910,19 @@ func (p *Pool) probeOneLocked(r *replica, round int64) {
 	// trips again waits longer before its next re-admission.
 }
 
-// learnFault merges one scan-localized chip fault into r's record,
+// learnFault merges one scan-localized chip fault into the record,
 // which stays sorted by (stage, chip): a new chip is inserted, and a
 // known chip's unknown mode is upgraded to a known one, never the
 // reverse.
-func (r *replica) learnFault(lf health.LocalizedFault) {
-	i, seen := slices.BinarySearchFunc(r.KnownFaults, lf, func(a, b health.LocalizedFault) int {
+func (c *ReplicaCheckpoint) learnFault(lf health.LocalizedFault) {
+	i, seen := slices.BinarySearchFunc(c.KnownFaults, lf, func(a, b health.LocalizedFault) int {
 		return cmp.Or(cmp.Compare(a.Stage, b.Stage), cmp.Compare(a.Chip, b.Chip))
 	})
 	switch {
 	case !seen:
-		r.KnownFaults = slices.Insert(r.KnownFaults, i, lf)
-	case !r.KnownFaults[i].ModeKnown && lf.ModeKnown:
-		r.KnownFaults[i] = lf
+		c.KnownFaults = slices.Insert(c.KnownFaults, i, lf)
+	case !c.KnownFaults[i].ModeKnown && lf.ModeKnown:
+		c.KnownFaults[i] = lf
 	}
 }
 

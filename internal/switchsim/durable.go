@@ -1,8 +1,6 @@
 package switchsim
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sort"
 
@@ -86,21 +84,6 @@ type deltaRec struct {
 	Buffered  []pendingRec
 	Budget    overload.RetrySnapshot
 	CoDel     overload.CoDelSnapshot
-}
-
-func encodeRec(v any) ([]byte, error) {
-	var b bytes.Buffer
-	if err := gob.NewEncoder(&b).Encode(v); err != nil {
-		return nil, fmt.Errorf("switchsim: journal encode: %w", err)
-	}
-	return b.Bytes(), nil
-}
-
-func decodeRec(data []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
-		return fmt.Errorf("switchsim: journal decode: %w", err)
-	}
-	return nil
 }
 
 // backlogRecs is the journal form of the backlog. The journal keeps a
@@ -305,6 +288,11 @@ func (st *Session) restoreSnapshot(sn *snapshotRec) error {
 // RecoveryStats carries the durability observability, including the
 // harness-side TrueOffered ground truth the ledger is audited against.
 func RunDurableSession(sw core.Concentrator, cfg SessionConfig, jcfg journal.Config) (*SessionStats, *journal.RecoveryStats, error) {
+	return runDurableSession(sw, cfg, jcfg, journal.NewMemStore())
+}
+
+// runDurableSession is RunDurableSession over the given empty store.
+func runDurableSession(sw core.Concentrator, cfg SessionConfig, jcfg journal.Config, store *journal.MemStore) (*SessionStats, *journal.RecoveryStats, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -316,7 +304,10 @@ func RunDurableSession(sw core.Concentrator, cfg SessionConfig, jcfg journal.Con
 	}
 	jcfg = jcfg.WithDefaults()
 
-	store := journal.NewMemStore()
+	// One encoder per record type for the whole run; each creates its
+	// gob encoder at its type's first record (see journal.Encoder).
+	var snapEnc journal.Encoder[snapshotRec]
+	var deltaEnc journal.Encoder[deltaRec]
 	rec := &journal.RecoveryStats{Incarnations: 1}
 	resumeRound := 0 // unjournaled restarts: the wall-clock round keeps ticking
 	incarnation := 0
@@ -346,7 +337,7 @@ func RunDurableSession(sw core.Concentrator, cfg SessionConfig, jcfg journal.Con
 			start := 0
 			if res.SnapshotIndex >= 0 {
 				var sn snapshotRec
-				if err := decodeRec(res.Records[res.SnapshotIndex].Payload, &sn); err != nil {
+				if err := journal.Decode(res.Records[res.SnapshotIndex].Payload, &sn); err != nil {
 					return nil, nil, err
 				}
 				if err := st.restoreSnapshot(&sn); err != nil {
@@ -363,7 +354,7 @@ func RunDurableSession(sw core.Concentrator, cfg SessionConfig, jcfg journal.Con
 					continue
 				}
 				var d deltaRec
-				if err := decodeRec(r.Payload, &d); err != nil {
+				if err := journal.Decode(r.Payload, &d); err != nil {
 					return nil, nil, err
 				}
 				if err := st.applyDelta(&d); err != nil {
@@ -382,7 +373,7 @@ func RunDurableSession(sw core.Concentrator, cfg SessionConfig, jcfg journal.Con
 			round := st.round
 
 			if w != nil && round > 0 && round%jcfg.SnapshotEvery == 0 {
-				sn, err := encodeRec(st.snapshot(rng.Cursor()))
+				sn, err := snapEnc.Encode(st.snapshot(rng.Cursor()))
 				if err != nil {
 					return nil, nil, err
 				}
@@ -432,7 +423,7 @@ func RunDurableSession(sw core.Concentrator, cfg SessionConfig, jcfg journal.Con
 				continue
 			}
 
-			payload, err := encodeRec(st.deltaSince(mk, rng.Cursor()))
+			payload, err := deltaEnc.Encode(st.deltaSince(mk, rng.Cursor()))
 			if err != nil {
 				return nil, nil, err
 			}

@@ -1,6 +1,8 @@
 package switchsim
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -312,5 +314,68 @@ func TestJournalBacklogLayout(t *testing.T) {
 		if cfg.Policy != Drop && peak == 0 {
 			t.Errorf("%s: no backlog ever formed; the layout is untested", name)
 		}
+	}
+}
+
+// TestDurableRecordsMatchFreshGob checks every record a crashed durable
+// session leaves in its journal, snapshots and deltas alike: a fresh
+// gob encoder given the record's decoded value writes the record's
+// bytes, so journal.Encoder wrote what a fresh encoder per record
+// would have. gob orders a map's entries at random, so a snapshot
+// whose histograms hold two or more buckets must match in length and
+// decoded value only.
+func TestDurableRecordsMatchFreshGob(t *testing.T) {
+	cfg := durableConfigs(1)["resend-full"]
+	jcfg := journal.Config{SnapshotEvery: 8, Crash: journal.GenerateCrashSchedule(1, cfg.Rounds, 5)}
+	store := journal.NewMemStore()
+	_, rec, err := runDurableSession(smallSwitch(t), cfg, jcfg, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := journal.Replay(store.Bytes())
+	snaps, deltas := 0, 0
+	for i, r := range res.Records {
+		var want bytes.Buffer
+		exact := true
+		var same func() bool
+		switch r.Kind {
+		case journal.KindSnapshot:
+			snaps++
+			var sn snapshotRec
+			if err := journal.Decode(r.Payload, &sn); err != nil {
+				t.Fatalf("record %d: %v", i, err)
+			}
+			if err := gob.NewEncoder(&want).Encode(&sn); err != nil {
+				t.Fatal(err)
+			}
+			s := sn.Stats
+			for _, h := range []map[int]int{s.LatencyHistogram, s.FirstTryLatencyHistogram, s.RetriedLatencyHistogram, s.MissedLatencyHistogram} {
+				exact = exact && len(h) < 2
+			}
+			same = func() bool {
+				var back snapshotRec
+				return journal.Decode(want.Bytes(), &back) == nil && reflect.DeepEqual(back, sn)
+			}
+		case journal.KindDelta:
+			deltas++
+			var d deltaRec
+			if err := journal.Decode(r.Payload, &d); err != nil {
+				t.Fatalf("record %d: %v", i, err)
+			}
+			if err := gob.NewEncoder(&want).Encode(&d); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			t.Fatalf("record %d: kind %d", i, r.Kind)
+		}
+		if bytes.Equal(r.Payload, want.Bytes()) {
+			continue
+		}
+		if exact || len(r.Payload) != want.Len() || !same() {
+			t.Errorf("record %d (kind %d): differs from a fresh encoder's (%d vs %d bytes)", i, r.Kind, len(r.Payload), want.Len())
+		}
+	}
+	if rec.Crashes == 0 || snaps == 0 || deltas == 0 {
+		t.Fatalf("journal covers %d crashes, %d snapshots, %d deltas; want each > 0", rec.Crashes, snaps, deltas)
 	}
 }

@@ -93,6 +93,11 @@ func (r *Runner) Run(msgs []Message) (*Result, error) {
 		r.streams[o] = r.backing[o*maxLen : (o+1)*maxLen : (o+1)*maxLen]
 	}
 
+	// Sized once for every message: a fresh Runner (one per package-level
+	// Run) would otherwise grow it append by append.
+	if cap(r.res.Delivered) < len(msgs) {
+		r.res.Delivered = make([]Delivery, 0, len(msgs))
+	}
 	r.res.Delivered = r.res.Delivered[:0]
 	r.res.DroppedInputs = r.res.DroppedInputs[:0]
 	r.res.Cycles = 1 + maxLen

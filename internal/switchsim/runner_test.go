@@ -235,3 +235,38 @@ func TestRunnerZeroAlloc(t *testing.T) {
 		t.Fatalf("steady-state Runner.Run allocated %v times per run", a)
 	}
 }
+
+// TestRunSizesDeliveredOnce checks that the package-level Run, one
+// round of a fresh Runner as every pool attempt makes, sizes its
+// delivery list once: at n=1024, 400 delivered messages cost the
+// allocations 4 do.
+func TestRunSizesDeliveredOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector; allocation counts vary")
+	}
+	sw, err := core.NewPerfectSwitch(1024, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(k int) float64 {
+		msgs := make([]Message, k)
+		for i := range msgs {
+			msgs[i] = Message{Input: 2 * i, Payload: []byte{1, 0}}
+		}
+		res, err := Run(sw, msgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Delivered) != k {
+			t.Fatalf("%d messages: delivered %d", k, len(res.Delivered))
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Run(sw, msgs); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := allocs(4), allocs(400); few != many {
+		t.Errorf("Run allocates %v times for 4 messages but %v for 400", few, many)
+	}
+}

@@ -12,6 +12,7 @@ package switchsim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"concentrators/internal/bitvec"
@@ -128,17 +129,33 @@ func CheckGuarantee(sw core.Concentrator, msgs []Message, res *Result) error {
 
 // RandomMessages generates one message per input with independent
 // probability load, each with a payloadBits-bit random payload, in
-// ascending input order.
+// ascending input order, or nil if no input drew one. The payloads
+// share one buffer, each capped at its own length, so appending to one
+// reallocates instead of overwriting its neighbour.
 func RandomMessages(rng *rand.Rand, n int, load float64, payloadBits int) []Message {
-	var msgs []Message
+	// Room for the expected count plus three standard deviations: a
+	// batch rarely outgrows it, and append grows it if one does.
+	hint := 0
+	if load > 0 {
+		p := min(load, 1)
+		mean := float64(n) * p
+		hint = min(n, int(mean+3*math.Sqrt(mean*(1-p)))+1)
+	}
+	msgs := make([]Message, 0, hint)
+	bits := make([]byte, 0, hint*payloadBits)
 	for i := 0; i < n; i++ {
 		if rng.Float64() < load {
-			p := make([]byte, payloadBits)
-			for b := range p {
-				p[b] = byte(rng.Intn(2))
+			for range payloadBits {
+				bits = append(bits, byte(rng.Intn(2)))
 			}
-			msgs = append(msgs, Message{Input: i, Payload: p})
+			msgs = append(msgs, Message{Input: i})
 		}
+	}
+	if len(msgs) == 0 {
+		return nil
+	}
+	for k := range msgs {
+		msgs[k].Payload = bits[k*payloadBits : (k+1)*payloadBits : (k+1)*payloadBits]
 	}
 	return msgs
 }

@@ -2,7 +2,9 @@ package switchsim
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"concentrators/internal/core"
@@ -334,6 +336,64 @@ func TestPipelineWithPartialConcentrators(t *testing.T) {
 		k := len(msgs)
 		if k <= 23 && len(pr.DroppedAtStage[0]) > 0 {
 			t.Fatalf("stage 1 dropped %d messages with k=%d ≤ αm", len(pr.DroppedAtStage[0]), k)
+		}
+	}
+}
+
+// randomMessagesPerPayload is RandomMessages with one allocation per
+// payload, the reference the shared-buffer batch must equal draw for
+// draw.
+func randomMessagesPerPayload(rng *rand.Rand, n int, load float64, payloadBits int) []Message {
+	var msgs []Message
+	for i := 0; i < n; i++ {
+		if rng.Float64() < load {
+			p := make([]byte, payloadBits)
+			for b := range p {
+				p[b] = byte(rng.Intn(2))
+			}
+			msgs = append(msgs, Message{Input: i, Payload: p})
+		}
+	}
+	return msgs
+}
+
+// TestRandomMessagesSharedBuffer checks the batch against the
+// per-payload reference over seeded calls: equal messages (non-nil
+// empty payloads at 0 bits, nil for an empty batch), the RNG left at
+// the same point, and every payload capped at its own length, so an
+// append to one leaves its neighbour alone.
+func TestRandomMessagesSharedBuffer(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		load float64
+		bits int
+	}{
+		{256, 0.7, 8}, {1024, 0.4, 16}, {64, 1, 3}, {500, 1.5, 2},
+		{100, 0, 8}, {50, -1, 4}, {33, 0.5, 0}, {3000, 0.02, 5},
+	} {
+		for seed := int64(1); seed <= 5; seed++ {
+			a, b := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			got := RandomMessages(a, tc.n, tc.load, tc.bits)
+			want := randomMessagesPerPayload(b, tc.n, tc.load, tc.bits)
+			label := fmt.Sprintf("n=%d load=%v bits=%d seed %d", tc.n, tc.load, tc.bits, seed)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: batch differs from the per-payload reference", label)
+			}
+			if a.Int63() != b.Int63() {
+				t.Fatalf("%s: the batch drew a different number of variates", label)
+			}
+			for k := range got {
+				if p := got[k].Payload; p == nil || cap(p) != len(p) {
+					t.Fatalf("%s: message %d payload nil or not capped (len %d cap %d)", label, k, len(p), cap(p))
+				}
+			}
+			if len(got) >= 2 && tc.bits > 0 {
+				next := append([]byte(nil), got[1].Payload...)
+				_ = append(got[0].Payload, 1, 1, 1)
+				if !bytes.Equal(got[1].Payload, next) {
+					t.Fatalf("%s: appending to one payload overwrote the next", label)
+				}
+			}
 		}
 	}
 }
