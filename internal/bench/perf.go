@@ -66,10 +66,16 @@ var perfSink int
 // empties the sync.Pool scratch caches, and with several Ps a Get
 // misses an item a Put left in another P's private slot; either books
 // refills that depend on GC timing and scheduling, not on the code,
-// and that differ between GOMAXPROCS settings. Counted this way,
-// allocs/op is exact and the same at every GOMAXPROCS, which
-// ComparePerf's allocation gate needs to hold a baseline recorded at
-// one setting against a run at another.
+// and that differ between GOMAXPROCS settings. A collection just
+// before the count empties the runtime's list of sync.Pools, so a case
+// that builds switches, whose scratch pools join that list on first
+// use, grows it at the same points in every run. Counted this way,
+// allocs/op is the same at every GOMAXPROCS, which ComparePerf's
+// allocation gate needs to hold a baseline recorded at one setting
+// against a run at another. It is exact but for the runtime filling an
+// interface conversion's type cache on a random sample of its misses,
+// which a case that reaches cold conversion sites, like chaos_replay,
+// books as a fraction of one allocation.
 func measure(name string, n int, minTime time.Duration, f func()) PerfResult {
 	f()
 	f()
@@ -97,6 +103,7 @@ func measure(name string, n int, minTime time.Duration, f func()) PerfResult {
 	const allocRuns = 16
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
 	f() // refill the one P's caches
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)

@@ -964,7 +964,12 @@ func Run(build func() (core.FaultInjectable, error), events []Event, cfg Config)
 	// open-loop client model.
 	clientFeedback := cfg.Crashes > 0
 	waiting := 0
-	expiring := map[int]int{}
+	// expiring[r] counts the shed clients whose retry-after runs out at
+	// round r; a client whose wait outlasts the run stays waiting.
+	var expiring []int
+	if clientFeedback {
+		expiring = make([]int, cfg.Rounds)
+	}
 	for round := 0; round < cfg.Rounds; round++ {
 		var fired []Event
 		for next < len(events) && events[next].Round <= round {
@@ -1137,9 +1142,10 @@ func Run(build func() (core.FaultInjectable, error), events []Event, cfg Config)
 		}
 		if clientFeedback {
 			waiting -= expiring[round]
-			delete(expiring, round)
 			for _, s := range rr.Shed {
-				expiring[round+1+max(s.RetryAfter, 1)]++
+				if at := round + 1 + max(s.RetryAfter, 1); at < cfg.Rounds {
+					expiring[at]++
+				}
 				waiting++
 			}
 			p.NoteBacklog(waiting)

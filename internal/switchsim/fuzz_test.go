@@ -2,7 +2,11 @@ package switchsim
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
+
+	"concentrators/internal/core"
 )
 
 // FuzzDecodePayload round-trips arbitrary data through the message
@@ -39,6 +43,73 @@ func FuzzDecodePayload(f *testing.F) {
 		raw := DecodePayload(data)
 		if len(raw) != len(data)/8 {
 			t.Fatalf("decoded %d bytes from %d raw bits", len(raw), len(data))
+		}
+	})
+}
+
+// FuzzRunMatchesReference streams fuzz-chosen payloads through the
+// Revsort(64, 48) switch. For each input in turn, one byte of data
+// picks whether it sends (odd) and its payload length (the byte over
+// two, capped at what data has left); the payload is the next bytes of
+// data as they are, high bits included. Run must equal the reference
+// streaming loop and pass the guarantee check, and flipping the
+// delivered bit that flip picks must fail the check at that bit's
+// input and cycle.
+func FuzzRunMatchesReference(f *testing.F) {
+	f.Add([]byte(nil), uint16(0))
+	f.Add([]byte{3, 0xFF, 0x02, 0, 17, 1, 0xFE, 1, 0, 1, 1, 0, 1, 1, 0}, uint16(0))
+	f.Add([]byte{3, 0xFF, 0x02, 0, 17, 1, 0xFE, 1, 0, 1, 1, 0, 1, 1, 0}, uint16(5))
+	f.Add(bytes.Repeat([]byte{67, 0xFF, 1, 0, 0xFE, 2, 1, 1, 0, 1, 0, 1, 1, 1, 0, 0, 1, 1,
+		0, 1, 1, 0, 0, 0, 1, 1, 0, 1, 0, 1, 1, 0, 0, 1, 1}, 40), uint16(977))
+	sw, err := core.NewRevsortSwitch(64, 48)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, flip uint16) {
+		var msgs []Message
+		for in := 0; in < sw.Inputs() && len(data) > 0; in++ {
+			code := int(data[0])
+			data = data[1:]
+			if code%2 == 0 {
+				continue
+			}
+			k := min(code/2, len(data))
+			msgs = append(msgs, Message{Input: in, Payload: data[:k:k]})
+			data = data[k:]
+		}
+		want, err := referenceRun(sw, msgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Run(sw, msgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Run diverges from the reference:\n%+v\n%+v", got, want)
+		}
+		if err := CheckGuarantee(sw, msgs, got); err != nil {
+			t.Fatal(err)
+		}
+		total := 0
+		for _, d := range got.Delivered {
+			total += len(d.Payload)
+		}
+		if total == 0 {
+			return
+		}
+		at := int(flip) % total
+		for _, d := range got.Delivered {
+			if at >= len(d.Payload) {
+				at -= len(d.Payload)
+				continue
+			}
+			d.Payload[at] ^= 1
+			want := fmt.Sprintf("switchsim: message from input %d corrupted at cycle %d", d.Input, at)
+			if err := CheckGuarantee(sw, msgs, got); err == nil || err.Error() != want {
+				t.Fatalf("flipped bit: got error %v, want %q", err, want)
+			}
+			return
 		}
 	})
 }

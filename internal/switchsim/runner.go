@@ -1,6 +1,7 @@
 package switchsim
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"concentrators/internal/bitvec"
@@ -86,9 +87,10 @@ func (r *Runner) Run(msgs []Message) (*Result, error) {
 	// empty, not nil, streams and payloads.
 	if r.backing == nil || cap(r.backing) < need {
 		r.backing = make([]byte, need)
+	} else {
+		r.backing = r.backing[:need]
+		clear(r.backing)
 	}
-	r.backing = r.backing[:need]
-	clear(r.backing)
 	for o := 0; o < m; o++ {
 		r.streams[o] = r.backing[o*maxLen : (o+1)*maxLen : (o+1)*maxLen]
 	}
@@ -113,9 +115,7 @@ func (r *Runner) Run(msgs []Message) (*Result, error) {
 			continue
 		}
 		stream := r.streams[o]
-		for c, b := range msg.Payload {
-			stream[c] = b & 1
-		}
+		streamBits(stream, msg.Payload)
 		k := len(msg.Payload)
 		r.res.Delivered = append(r.res.Delivered, Delivery{
 			Input:   msg.Input,
@@ -124,4 +124,40 @@ func (r *Runner) Run(msgs []Message) (*Result, error) {
 		})
 	}
 	return &r.res, nil
+}
+
+// lowBits selects bit 0 of each byte of a little-endian word: a payload
+// word masked with it holds the eight bits b&1 that its bytes carry.
+const lowBits = 0x0101010101010101
+
+// streamBits writes bit 0 of each byte of src to dst, eight bits per
+// step, and the last len(src)%8 bits one at a time. dst must be at
+// least as long as src.
+func streamBits(dst, src []byte) {
+	c := 0
+	for ; c+8 <= len(src); c += 8 {
+		binary.LittleEndian.PutUint64(dst[c:], binary.LittleEndian.Uint64(src[c:])&lowBits)
+	}
+	for ; c < len(src); c++ {
+		dst[c] = src[c] & 1
+	}
+}
+
+// firstCorruptBit returns the first cycle c at which got[c] differs
+// from bit 0 of sent[c], or -1 if none does; got must be at least as
+// long as sent. It compares eight cycles per step and, at the first
+// word that differs or in the last len(sent)%8 cycles, one at a time.
+func firstCorruptBit(got, sent []byte) int {
+	c := 0
+	for ; c+8 <= len(sent); c += 8 {
+		if binary.LittleEndian.Uint64(got[c:]) != binary.LittleEndian.Uint64(sent[c:])&lowBits {
+			break
+		}
+	}
+	for ; c < len(sent); c++ {
+		if got[c] != sent[c]&1 {
+			return c
+		}
+	}
+	return -1
 }

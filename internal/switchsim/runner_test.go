@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"concentrators/internal/bitvec"
@@ -75,7 +76,9 @@ type routeOnly struct{ core.Concentrator }
 
 // TestRunnerMatchesRun pins that the zero-alloc Runner, reused across
 // rounds, and the package-level Run both produce results identical to
-// the reference streaming loop, with and without RouteInto.
+// the reference streaming loop, with and without RouteInto: on random
+// batches, and on batches whose payload lengths straddle the 8-bit
+// words the stream is copied in, with bytes whose high bits are set.
 func TestRunnerMatchesRun(t *testing.T) {
 	rev, err := core.NewRevsortSwitch(64, 48)
 	if err != nil {
@@ -97,44 +100,78 @@ func testRunnerMatchesRun(t *testing.T, sw core.Concentrator) {
 				msgs[i].Payload = nil
 			}
 		}
-		want, err := referenceRun(sw, msgs)
-		if err != nil {
-			t.Fatal(err)
+		checkRunnerRound(t, fmt.Sprintf("trial %d", trial), sw, r, msgs)
+	}
+	// Each round reuses the last one's stream buffer, so a short stream
+	// must idle at 0 where a longer one stood before.
+	for trial := 0; trial < 8; trial++ {
+		checkRunnerRound(t, fmt.Sprintf("mixed-length trial %d", trial), sw, r, mixedLengthBatch(rng))
+	}
+}
+
+// mixedLengthBatch sends payloads of 0, 1, 7, 8, 9, 15, 16, 17, 31 and
+// 33 bits, in shuffled order, from ten random inputs in ascending
+// order. Every payload byte is one of 0x00, 0x01, 0x02, 0xFE or 0xFF,
+// so bits above bit 0 are set in most of them.
+func mixedLengthBatch(rng *rand.Rand) []Message {
+	lengths := []int{0, 1, 7, 8, 9, 15, 16, 17, 31, 33}
+	rng.Shuffle(len(lengths), func(i, j int) { lengths[i], lengths[j] = lengths[j], lengths[i] })
+	inputs := rng.Perm(64)[:len(lengths)]
+	slices.Sort(inputs)
+	byteValues := []byte{0x00, 0x01, 0x02, 0xFE, 0xFF}
+	msgs := make([]Message, len(lengths))
+	for k, in := range inputs {
+		payload := make([]byte, lengths[k])
+		for c := range payload {
+			payload[c] = byteValues[rng.Intn(len(byteValues))]
 		}
-		fresh, err := Run(sw, msgs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := r.Run(msgs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// A fresh Run matches the reference exactly, nil slices included.
-		if !reflect.DeepEqual(fresh, want) {
-			t.Fatalf("trial %d: Run diverges from the reference:\n%+v\n%+v", trial, fresh, want)
-		}
-		// A reused Runner keeps its (possibly empty) slices between rounds.
-		if got.Cycles != want.Cycles {
-			t.Fatalf("trial %d: cycles %d != %d", trial, got.Cycles, want.Cycles)
-		}
-		if !reflect.DeepEqual(normDeliveries(got.Delivered), normDeliveries(want.Delivered)) {
-			t.Fatalf("trial %d: deliveries diverge", trial)
-		}
-		if !reflect.DeepEqual(normInts(got.DroppedInputs), normInts(want.DroppedInputs)) {
-			t.Fatalf("trial %d: drops diverge: %v vs %v", trial, got.DroppedInputs, want.DroppedInputs)
-		}
-		if !reflect.DeepEqual(got.Routing, want.Routing) {
-			t.Fatalf("trial %d: routing diverges", trial)
-		}
-		if !got.Valid.Equal(want.Valid) {
-			t.Fatalf("trial %d: valid diverges", trial)
-		}
-		if !reflect.DeepEqual(got.OutputStream, want.OutputStream) {
-			t.Fatalf("trial %d: output streams diverge", trial)
-		}
-		if err := CheckGuarantee(sw, msgs, got); err != nil {
-			t.Fatal(err)
-		}
+		msgs[k] = Message{Input: in, Payload: payload}
+	}
+	return msgs
+}
+
+// checkRunnerRound runs msgs through the reference, the package-level
+// Run and the reused Runner r, and fails unless all three agree and
+// the guarantee holds.
+func checkRunnerRound(t *testing.T, label string, sw core.Concentrator, r *Runner, msgs []Message) {
+	t.Helper()
+	want, err := referenceRun(sw, msgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := Run(sw, msgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := r.Run(msgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A fresh Run matches the reference exactly, nil slices included.
+	if !reflect.DeepEqual(fresh, want) {
+		t.Fatalf("%s: Run diverges from the reference:\n%+v\n%+v", label, fresh, want)
+	}
+	// A reused Runner keeps its (possibly empty) slices between rounds.
+	if got.Cycles != want.Cycles {
+		t.Fatalf("%s: cycles %d != %d", label, got.Cycles, want.Cycles)
+	}
+	if !reflect.DeepEqual(normDeliveries(got.Delivered), normDeliveries(want.Delivered)) {
+		t.Fatalf("%s: deliveries diverge", label)
+	}
+	if !reflect.DeepEqual(normInts(got.DroppedInputs), normInts(want.DroppedInputs)) {
+		t.Fatalf("%s: drops diverge: %v vs %v", label, got.DroppedInputs, want.DroppedInputs)
+	}
+	if !reflect.DeepEqual(got.Routing, want.Routing) {
+		t.Fatalf("%s: routing diverges", label)
+	}
+	if !got.Valid.Equal(want.Valid) {
+		t.Fatalf("%s: valid diverges", label)
+	}
+	if !reflect.DeepEqual(got.OutputStream, want.OutputStream) {
+		t.Fatalf("%s: output streams diverge", label)
+	}
+	if err := CheckGuarantee(sw, msgs, got); err != nil {
+		t.Fatal(err)
 	}
 }
 

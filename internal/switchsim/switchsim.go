@@ -114,10 +114,8 @@ func CheckGuarantee(sw core.Concentrator, msgs []Message, res *Result) error {
 			return fmt.Errorf("switchsim: message from input %d delivered %d bits, sent %d",
 				d.Input, len(d.Payload), len(want))
 		}
-		for c := range want {
-			if d.Payload[c] != want[c]&1 {
-				return fmt.Errorf("switchsim: message from input %d corrupted at cycle %d", d.Input, c)
-			}
+		if c := firstCorruptBit(d.Payload, want); c >= 0 {
+			return fmt.Errorf("switchsim: message from input %d corrupted at cycle %d", d.Input, c)
 		}
 	}
 	if len(res.Delivered)+len(res.DroppedInputs) != len(msgs) {
@@ -145,8 +143,12 @@ func RandomMessages(rng *rand.Rand, n int, load float64, payloadBits int) []Mess
 	bits := make([]byte, 0, hint*payloadBits)
 	for i := 0; i < n; i++ {
 		if rng.Float64() < load {
-			for range payloadBits {
-				bits = append(bits, byte(rng.Intn(2)))
+			k := len(bits)
+			bits = append(bits, make([]byte, payloadBits)...)
+			for j := k; j < len(bits); j++ {
+				// rng.Intn(2)'s exact value: Int31n(2) is bit 32 of one
+				// Int63 draw, for any Source.
+				bits[j] = byte(rng.Int63()>>32) & 1
 			}
 			msgs = append(msgs, Message{Input: i})
 		}

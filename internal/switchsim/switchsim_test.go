@@ -145,6 +145,62 @@ func TestMixedLengthPayloads(t *testing.T) {
 	}
 }
 
+// TestCheckGuaranteeNamesCorruptCycle corrupts one delivered bit at a
+// time, for every payload length from 1 to 40 bits and every cycle, and
+// requires the error to name that message's input and that cycle. The
+// bit is flipped, set to 2, or set to 2 with the sent byte made 2 as
+// well: the wire carries bit 0 of each sent byte, so a delivered 2 is
+// corrupt whatever was sent. One message sends bits, one random bytes
+// and one 0xFF bytes, which arrive intact as all 1s.
+func TestCheckGuaranteeNamesCorruptCycle(t *testing.T) {
+	sw, err := core.NewPerfectSwitch(8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for bits := 1; bits <= 40; bits++ {
+		msgs := []Message{{Input: 1}, {Input: 4}, {Input: 6}}
+		for k := range msgs {
+			msgs[k].Payload = make([]byte, bits)
+		}
+		for c := 0; c < bits; c++ {
+			msgs[0].Payload[c] = byte(rng.Intn(2))
+			msgs[1].Payload[c] = byte(rng.Intn(256))
+			msgs[2].Payload[c] = 0xFF
+		}
+		res, err := Run(sw, msgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := CheckGuarantee(sw, msgs, res); err != nil {
+			t.Fatalf("%d bits: intact delivery rejected: %v", bits, err)
+		}
+		// The perfect switch delivers every message, in the messages' order.
+		for k, d := range res.Delivered {
+			sent := msgs[k].Payload
+			for c := range d.Payload {
+				got, was := d.Payload[c], sent[c]
+				for _, bad := range [][2]byte{{got ^ 1, was}, {2, was}, {2, 2}} {
+					d.Payload[c], sent[c] = bad[0], bad[1]
+					want := fmt.Sprintf("switchsim: message from input %d corrupted at cycle %d", d.Input, c)
+					if err := CheckGuarantee(sw, msgs, res); err == nil || err.Error() != want {
+						t.Fatalf("%d bits, cycle %d delivered %d for sent %d: got error %v, want %q",
+							bits, c, bad[0], bad[1], err, want)
+					}
+				}
+				d.Payload[c], sent[c] = got, was
+			}
+		}
+		short := res.Delivered[1].Payload
+		res.Delivered[1].Payload = short[:bits-1]
+		want := fmt.Sprintf("switchsim: message from input 4 delivered %d bits, sent %d", bits-1, bits)
+		if err := CheckGuarantee(sw, msgs, res); err == nil || err.Error() != want {
+			t.Fatalf("%d bits: short delivery gave error %v, want %q", bits, err, want)
+		}
+		res.Delivered[1].Payload = short
+	}
+}
+
 // Bit-serial streaming through the actual multichip switches, with the
 // guarantee checker. This is the paper's Figure 3 / Figure 6 scenario
 // made executable.
