@@ -185,12 +185,7 @@ func (p *CorruptionPlane) Corrupt(round int, at LinkAddr, bits []byte) (flipped 
 		}
 		switch f.Mode {
 		case WireBitFlip:
-			for i := range bits {
-				if rng.Float64() < f.BER {
-					bits[i] ^= 1
-					flipped++
-				}
-			}
+			flipped += rng.Flip(bits, f.BER)
 		case WireBurst:
 			every := max(f.BurstEvery, 1)
 			if (round-f.From)%every != 0 {

@@ -171,6 +171,69 @@ func TestBitFlipBERRate(t *testing.T) {
 	}
 }
 
+// TestBitFlipContinuesStream: a WireBitFlip fault draws on from
+// wherever the faults before it on the link left the (round, link)
+// stream. Two bit-flip faults on one link, and a bit flip after a
+// burst, must flip what the per-bit Float64 loop over that stream
+// flips. Frames of 56 to 300 bits start and end the second fault's
+// draws on both sides of the stream's 273-draw window.
+func TestBitFlipContinuesStream(t *testing.T) {
+	at := LinkAddr{Stage: 1, Wire: 3}
+	for _, tc := range []struct {
+		name   string
+		faults []WireFault
+	}{
+		{"two bit flips", []WireFault{
+			{Stage: 1, Wire: 3, Mode: WireBitFlip, BER: 0.05},
+			{Stage: AllStages, Wire: AllWires, Mode: WireBitFlip, BER: 1e-3},
+		}},
+		{"bit flip after burst", []WireFault{
+			{Stage: 1, Wire: AllWires, Mode: WireBurst, BurstLen: 4, BurstEvery: 2},
+			{Stage: AllStages, Wire: AllWires, Mode: WireBitFlip, BER: 0.02},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := NewCorruptionPlane(77)
+			for _, f := range tc.faults {
+				mustAdd(t, p, f)
+			}
+			for round := 0; round < 64; round++ {
+				for _, n := range []int{56, 136, 200, 272, 273, 274, 300} {
+					got := make([]byte, n)
+					for i := range got {
+						got[i] = byte(i*7/3) & 1
+					}
+					want := append([]byte(nil), got...)
+					gotFlipped, _ := p.Corrupt(round, at, got)
+					rng, wantFlipped := p.rng(round, at), 0
+					for _, f := range tc.faults {
+						switch f.Mode {
+						case WireBitFlip:
+							for i := range want {
+								if rng.Float64() < f.BER {
+									want[i] ^= 1
+									wantFlipped++
+								}
+							}
+						case WireBurst:
+							if round%f.BurstEvery == 0 {
+								start := rng.Intn(n - f.BurstLen + 1)
+								for i := start; i < start+f.BurstLen; i++ {
+									want[i] ^= 1
+									wantFlipped++
+								}
+							}
+						}
+					}
+					if gotFlipped != wantFlipped || !bytes.Equal(got, want) {
+						t.Fatalf("round %d, %d bits: Corrupt flipped %d bits %v, per-bit loop %d bits %v", round, n, gotFlipped, got, wantFlipped, want)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestCorruptAllocs requires Corrupt on a live link to allocate
 // nothing: the per-(round, link) noise stream lives on the stack.
 func TestCorruptAllocs(t *testing.T) {

@@ -9,7 +9,10 @@
 // the values of rand.New(rand.NewSource(seed)) without building
 // math/rand's 607-word state, so a plane's noise stays the pure
 // function of (seed, round, coordinate) it always was and costs no
-// allocation.
+// allocation. Its Flip draws a whole frame's bit-flip noise in one
+// call: the bits, count and stream position of the per-bit
+// Float64() < p loop, with most bits decided from the top 12 bits of
+// their draw, which cost one of the three LCG products per state word.
 //
 // The package also provides what the crash-restart durability plane
 // specifically requires and math/rand cannot give: a generator whose

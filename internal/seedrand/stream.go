@@ -66,7 +66,21 @@ func NewStream(seed int64) Stream {
 // word returns state word i of math/rand's freshly seeded register.
 func (s *Stream) word(i int) uint64 {
 	m := &jump[i]
-	return uint64(rngCooked[i]) ^ (s.x * m[0] % int32max << 40) ^ (s.x * m[1] % int32max << 20) ^ (s.x * m[2] % int32max)
+	return uint64(rngCooked[i]) ^ mulMod(s.x, m[0])<<40 ^ mulMod(s.x, m[1])<<20 ^ mulMod(s.x, m[2])
+}
+
+// mulMod returns a·b mod (2³¹−1) for a and b below 2³¹−1, as the
+// seed and the jump table are. Since 2³¹ ≡ 1, a·b is congruent to its
+// low 31 bits plus the rest shifted down, a sum below 2·(2³¹−1) because
+// a·b < (2³¹−1)², so one subtraction reduces it. That is cheaper than
+// the compiler's division by a constant, a 128-bit product.
+func mulMod(a, b uint64) uint64 {
+	t := a * b
+	t = t&int32max + t>>31
+	if t >= int32max {
+		t -= int32max
+	}
+	return t
 }
 
 // int63 returns the next non-negative 63-bit value, as rand.Source's
@@ -102,6 +116,80 @@ func (s *Stream) Float64() float64 {
 			return f
 		}
 	}
+}
+
+// Flip draws one Float64 per bit, in order, XORs 1 into each bits[i]
+// whose draw is below p, and returns how many bits it flipped. Bits,
+// count and the stream's position after it all equal those of
+//
+//	for i := range bits {
+//		if s.Float64() < p {
+//			bits[i] ^= 1
+//		}
+//	}
+//
+// Inside the 273-draw window it first reads only the top 12 bits of a
+// draw, which take one LCG product per word instead of three (see
+// prefixSkips), and takes the exact path only for the few draws that
+// prefix cannot decide.
+func (s *Stream) Flip(bits []byte, p float64) (flipped int) {
+	key := flipKey(p)
+	n, i := s.n, 0
+	for ; i < len(bits) && n < rngTap; i++ {
+		if prefixSkips(s.hi(rngLen-rngTap-1-n)+s.hi(rngLen-1-n), key) {
+			n++
+			continue
+		}
+		s.n = n
+		if s.Float64() < p {
+			bits[i] ^= 1
+			flipped++
+		}
+		n = s.n
+	}
+	s.n = n
+	for ; i < len(bits); i++ {
+		if s.Float64() < p {
+			bits[i] ^= 1
+			flipped++
+		}
+	}
+	return flipped
+}
+
+// hi returns bits 51–63 of state word i. Of the word's three LCG
+// products, shifted left by 40, 20 and 0, only the first reaches past
+// bit 50, so they cost that one product.
+func (s *Stream) hi(i int) uint64 {
+	return (uint64(rngCooked[i]) ^ mulMod(s.x, jump[i][0])<<40) >> 51
+}
+
+// flipKey returns ⌈4096·p⌉ for p in (0, 1], 0 for p ≤ 0 or NaN and
+// 4096 for p > 1: the least 12-bit prefix h with h/4096 ≥ p, where a
+// prefix of 4096 matches no draw. 4096·p is exact in float64.
+func flipKey(p float64) uint64 {
+	switch {
+	case p > 1:
+		return 1 << 12
+	case p > 0:
+		return uint64(math.Ceil(p * (1 << 12)))
+	}
+	return 0
+}
+
+// prefixSkips reports whether a window draw whose two words' top bits
+// (hi) sum to sum must be ≥ p, with key = flipKey(p), whatever the
+// carry c ∈ {0, 1} out of the words' low 51 bits.
+//
+// The draw's bits 51–62 are h = (sum + c) mod 2¹². With
+// key ≤ sum mod 2¹² ≤ 0xFFD, h = (sum mod 2¹²) + c does not wrap, and
+// the draw is at least h·2⁵¹, whose float64 is exact, so Float64
+// returns at least h/4096 ≥ key/4096 ≥ p. And h ≤ 0xFFE: only a draw
+// of prefix 0xFFF can round up to 2⁶³, the 1.0 on which Float64 draws
+// again.
+func prefixSkips(sum, key uint64) bool {
+	h := sum & 0xFFF
+	return key <= h && h <= 0xFFD
 }
 
 // Intn returns rand.Rand's Intn, a value in [0, n): a mask for a

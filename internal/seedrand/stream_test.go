@@ -1,6 +1,8 @@
 package seedrand
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -86,6 +88,154 @@ func FuzzStreamMatchesMathRand(f *testing.F) {
 	})
 }
 
+// flipProbabilities are Flip's edge cases: never, the least positive
+// float64, far below and at the wire BER of the workloads, both sides
+// of prefix 5 (5/4096 skips prefix 5, 5.5/4096 must not), a common
+// rate, the last prefix below 1, the largest float64 below 1, and 1.
+var flipProbabilities = []float64{
+	0, 5e-324, 1e-9, 1e-3, 5.0 / 4096, 5.5 / 4096, 1e-2, 0.5, 4095.0 / 4096, 1 - 0x1p-53, 1,
+}
+
+// flipReference is the per-bit loop Flip must reproduce.
+func flipReference(next func() float64, bits []byte, p float64) (flipped int) {
+	for i := range bits {
+		if next() < p {
+			bits[i] ^= 1
+			flipped++
+		}
+	}
+	return flipped
+}
+
+// checkFlip runs got.Flip on bits and the per-bit loop over next on a
+// copy, and reports any difference in the bits, the count or the next
+// draw, which pins where Flip left its stream. what names the call in
+// a failure.
+func checkFlip(t *testing.T, got *Stream, next func() float64, bits []byte, p float64, what func() string) {
+	t.Helper()
+	want := append([]byte(nil), bits...)
+	wantFlipped := flipReference(next, want, p)
+	if gotFlipped := got.Flip(bits, p); gotFlipped != wantFlipped || !bytes.Equal(bits, want) {
+		i := 0
+		for i < len(bits) && bits[i] == want[i] {
+			i++
+		}
+		t.Fatalf("%s: Flip flipped %d bits, per-bit loop %d; first difference at bit %d of %d", what(), gotFlipped, wantFlipped, i, len(bits))
+	}
+	if g, w := got.Float64(), next(); g != w {
+		t.Fatalf("%s: next draw after Flip %v, after the per-bit loop %v", what(), g, w)
+	}
+}
+
+// TestStreamFlipMatchesFloat64 checks Flip against the per-bit Float64
+// loop. Every p in flipProbabilities runs, for the edge seeds, every
+// frame length from 0 to 700 bits, which starts and ends on both sides
+// of the 273-draw window, each followed by a second call that continues
+// the stream wherever the first one left it. Calls from one seed repeat
+// its first window draws, so 4,096 random seeds then flip 200 bits and
+// 100 more, across the window's end, at the workloads' BER of 1e-3:
+// 1.1M distinct window draws through the prefix rule.
+func TestStreamFlipMatchesFloat64(t *testing.T) {
+	const maxBits, maxThen = 700, 311
+	bits := make([]byte, maxBits)
+	gen := rand.New(rand.NewSource(4096))
+	var draws [maxBits + maxThen + 2]float64
+	// check flips n bits from a fresh stream of seed, then m more, each
+	// against the per-bit loop replaying draws.
+	check := func(seed int64, p float64, n, m int) {
+		replay := func(from int) func() float64 {
+			return func() float64 { from++; return draws[from-1] }
+		}
+		got := NewStream(seed)
+		gen.Read(bits[:n])
+		checkFlip(t, &got, replay(0), bits[:n], p, func() string {
+			return fmt.Sprintf("seed %d p %v, %d bits", seed, p, n)
+		})
+		gen.Read(bits[:m])
+		checkFlip(t, &got, replay(n+1), bits[:m], p, func() string {
+			return fmt.Sprintf("seed %d p %v, %d bits then %d", seed, p, n, m)
+		})
+	}
+	// record fills draws[:count] with the per-bit loop's Float64s from
+	// seed.
+	record := func(seed int64, count int) {
+		ref := NewStream(seed)
+		for i := range draws[:count] {
+			draws[i] = ref.Float64()
+		}
+	}
+	for _, p := range flipProbabilities {
+		for _, seed := range streamSeeds {
+			record(seed, len(draws))
+			for n := 0; n <= maxBits; n++ {
+				check(seed, p, n, n*37%maxThen)
+			}
+		}
+	}
+	for range 4096 {
+		seed := gen.Int63() - gen.Int63()
+		record(seed, 302)
+		check(seed, 1e-3, 200, 100)
+	}
+}
+
+// TestPrefixSkipsExact checks the prefix rule exhaustively: for every
+// sum of two words' top bits and both carries out of their low bits,
+// prefixSkips must hold exactly when Float64 returns a value ≥ p,
+// without drawing again, at both the least and the greatest 63-bit
+// value of that prefix. Float64 is monotone, so every value between
+// them follows. Random draws almost never reach the 0xFFE/0xFFF edge
+// where a draw can round up to 1.0; this check covers it.
+func TestPrefixSkipsExact(t *testing.T) {
+	ps := append([]float64{-1, math.NaN(), 2, 4.096 / 4096, 0x1p-12, 4094.5 / 4096}, flipProbabilities...)
+	for _, p := range ps {
+		key := flipKey(p)
+		for sum := uint64(0); sum <= 2*0x1FFF; sum++ {
+			cannotFlip := true
+			for c := uint64(0); c <= 1; c++ {
+				lo := ((sum + c) & 0xFFF) << 51
+				for _, v := range []uint64{lo, lo | (1<<51 - 1)} {
+					f := float64(int64(v)) / (1 << 63)
+					if f == 1 || f < p {
+						cannotFlip = false
+					}
+				}
+			}
+			if got := prefixSkips(sum, key); got != cannotFlip {
+				t.Fatalf("p %v (key %d) sum %#x: prefixSkips %v, exact verdict %v", p, key, sum, got, cannotFlip)
+			}
+		}
+	}
+}
+
+// FuzzStreamFlipMatchesMathRand compares consecutive Flip calls with
+// the per-bit loop over rand.New(rand.NewSource(seed)) for any seed, p
+// and call lengths (three bits per length byte, up to past the
+// 607-word register).
+func FuzzStreamFlipMatchesMathRand(f *testing.F) {
+	for i, seed := range streamSeeds {
+		f.Add(seed, flipProbabilities[i%len(flipProbabilities)], []byte{18, 91, 1, 200})
+	}
+	f.Add(int64(12345), 1e-3, []byte{91, 0, 1})
+	f.Fuzz(func(t *testing.T, seed int64, p float64, lengths []byte) {
+		got, r := NewStream(seed), rand.New(rand.NewSource(seed))
+		total := 0
+		for k, b := range lengths {
+			n := 3 * int(b)
+			if total += n; total > 1300 {
+				break
+			}
+			bits := make([]byte, n)
+			for i := range bits {
+				bits[i] = byte(i * k)
+			}
+			checkFlip(t, &got, r.Float64, bits, p, func() string {
+				return fmt.Sprintf("seed %d p %v call %d (%d bits)", seed, p, k, n)
+			})
+		}
+	})
+}
+
 // benchDraws draws count Float64 values per fresh stream: the per-call
 // pattern of a fault plane.
 func benchDraws(b *testing.B, count int, mathRand bool) {
@@ -113,3 +263,21 @@ func BenchmarkStream56(b *testing.B)    { benchDraws(b, 56, false) }
 func BenchmarkStream700(b *testing.B)   { benchDraws(b, 700, false) }
 func BenchmarkMathRand56(b *testing.B)  { benchDraws(b, 56, true) }
 func BenchmarkMathRand700(b *testing.B) { benchDraws(b, 700, true) }
+
+// benchFlip flips count bits at the workloads' wire BER per fresh
+// stream, as one frame's crossing of one link does.
+func benchFlip(b *testing.B, count int) {
+	b.ReportAllocs()
+	bits := make([]byte, count)
+	sink := 0
+	for i := 0; i < b.N; i++ {
+		s := NewStream(int64(i))
+		sink += s.Flip(bits, 1e-3)
+	}
+	if sink < 0 {
+		b.Fatal(sink)
+	}
+}
+
+func BenchmarkFlip56(b *testing.B)  { benchFlip(b, 56) }
+func BenchmarkFlip700(b *testing.B) { benchFlip(b, 700) }

@@ -37,8 +37,10 @@ package switchsim
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"concentrators/internal/core"
@@ -260,7 +262,10 @@ func runIntegritySession(sw core.Concentrator, cfg SessionConfig) (*SessionStats
 	}
 	outLinkStage := stageCount
 
-	serving := sw
+	// runner streams every round through the serving contract,
+	// runner.Switch(); an escalation that replaces the contract builds
+	// the runner anew on it.
+	runner := NewRunner(sw)
 	outputWire := func(o int) (int, error) { return o, nil }
 
 	senders := make([]*arqSender, n)
@@ -366,17 +371,25 @@ func runIntegritySession(sw core.Concentrator, cfg SessionConfig) (*SessionStats
 		f.eligible = round + backoff(f.attempts-1) + jitter()
 	}
 
+	// inFlight[in] is the frame input in sent this round; an input that
+	// sent nothing keeps a stale entry, which no delivery reads. msgs
+	// and bits are the round's offers and a received frame's bits, and
+	// unacked copies a sender's window for the RTO sweep, which may edit
+	// the window as it goes.
+	inFlight := make([]*arqFrame, n)
+	var msgs []Message
+	var bits []byte
+	var unacked []*arqFrame
 	for round := 0; round < cfg.Rounds; round++ {
 		// 1. Control-plane traffic arrives: acks slide windows, nacks
 		// schedule retransmits. Events are matched by send round so a
-		// stale nack for a frame already retransmitted is ignored.
+		// stale nack for a frame already retransmitted is ignored. A
+		// round's events hold at most one per (input, send round), so
+		// their sorted order is unique.
 		evs := events[round]
 		delete(events, round)
-		sort.Slice(evs, func(i, j int) bool {
-			if evs[i].input != evs[j].input {
-				return evs[i].input < evs[j].input
-			}
-			return evs[i].sendRound < evs[j].sendRound
+		slices.SortFunc(evs, func(a, b ackEvent) int {
+			return cmp.Or(cmp.Compare(a.input, b.input), cmp.Compare(a.sendRound, b.sendRound))
 		})
 		for _, ev := range evs {
 			s := senders[ev.input]
@@ -424,7 +437,8 @@ func runIntegritySession(sw core.Concentrator, cfg SessionConfig) (*SessionStats
 		// its ack) vanished — an erasure. Retransmit with backoff.
 		for in := 0; in < n; in++ {
 			s := senders[in]
-			for _, f := range append([]*arqFrame(nil), s.window...) {
+			unacked = append(unacked[:0], s.window...)
+			for _, f := range unacked {
 				if f.eligible < 0 && round >= f.deadline {
 					f.corrupted = true
 					ist.Timeouts++
@@ -453,7 +467,8 @@ func runIntegritySession(sw core.Concentrator, cfg SessionConfig) (*SessionStats
 			}
 			payload := make([]byte, cfg.PayloadBits)
 			for b := range payload {
-				payload[b] = byte(rng.Intn(2))
+				// rng.Intn(2)'s exact value: bit 32 of one Int63 draw.
+				payload[b] = byte(rng.Int63()>>32) & 1
 			}
 			s.queue = append(s.queue, &arqFrame{payload: payload, firstRound: round, eligible: -1})
 			stats.Offered++
@@ -461,8 +476,7 @@ func runIntegritySession(sw core.Concentrator, cfg SessionConfig) (*SessionStats
 
 		// 4. Each sender offers one frame: the oldest eligible
 		// retransmit first, else a new frame if the window has room.
-		inFlight := make(map[int]*arqFrame)
-		var msgs []Message
+		msgs = msgs[:0]
 		for in := 0; in < n; in++ {
 			s := senders[in]
 			if s.quarantined {
@@ -518,7 +532,7 @@ func runIntegritySession(sw core.Concentrator, cfg SessionConfig) (*SessionStats
 		}
 
 		if len(msgs) > 0 {
-			res, err := Run(serving, msgs)
+			res, err := runner.Run(msgs)
 			if err != nil {
 				return nil, err
 			}
@@ -539,7 +553,7 @@ func runIntegritySession(sw core.Concentrator, cfg SessionConfig) (*SessionStats
 				if err != nil {
 					return nil, err
 				}
-				bits := append([]byte(nil), d.Payload...)
+				bits = append(bits[:0], d.Payload...)
 				erased := ic.Corruption.Cross(round, stageCount, d.Input, phys, bits)
 				outLink := link.LinkAddr{Stage: outLinkStage, Wire: phys}
 				inLink := link.LinkAddr{Stage: 0, Wire: d.Input}
@@ -653,7 +667,7 @@ func runIntegritySession(sw core.Concentrator, cfg SessionConfig) (*SessionStats
 				}
 				ist.ScanRoutes += esc.ScanRoutes
 				ist.LinksQuarantined++
-				serving = esc.Serving
+				runner = NewRunner(esc.Serving)
 				if esc.OutputWire != nil {
 					outputWire = esc.OutputWire
 				} else {
@@ -695,8 +709,8 @@ func runIntegritySession(sw core.Concentrator, cfg SessionConfig) (*SessionStats
 		}
 	}
 	sort.Ints(ist.InputsQuarantined)
-	ist.LiveOutputs = serving.Outputs()
-	ist.LiveThreshold = core.Threshold(serving)
+	ist.LiveOutputs = runner.Switch().Outputs()
+	ist.LiveThreshold = core.Threshold(runner.Switch())
 	ist.Links = monitor.Snapshot()
 	return stats, nil
 }

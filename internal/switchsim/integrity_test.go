@@ -1,6 +1,7 @@
 package switchsim
 
 import (
+	"math"
 	"testing"
 
 	"concentrators/internal/core"
@@ -384,5 +385,47 @@ func TestIntegrityWindowThroughput(t *testing.T) {
 	if deep.Delivered <= saw.Delivered {
 		t.Errorf("window 8 delivered %d ≤ stop-and-wait %d under AckDelay 3",
 			deep.Delivered, saw.Delivered)
+	}
+}
+
+// TestIntegritySessionAllocs pins the ARQ engine's allocations on
+// perfbench's session-arq shape at seed 1: a Columnsort n=256 → 128
+// (β 0.75) at load 0.5, 32-bit payloads, BER 1e-3 on every link,
+// CRC-16, window 4, 20 rounds. The session streams every round through
+// one Runner and reuses its received-bits buffer, in-flight table, offer
+// list and RTO-sweep copy; it then makes 14,843 allocations, against
+// 22,049 when each of those was made afresh. The bound leaves room for
+// a toolchain whose maps grow in other steps.
+func TestIntegritySessionAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector; allocation counts vary")
+	}
+	sw, err := core.NewColumnsortSwitchBeta(256, 128, 0.75)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const payload, ber, seed = 32, 1e-3, 1
+	plane := link.NewCorruptionPlane(seed)
+	if err := plane.Add(link.WireFault{Stage: link.AllStages, Wire: link.AllWires, Mode: link.WireBitFlip, BER: ber}); err != nil {
+		t.Fatal(err)
+	}
+	// concsim's monitor calibration, as perfbench sets it.
+	frameBits := payload + link.FrameOverhead(link.CRC16)
+	floor := 1 - math.Pow(1-ber, float64(frameBits*(len(sw.StageChips())+1)))
+	cfg := SessionConfig{
+		Policy: Resend, Load: 0.5, Rounds: 20, PayloadBits: payload, AckDelay: 2, Seed: seed,
+		Integrity: &IntegrityConfig{
+			CRC: link.CRC16, Window: 4, Corruption: plane,
+			Monitor: link.MonitorConfig{Threshold: min(0.95, 0.3+4*floor), MinFrames: 32},
+		},
+	}
+	run := func() {
+		if _, err := RunSession(sw, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	if a := testing.AllocsPerRun(5, run); a > 16000 {
+		t.Errorf("session-arq session allocated %v times, want at most 16,000", a)
 	}
 }
