@@ -2,6 +2,7 @@ package switchsim
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"concentrators/internal/core"
@@ -266,5 +267,36 @@ func TestRetryDelay(t *testing.T) {
 				t.Errorf("AckDelay %d cap %d: delay after offer %d = %d, want %d", tc.ack, tc.cap, i+1, got, want)
 			}
 		}
+	}
+}
+
+// TestSessionStepAllocs pins a steady-state Drop round at load 1,
+// where every input offers: the offer table, the blocked-sender
+// marker, one record and one payload per offer, and the message list,
+// 2n+3 allocations. The Session's Runner, built once for the switch,
+// adds none.
+func TestSessionStepAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector; allocation counts vary")
+	}
+	sw, err := core.NewRevsortSwitch(256, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := NewSession(sw, SessionConfig{Policy: Drop, Load: 1, Rounds: 64, PayloadBits: 8}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	step := func() {
+		if _, _, err := st.Step(sw, rng); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 4 {
+		step()
+	}
+	if got, want := testing.AllocsPerRun(20, step), float64(2*sw.Inputs()+3); got != want {
+		t.Errorf("steady-state Drop round allocated %v times, want %v", got, want)
 	}
 }
