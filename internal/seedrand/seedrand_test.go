@@ -1,6 +1,9 @@
 package seedrand
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // TestMix64Avalanche spot-checks the finalizer against the reference
 // splitmix64 outputs (Vigna's splitmix64.c fed the same increments).
@@ -22,32 +25,49 @@ func TestMix64Determinism(t *testing.T) {
 	}
 }
 
+// TestSourceCursorRoundTrip checks Stream's position as a journal
+// cursor: at a position captured inside the 273-draw window, at its
+// edge and past the 607-word register, a stream of the same seed sought
+// there, from a fresh start or from further on, replays the identical
+// tail through rand.New.
 func TestSourceCursorRoundTrip(t *testing.T) {
-	r := New(42)
-	for i := 0; i < 100; i++ {
-		r.Float64()
-	}
-	cur := r.Cursor()
-	want := make([]float64, 50)
-	for i := range want {
-		want[i] = r.Float64()
-	}
-	// A fresh RNG restored at the cursor replays the identical tail.
-	r2 := New(7) // different seed: Restore must fully override it
-	r2.Restore(cur)
-	for i := range want {
-		if got := r2.Float64(); got != want[i] {
-			t.Fatalf("restored draw %d: got %v want %v", i, got, want[i])
+	for _, skip := range []int{0, 100, 272, 273, 274, 1500} {
+		s := NewStream(42)
+		r := rand.New(&s)
+		for range skip {
+			r.Float64()
+		}
+		cur := s.Pos()
+		want := make([]float64, 50)
+		for i := range want {
+			want[i] = r.Float64()
+		}
+		for _, from := range []int{0, 2000} {
+			s2 := NewStream(42)
+			for range from {
+				s2.Uint64()
+			}
+			s2.Seek(cur)
+			r2 := rand.New(&s2)
+			for i := range want {
+				if got := r2.Float64(); got != want[i] {
+					t.Fatalf("cursor %d sought from %d: draw %d got %v want %v", cur, from, i, got, want[i])
+				}
+			}
 		}
 	}
 }
 
+// TestSourcePermAndIntnReplay checks that Perm and Intn through
+// rand.New are pure functions of the stream's position.
 func TestSourcePermAndIntnReplay(t *testing.T) {
-	r := New(3)
-	cur := r.Cursor()
+	s := NewStream(3)
+	r := rand.New(&s)
+	r.Perm(300)
+	cur := s.Pos()
 	p1 := r.Perm(17)
 	n1 := r.Intn(1000)
-	r.Restore(cur)
+	s.Seek(cur)
 	p2 := r.Perm(17)
 	n2 := r.Intn(1000)
 	if n1 != n2 {
@@ -61,7 +81,7 @@ func TestSourcePermAndIntnReplay(t *testing.T) {
 }
 
 func TestDistinctSeedsDistinctStreams(t *testing.T) {
-	a, b := New(1), New(2)
+	a, b := NewStream(1), NewStream(2)
 	same := 0
 	for i := 0; i < 64; i++ {
 		if a.Int63() == b.Int63() {

@@ -1,5 +1,7 @@
 package seedrand
 
+import "math/rand"
+
 // The slot scheduler: every fault-schedule generator in the repo
 // spreads `count` events across a round span by carving the span into
 // equal slots and jittering each event inside its slot — that way
@@ -8,12 +10,6 @@ package seedrand
 // seed. journal.GenerateCrashSchedule and the chaos drain/partition/
 // crash/byzantine schedules all grew private copies of the same
 // arithmetic; it is deduplicated here.
-
-// IntnSource is the single drawing primitive the slot scheduler
-// consumes. Both *RNG and *math/rand.Rand satisfy it.
-type IntnSource interface {
-	Intn(n int) int
-}
 
 // Slot returns the inclusive [lo, hi] round bounds of slot i of
 // `count` equal slots covering [start, start+span). A degenerate span
@@ -31,7 +27,7 @@ func Slot(start, span, i, count int) (lo, hi int) {
 // SlotRound draws the jittered round for slot i: uniform over the
 // slot's [lo, hi], consuming exactly one Intn variate — existing
 // generators refactored onto it keep their schedules bit-identical.
-func SlotRound(rng IntnSource, start, span, i, count int) int {
+func SlotRound(rng *rand.Rand, start, span, i, count int) int {
 	lo, hi := Slot(start, span, i, count)
 	return lo + rng.Intn(hi-lo+1)
 }

@@ -1,6 +1,9 @@
 package seedrand
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 func TestSlotPartitionsSpan(t *testing.T) {
 	// The slots must tile [start, start+span) exactly: contiguous,
@@ -28,7 +31,7 @@ func TestSlotPartitionsSpan(t *testing.T) {
 func TestSlotDegenerateSpan(t *testing.T) {
 	// More slots than rounds: each collapses to one round, never
 	// inverts, and SlotRound still terminates with a legal draw.
-	rng := New(7)
+	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 10; i++ {
 		lo, hi := Slot(2, 3, i, 10)
 		if hi < lo {
@@ -46,7 +49,8 @@ func TestSlotRoundMatchesLegacyArithmetic(t *testing.T) {
 	// — same bounds, exactly one Intn draw — so refactored schedules
 	// stay bit-identical.
 	const start, span, count = 2, 198, 6
-	a, b := New(1987), New(1987)
+	sa, sb := NewStream(1987), NewStream(1987)
+	a, b := rand.New(&sa), rand.New(&sb)
 	for i := 0; i < count; i++ {
 		lo := start + i*span/count
 		hi := start + (i+1)*span/count - 1
@@ -58,14 +62,14 @@ func TestSlotRoundMatchesLegacyArithmetic(t *testing.T) {
 			t.Fatalf("slot %d: SlotRound = %d, legacy = %d", i, got, legacy)
 		}
 	}
-	if a.Cursor() != b.Cursor() {
-		t.Fatalf("cursor divergence: legacy %#x, SlotRound %#x (draw counts differ)", a.Cursor(), b.Cursor())
+	if sa.Pos() != sb.Pos() {
+		t.Fatalf("position divergence: legacy %d, SlotRound %d (draw counts differ)", sa.Pos(), sb.Pos())
 	}
 }
 
 func TestSlotRoundDeterministic(t *testing.T) {
-	x := SlotRound(New(3), 2, 100, 2, 5)
-	y := SlotRound(New(3), 2, 100, 2, 5)
+	x := SlotRound(rand.New(rand.NewSource(3)), 2, 100, 2, 5)
+	y := SlotRound(rand.New(rand.NewSource(3)), 2, 100, 2, 5)
 	if x != y {
 		t.Fatalf("SlotRound not deterministic: %d vs %d", x, y)
 	}
