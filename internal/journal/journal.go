@@ -138,10 +138,11 @@ func NewWriter(store Store) *Writer {
 	res := Replay(store.Bytes())
 	if len(res.Records) > 0 {
 		w.next = res.Records[len(res.Records)-1].LSN + 1
-		// A torn tail is dead bytes: drop it so the resumed log is a
-		// clean prefix plus this incarnation's appends.
-		store.Truncate(store.Size() - res.TornBytes)
 	}
+	// A torn tail is dead bytes, even when it tore the first record:
+	// drop it so the resumed log is a clean prefix plus this
+	// incarnation's appends.
+	store.Truncate(store.Size() - res.TornBytes)
 	return w
 }
 

@@ -2,11 +2,13 @@ package switchsim
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"testing"
 
 	"concentrators/internal/core"
+	"concentrators/internal/journal"
 )
 
 // FuzzDecodePayload round-trips arbitrary data through the message
@@ -110,6 +112,69 @@ func FuzzRunMatchesReference(f *testing.F) {
 				t.Fatalf("flipped bit: got error %v, want %q", err, want)
 			}
 			return
+		}
+	})
+}
+
+// FuzzDurableExactlyOnce crashes a journaled session wherever the
+// fuzzer says: any seed, policy and load, and up to eight kills, three
+// schedule bytes each for the kill's round, phase and torn fraction.
+// The recovered stats must equal the crash-free run's, those must
+// equal RunSession's, and the recovered ledger must count exactly the
+// offers the harness saw become external.
+func FuzzDurableExactlyOnce(f *testing.F) {
+	f.Add(int64(1), uint8(1), uint8(200), []byte{9, 0, 0, 17, 1, 100, 33, 2, 0})
+	f.Add(int64(2), uint8(2), uint8(230), []byte{5, 1, 0, 5, 1, 255, 5, 0, 0, 8, 2, 0, 8, 2, 0})
+	f.Add(int64(3), uint8(3), uint8(150), []byte{0, 0, 0, 39, 2, 0, 16, 0, 0})
+	f.Add(int64(4), uint8(0), uint8(255), []byte{1, 1, 13, 2, 1, 250})
+	// A tear of the journal's first record, then a later kill: recovery
+	// must not leave the fragment in front of the rounds it commits.
+	f.Add(int64(1), uint8(1), uint8(200), []byte{0, 1, 48, 8, 0, 0})
+	sw, err := core.NewColumnsortSwitchBeta(16, 8, 0.75)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, policy, load uint8, schedule []byte) {
+		cfg := SessionConfig{Policy: Policy(policy % 4), Load: float64(load) / 255, Rounds: 40, PayloadBits: 4, Seed: seed}
+		if cfg.Policy == Resend {
+			cfg.AckDelay = 1
+		}
+		crash := journal.NewCrashPlane(seed)
+		for i := 0; i+2 < len(schedule) && crash.Len() < 8; i += 3 {
+			fault := journal.CrashFault{Round: int(schedule[i]) % cfg.Rounds, Phase: journal.Phase(schedule[i+1] % 3)}
+			if fault.Phase == journal.PhaseMidDispatch {
+				fault.TornFrac = float64(schedule[i+2]) / 256
+			}
+			if err := crash.Add(fault); err != nil {
+				t.Fatal(err)
+			}
+		}
+		stats := func(st *SessionStats, err error) string {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := json.Marshal(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return string(b)
+		}
+		want := stats(RunSession(sw, cfg))
+		control, _, err := RunDurableSession(sw, cfg, journal.Config{SnapshotEvery: 8})
+		if got := stats(control, err); got != want {
+			t.Fatalf("crash-free durable stats differ from RunSession's\n got: %s\nwant: %s", got, want)
+		}
+		got, rec, err := RunDurableSession(sw, cfg, journal.Config{SnapshotEvery: 8, Crash: crash})
+		if s := stats(got, err); s != want {
+			t.Fatalf("recovered stats differ from the crash-free run's after %d crashes (%v)\n got: %s\nwant: %s",
+				rec.Crashes, crash.Faults(), s, want)
+		}
+		if got.Offered != rec.TrueOffered {
+			t.Fatalf("recovered ledger offered %d, harness saw %d", got.Offered, rec.TrueOffered)
+		}
+		if rec.Crashes > crash.Len() {
+			t.Fatalf("%d crashes fired from %d faults", rec.Crashes, crash.Len())
 		}
 	})
 }
