@@ -271,6 +271,60 @@ func TestGoldenSessions(t *testing.T) {
 			t.Fatalf("%s: %v", tag, err)
 		}
 		got[tag] = integrityDigest(t, tag, st)
+
+		// Paths the grid never books: erasures recovered by timeout on
+		// a starved budget, a timing plane over corruption and
+		// congestion (timeouts, duplicates, Karn rejections), the two
+		// together (a frame resent while the verdict on its earlier send
+		// is still stalled, then erased, waits out its RTO), and
+		// deadline misses under a flash surge.
+		stresses := map[string]func(cfg *switchsim.SessionConfig, outStage int){
+			"output-erasure": func(cfg *switchsim.SessionConfig, outStage int) {
+				if err := cfg.Integrity.Corruption.Add(link.WireFault{Stage: outStage, Wire: link.AllWires, Mode: link.WireErasure, From: 10, Until: 18}); err != nil {
+					t.Fatal(err)
+				}
+				cfg.Integrity.MaxRetransmits = 2
+			},
+			"timing-jitter": func(cfg *switchsim.SessionConfig, _ int) {
+				tp := timing.NewPlane(5)
+				if err := tp.Add(timing.Fault{Stage: link.AllStages, Wire: link.AllWires, Mode: timing.Jitter, Prob: 0.4, MaxDelay: 8}); err != nil {
+					t.Fatal(err)
+				}
+				cfg.Load = 0.9
+				cfg.Integrity.Timing, cfg.Integrity.AdaptiveRTO = tp, true
+			},
+			"flash-deadline": func(cfg *switchsim.SessionConfig, _ int) {
+				cfg.Deadline = 4
+				cfg.Surge = overload.NewPlane(5)
+				if err := cfg.Surge.Add(overload.Fault{Mode: overload.Flash, Factor: 3, Prob: 0.35}); err != nil {
+					t.Fatal(err)
+				}
+			},
+		}
+		stresses["erasure-under-stalls"] = func(cfg *switchsim.SessionConfig, outStage int) {
+			stresses["output-erasure"](cfg, outStage)
+			stresses["timing-jitter"](cfg, outStage)
+		}
+		for variant, stress := range stresses {
+			tag := fmt.Sprintf("integrity/%s/%s", name, variant)
+			sw := sessionSwitch(t, name)
+			plane := link.NewCorruptionPlane(5)
+			if err := plane.Add(link.WireFault{Stage: link.AllStages, Wire: link.AllWires, Mode: link.WireBitFlip, BER: 1e-3}); err != nil {
+				t.Fatal(err)
+			}
+			cfg := sessionBase(switchsim.Resend, 0.3, 5)
+			cfg.PayloadBits = 16
+			cfg.Integrity = &switchsim.IntegrityConfig{
+				CRC: link.CRC16, Window: 4, Corruption: plane,
+				Monitor: link.MonitorConfig{Threshold: 0.5, MinFrames: 16},
+			}
+			stress(&cfg, len(sw.StageChips()))
+			st, err := RunIntegritySession(sw, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", tag, err)
+			}
+			got[tag] = integrityDigest(t, tag, st)
+		}
 	}
 
 	replayDigests(t, sessionDigests, got)
