@@ -51,6 +51,7 @@ type DegradedSwitch struct {
 
 	quarantined []int // masked inner output wires, ascending
 	remap       []int // inner output -> degraded output (-1 when quarantined)
+	wire        []int // degraded output -> inner output, the inverse of remap
 	epsPenalty  int
 }
 
@@ -91,11 +92,10 @@ func NewDegradedSwitch(sw core.FaultInjectable, faults []LocalizedFault) (*Degra
 		}
 	}
 	sort.Ints(d.quarantined)
-	next := 0
 	for o, r := range d.remap {
 		if r != -1 {
-			d.remap[o] = next
-			next++
+			d.remap[o] = len(d.wire)
+			d.wire = append(d.wire, o)
 		}
 	}
 	return d, nil

@@ -46,32 +46,75 @@ func TestOutputWireFaultMapping(t *testing.T) {
 }
 
 // OutputWire inverts the degraded renumbering: degraded output o lives
-// on a physical inner wire, skipping quarantined ones.
+// on a physical inner wire, skipping quarantined ones, in order; chip
+// bypasses renumber nothing.
 func TestDegradedOutputWire(t *testing.T) {
-	sw := newRevsort1024(t)
-	lf, err := OutputWireFault(sw, 5)
-	if err != nil {
-		t.Fatal(err)
+	wireFaults := func(t *testing.T, sw core.FaultInjectable, wires ...int) []LocalizedFault {
+		var faults []LocalizedFault
+		for _, w := range wires {
+			lf, err := OutputWireFault(sw, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			faults = append(faults, lf)
+		}
+		return faults
 	}
-	deg, err := NewDegradedSwitch(sw, []LocalizedFault{lf})
+	for _, tc := range []struct {
+		name   string
+		build  func(t *testing.T) core.FaultInjectable
+		wires  []int // quarantined output wires
+		bypass []LocalizedFault
+	}{
+		{"revsort one wire", newRevsort1024, []int{5}, nil},
+		{"revsort no faults", newRevsort1024, nil, nil},
+		{"revsort ends and bypasses", newRevsort1024, []int{0, 5, 6, 511},
+			[]LocalizedFault{{Stage: 0, Chip: 3, Mode: core.ChipDead, ModeKnown: true}, {Stage: 3, Chip: 7}}},
+		{"columnsort wires and final bypass", newColumnsort1024, []int{1, 100, 300},
+			[]LocalizedFault{{Stage: 1, Chip: 2, Mode: core.ChipDead, ModeKnown: true}, {Stage: 0, Chip: 0}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sw := tc.build(t)
+			deg, err := NewDegradedSwitch(sw, append(wireFaults(t, sw, tc.wires...), tc.bypass...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if deg.Outputs() != sw.Outputs()-len(tc.wires) || deg.BypassedChips() != len(tc.bypass) {
+				t.Fatalf("outputs %d, bypassed %d; want %d and %d",
+					deg.Outputs(), deg.BypassedChips(), sw.Outputs()-len(tc.wires), len(tc.bypass))
+			}
+			prev := -1
+			for o := 0; o < deg.Outputs(); o++ {
+				phys, err := deg.OutputWire(o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if phys <= prev || deg.remap[phys] != o {
+					t.Fatalf("degraded output %d on wire %d (previous %d), which remaps to %d", o, phys, prev, deg.remap[phys])
+				}
+				prev = phys
+			}
+			for _, o := range []int{-1, deg.Outputs()} {
+				if _, err := deg.OutputWire(o); err == nil {
+					t.Errorf("out-of-range degraded output %d accepted", o)
+				}
+			}
+		})
+	}
+	// The one-wire contract, spelled out: outputs past wire 5 shift up.
+	sw := newRevsort1024(t)
+	deg, err := NewDegradedSwitch(sw, wireFaults(t, sw, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for o := 0; o < deg.Outputs(); o++ {
-		phys, err := deg.OutputWire(o)
-		if err != nil {
-			t.Fatal(err)
-		}
 		want := o
 		if o >= 5 {
 			want = o + 1 // wire 5 is quarantined
 		}
-		if phys != want {
-			t.Fatalf("degraded output %d on wire %d, want %d", o, phys, want)
+		if phys, err := deg.OutputWire(o); err != nil || phys != want {
+			t.Fatalf("degraded output %d on wire %d (%v), want %d", o, phys, err, want)
 		}
-	}
-	if _, err := deg.OutputWire(deg.Outputs()); err == nil {
-		t.Error("out-of-range degraded output accepted")
 	}
 }
 

@@ -53,10 +53,5 @@ func (d *DegradedSwitch) OutputWire(o int) (int, error) {
 	if o < 0 || o >= d.Outputs() {
 		return 0, fmt.Errorf("health: degraded output %d out of range [0,%d)", o, d.Outputs())
 	}
-	for inner, mapped := range d.remap {
-		if mapped == o {
-			return inner, nil
-		}
-	}
-	return 0, fmt.Errorf("health: degraded output %d has no inner wire", o)
+	return d.wire[o], nil
 }
