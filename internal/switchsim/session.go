@@ -368,6 +368,15 @@ type Session struct {
 	// runner streams the rounds; Step builds a new one only when the
 	// switch it is given changes.
 	runner *Runner
+	// Step's buffers, sized once for n inputs and reused every round:
+	// the offer table, the marker of an input whose sender is blocked,
+	// the records of fresh arrivals, the payload bits and the message
+	// list Step returns.
+	offered  []*pendingRec
+	blocked  pendingRec
+	fresh    []pendingRec
+	payloads []byte
+	msgs     []Message
 	// rec is the journal record of the round Step last executed: Step
 	// books the round into it and applies it to stats whole (see
 	// SessionStats.apply), the durable runner completes and writes it.
@@ -384,11 +393,16 @@ func NewSession(sw core.Concentrator, cfg SessionConfig, backoffCap int) (*Sessi
 	if cfg.Integrity != nil {
 		return nil, fmt.Errorf("switchsim: integrity sessions run the ARQ engine, not the session round machine")
 	}
+	n := sw.Inputs()
 	st := &Session{
 		cfg:        cfg,
-		n:          sw.Inputs(),
+		n:          n,
 		stats:      newSessionStats(cfg),
 		backoffCap: backoffCap,
+		offered:    make([]*pendingRec, n),
+		fresh:      make([]pendingRec, n),
+		payloads:   make([]byte, n*cfg.PayloadBits),
+		msgs:       make([]Message, 0, n),
 	}
 	if cfg.RetryBudget != nil {
 		b, err := overload.NewRetryBudget(*cfg.RetryBudget)
@@ -431,8 +445,9 @@ func (st *Session) retryDelay(offers int) int {
 // counter. It books the round into the round's journal record and
 // applies that to the ledger, as journal replay applies a committed
 // one. It returns the messages offered to sw and sw's Result, both
-// nil on a round with no offers; the Result is the Session's and is
-// valid until the next Step. Deterministic in (state, rng stream):
+// nil on a round with no offers; both are the Session's, payloads
+// included, and are valid until the next Step. Deterministic in
+// (state, rng stream):
 // re-running a step from identical state with an identically
 // positioned rng reproduces it bit for bit, which is what crash
 // recovery's re-execution relies on.
@@ -464,10 +479,12 @@ func (st *Session) Step(sw core.Concentrator, rng *rand.Rand) ([]Message, *Resul
 
 	// offered[in] is this round's offer on input in, and count how many
 	// there are. A sender still blocked on an unacknowledged message
-	// that is not yet eligible to retry holds its input with &blocked.
-	offered := make([]*pendingRec, st.n)
+	// that is not yet eligible to retry holds its input with
+	// &st.blocked.
+	offered := st.offered
+	clear(offered)
 	count := 0
-	var blocked pendingRec
+	blocked := &st.blocked
 	var waiting []pendingRec
 	for i := range st.pending {
 		pm := &st.pending[i]
@@ -496,7 +513,7 @@ func (st *Session) Step(sw core.Concentrator, rng *rand.Rand) ([]Message, *Resul
 			// ack timeout elapses; until then its sender is blocked. A
 			// buffered message is always eligible.
 			waiting = append(waiting, *pm)
-			offered[pm.Input] = &blocked
+			offered[pm.Input] = blocked
 			continue
 		}
 		offered[pm.Input] = pm
@@ -515,7 +532,8 @@ func (st *Session) Step(sw core.Concentrator, rng *rand.Rand) ([]Message, *Resul
 			rec.DRefused++
 			continue
 		}
-		offered[in] = &pendingRec{Input: in, FirstRound: round}
+		st.fresh[in] = pendingRec{Input: in, FirstRound: round}
+		offered[in] = &st.fresh[in]
 		count++
 		rec.DOffered++
 		if st.budget != nil {
@@ -533,18 +551,21 @@ func (st *Session) Step(sw core.Concentrator, rng *rand.Rand) ([]Message, *Resul
 	// payload bits and retry backoffs draw from the shared rng stream,
 	// and crash recovery re-executes rounds expecting bit-identical
 	// draws.
-	msgs := make([]Message, 0, count)
+	msgs := st.msgs[:0]
+	pb := cfg.PayloadBits
 	for in, pm := range offered {
-		if pm == nil || pm == &blocked {
+		if pm == nil || pm == blocked {
 			continue
 		}
 		pm.Offers++
-		payload := make([]byte, cfg.PayloadBits)
+		k := len(msgs) * pb
+		payload := st.payloads[k : k+pb : k+pb]
 		for b := range payload {
 			payload[b] = byte(rng.Intn(2))
 		}
 		msgs = append(msgs, Message{Input: in, Payload: payload})
 	}
+	st.msgs = msgs
 	if st.runner == nil || st.runner.Switch() != sw {
 		st.runner = NewRunner(sw)
 	}
