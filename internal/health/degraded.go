@@ -41,9 +41,8 @@ const RepairDelay = 1
 // because bypass and quarantine destroy nothing — faults covered by
 // the degradation cause zero further message loss.
 type DegradedSwitch struct {
-	inner  core.FaultInjectable
-	m, n   int
-	faults []LocalizedFault
+	inner core.FaultInjectable
+	m, n  int
 
 	cleared     map[[2]int]bool // final-stage stuck chips: fault re-driven away, wire quarantined
 	bypassed    map[[2]int]int  // bypassed chips -> port count (ε penalty)
@@ -64,7 +63,6 @@ func NewDegradedSwitch(sw core.FaultInjectable, faults []LocalizedFault) (*Degra
 		inner:       sw,
 		m:           sw.Outputs(),
 		n:           sw.Inputs(),
-		faults:      append([]LocalizedFault(nil), faults...),
 		cleared:     make(map[[2]int]bool),
 		bypassed:    make(map[[2]int]int),
 		repairChips: make(map[[2]int]bool),
@@ -222,19 +220,3 @@ func (d *DegradedSwitch) ChipCount() int { return d.inner.ChipCount() + 1 }
 
 // DataPinsPerChip implements core.Concentrator.
 func (d *DegradedSwitch) DataPinsPerChip() int { return d.inner.DataPinsPerChip() }
-
-// Quarantined returns the masked inner output wires.
-func (d *DegradedSwitch) Quarantined() []int {
-	return append([]int(nil), d.quarantined...)
-}
-
-// BypassedChips returns the number of chips cut out of the signal path.
-func (d *DegradedSwitch) BypassedChips() int { return len(d.bypassed) }
-
-// EpsilonPenalty returns the nearsortedness cost of the bypasses.
-func (d *DegradedSwitch) EpsilonPenalty() int { return d.epsPenalty }
-
-// Faults returns the localized faults this degradation covers.
-func (d *DegradedSwitch) Faults() []LocalizedFault {
-	return append([]LocalizedFault(nil), d.faults...)
-}

@@ -27,7 +27,7 @@ func TestOutputWireFaultMapping(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				q := deg.Quarantined()
+				q := deg.quarantined
 				if len(q) != 1 || q[0] != wire {
 					t.Fatalf("wire %d quarantined %v", wire, q)
 				}
@@ -79,9 +79,9 @@ func TestDegradedOutputWire(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if deg.Outputs() != sw.Outputs()-len(tc.wires) || deg.BypassedChips() != len(tc.bypass) {
+			if deg.Outputs() != sw.Outputs()-len(tc.wires) || len(deg.bypassed) != len(tc.bypass) {
 				t.Fatalf("outputs %d, bypassed %d; want %d and %d",
-					deg.Outputs(), deg.BypassedChips(), sw.Outputs()-len(tc.wires), len(tc.bypass))
+					deg.Outputs(), len(deg.bypassed), sw.Outputs()-len(tc.wires), len(tc.bypass))
 			}
 			prev := -1
 			for o := 0; o < deg.Outputs(); o++ {
@@ -213,7 +213,7 @@ func TestLinkEscalationComposesWithChipFault(t *testing.T) {
 	if !ok {
 		t.Fatalf("serving contract is %T", res.Serving)
 	}
-	q := deg.Quarantined()
+	q := deg.quarantined
 	found := false
 	for _, w := range q {
 		if w == 4 {
@@ -223,7 +223,7 @@ func TestLinkEscalationComposesWithChipFault(t *testing.T) {
 	if !found {
 		t.Errorf("wire 4 not in quarantine set %v", q)
 	}
-	if deg.BypassedChips() == 0 {
+	if len(deg.bypassed) == 0 {
 		t.Error("dead chip not bypassed in the degraded contract")
 	}
 }

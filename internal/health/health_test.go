@@ -113,7 +113,7 @@ func TestFaultLocalizationAndDegradedOperation(t *testing.T) {
 					t.Fatalf("%s stage %d %v: degraded contract vacuous: m′=%d threshold=%d",
 						tc.name, si, mode, d.Outputs(), core.Threshold(d))
 				}
-				if d.Outputs()+len(d.Quarantined()) != sw.Outputs() {
+				if d.Outputs()+len(d.quarantined) != sw.Outputs() {
 					t.Fatalf("%s stage %d %v: output accounting off", tc.name, si, mode)
 				}
 
@@ -161,7 +161,7 @@ func TestDegradedContractArithmetic(t *testing.T) {
 	if d.EpsilonBound() != sw.EpsilonBound() {
 		t.Fatalf("quarantine: ε′ = %d, want %d", d.EpsilonBound(), sw.EpsilonBound())
 	}
-	if got := d.Quarantined(); len(got) != 1 || got[0] != 3 {
+	if got := d.quarantined; len(got) != 1 || got[0] != 3 {
 		t.Fatalf("quarantined wires = %v, want [3]", got)
 	}
 
@@ -178,8 +178,8 @@ func TestDegradedContractArithmetic(t *testing.T) {
 	if d.EpsilonBound() != sw.EpsilonBound()+stages[0].Ports {
 		t.Fatalf("bypass: ε′ = %d, want %d", d.EpsilonBound(), sw.EpsilonBound()+stages[0].Ports)
 	}
-	if d.BypassedChips() != 1 || d.EpsilonPenalty() != stages[0].Ports {
-		t.Fatalf("bypass accounting: chips %d penalty %d", d.BypassedChips(), d.EpsilonPenalty())
+	if len(d.bypassed) != 1 || d.epsPenalty != stages[0].Ports {
+		t.Fatalf("bypass accounting: chips %d penalty %d", len(d.bypassed), d.epsPenalty)
 	}
 
 	// Out-of-range diagnoses are rejected.
