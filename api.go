@@ -204,7 +204,9 @@ type (
 	LinkAddr = link.LinkAddr
 	// LinkHealth is one link's receiver-side corruption history.
 	LinkHealth = link.LinkHealth
-	// LinkMonitorConfig tunes the EWMA corruption monitor.
+	// LinkMonitorConfig sets the EWMA corruption monitor's escalation
+	// threshold and minimum frames (the EWMA weighs each new frame
+	// 0.25).
 	LinkMonitorConfig = link.MonitorConfig
 	// CRCKind selects the frame checksum.
 	CRCKind = link.CRC
@@ -332,9 +334,6 @@ type (
 	// LatencyHistogram is a log-bucketed latency histogram with
 	// witnessed p50/p99/p999 quantile accessors.
 	LatencyHistogram = timing.Histogram
-	// SlowDetectorConfig tunes the relative-percentile slow-replica
-	// detector (no absolute thresholds).
-	SlowDetectorConfig = health.SlowConfig
 	// SlowDetector convicts gray (correct but persistently slow)
 	// replicas on relative peer evidence.
 	SlowDetector = health.SlowDetector
@@ -356,9 +355,11 @@ func NewTimingPlane(seed int64) *TimingPlane { return timing.NewPlane(seed) }
 func NewRTTEstimator() *RTTEstimator { return timing.NewEstimator() }
 
 // NewSlowDetector builds a relative-percentile slow-replica detector
-// over the given replica count.
-func NewSlowDetector(cfg SlowDetectorConfig, replicas int) (*SlowDetector, error) {
-	return health.NewSlowDetector(cfg, replicas)
+// over the given replica count: a replica whose 0.9 latency quantile
+// over its last 32 rounds stays above 3× its peers' median for 3
+// sweeps is convicted, once 8 rounds are on record.
+func NewSlowDetector(replicas int) (*SlowDetector, error) {
+	return health.NewSlowDetector(replicas)
 }
 
 // Overload robustness: seeded surge faults, closed-loop AIMD
@@ -635,9 +636,9 @@ func DeriveProvenanceKey(seed int64) uint64 { return byzantine.DeriveKey(seed) }
 func NewProvenanceStamper(key uint64) *ProvenanceStamper { return byzantine.NewStamper(key) }
 
 // NewProvenanceVerifier returns a receiving edge holding the key and a
-// dedup window of the given capacity (0 means the default).
-func NewProvenanceVerifier(key uint64, window int) *ProvenanceVerifier {
-	return byzantine.NewVerifier(key, window)
+// dedup window of the last 1024 accepted tags.
+func NewProvenanceVerifier(key uint64) *ProvenanceVerifier {
+	return byzantine.NewVerifier(key)
 }
 
 // CrossExamine renders the majority-of-3 verdict on a claimed output

@@ -320,16 +320,18 @@ func TestPublicAPIGrayFailure(t *testing.T) {
 	if !est.Primed() || est.RTO() < 4 {
 		t.Fatalf("estimator not primed after a clean sample: RTO %d", est.RTO())
 	}
-	det, err := NewSlowDetector(SlowDetectorConfig{MinSamples: 2, Persistence: 1}, 2)
+	det, err := NewSlowDetector(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ {
+	var convicted []int
+	for i := 0; i < 16; i++ {
 		det.Observe(0, 1)
 		det.Observe(1, 20)
+		convicted = append(convicted, det.Sweep()...)
 	}
-	if got := det.Sweep(); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("detector convicted %v, want [1]", got)
+	if len(convicted) != 1 || convicted[0] != 1 {
+		t.Fatalf("detector convicted %v, want [1]", convicted)
 	}
 }
 

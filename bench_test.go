@@ -862,10 +862,9 @@ func BenchmarkCorruptionQuarantine(b *testing.B) {
 	fault := link.WireFault{Stage: outStage, Wire: 0, Mode: link.WireStuck, StuckValue: 0}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p, err := pool.New(pool.Config{
-			TripThreshold: 8, // conviction, not the breaker, ends the corruption
-			Monitor:       link.MonitorConfig{Alpha: 0.9, Threshold: 0.5, MinFrames: 2},
-		}, sw)
+		// Conviction, not the breaker, ends the corruption: the link
+		// monitor convicts after 8 frames.
+		p, err := pool.New(pool.Config{TripThreshold: 10}, sw)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -873,7 +872,7 @@ func BenchmarkCorruptionQuarantine(b *testing.B) {
 			b.Fatal(err)
 		}
 		quarantined := false
-		for round := 0; round < 8; round++ {
+		for round := 0; round < 10; round++ {
 			if _, err := p.Run(msgs); err != nil {
 				b.Fatal(err)
 			}

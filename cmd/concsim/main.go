@@ -401,10 +401,9 @@ func runFaultSession(sw core.Concentrator, cfg switchsim.SessionConfig, faults i
 	}
 	schedule := health.GenerateFaultSchedule(cfg.Seed, fi, mtbf, cfg.Rounds, faults)
 	stats, err := health.RunFaultAwareSession(fi, health.FaultSessionConfig{
-		SessionConfig:   cfg,
-		Schedule:        schedule,
-		ScanEvery:       scanEvery,
-		ScanOnViolation: true,
+		SessionConfig: cfg,
+		Schedule:      schedule,
+		ScanEvery:     scanEvery,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

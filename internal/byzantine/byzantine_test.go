@@ -109,7 +109,7 @@ func TestPickDeterministicAndInRange(t *testing.T) {
 func TestStampVerifyRoundTrip(t *testing.T) {
 	key := DeriveKey(1987)
 	s := NewStamper(key)
-	v := NewVerifier(key, 0)
+	v := NewVerifier(key)
 	payload := []byte{1, 0, 1, 1, 0, 0, 1, 0}
 	for i := 0; i < 50; i++ {
 		tag := s.Stamp(3, payload)
@@ -125,7 +125,7 @@ func TestStampVerifyRoundTrip(t *testing.T) {
 func TestVerifyForged(t *testing.T) {
 	key := DeriveKey(1)
 	s := NewStamper(key)
-	v := NewVerifier(key, 0)
+	v := NewVerifier(key)
 	payload := []byte{1, 1, 0, 1}
 	tag := s.Stamp(1, payload)
 
@@ -138,7 +138,7 @@ func TestVerifyForged(t *testing.T) {
 	if got := v.Verify(tag, wrongPayload); got != VerdictForged {
 		t.Errorf("payload mismatch booked %v, want forged", got)
 	}
-	wrongKey := NewVerifier(DeriveKey(2), 0)
+	wrongKey := NewVerifier(DeriveKey(2))
 	if got := wrongKey.Verify(tag, payload); got != VerdictForged {
 		t.Errorf("wrong key booked %v, want forged", got)
 	}
@@ -158,22 +158,25 @@ func TestVerifyForged(t *testing.T) {
 func TestVerifyDedupWindow(t *testing.T) {
 	key := DeriveKey(5)
 	s := NewStamper(key)
-	v := NewVerifier(key, 4)
+	v := NewVerifier(key)
 	payload := []byte{0, 1}
-	tags := make([]Tag, 6)
+	tags := make([]Tag, DefaultWindow+2)
 	for i := range tags {
 		tags[i] = s.Stamp(0, payload)
 		if v.Verify(tags[i], payload) != VerdictOK {
 			t.Fatalf("fresh tag %d rejected", i)
 		}
 	}
-	// Immediate replay of a tag still inside the window: duplicated.
-	if got := v.Verify(tags[5], payload); got != VerdictDuplicated {
-		t.Errorf("in-window replay booked %v, want duplicated", got)
+	// Replays of the oldest and newest tags still inside the window:
+	// duplicated.
+	for _, i := range []int{2, len(tags) - 1} {
+		if got := v.Verify(tags[i], payload); got != VerdictDuplicated {
+			t.Errorf("in-window replay of tag %d booked %v, want duplicated", i, got)
+		}
 	}
-	// tags[0] and tags[1] have slid out of the 4-entry window: a
-	// replay of them re-verifies — the bounded-window tradeoff. They
-	// re-enter the window as fresh acceptances.
+	// tags[0] and tags[1] have slid out of the window: a replay of
+	// them re-verifies — the bounded-window tradeoff. They re-enter
+	// the window as fresh acceptances.
 	if got := v.Verify(tags[0], payload); got != VerdictOK {
 		t.Errorf("out-of-window replay booked %v, want ok (window slid)", got)
 	}
@@ -185,7 +188,7 @@ func TestVerifyDedupWindow(t *testing.T) {
 func TestVerifierWindowSnapshotRestore(t *testing.T) {
 	key := DeriveKey(9)
 	s := NewStamper(key)
-	v := NewVerifier(key, 8)
+	v := NewVerifier(key)
 	payload := []byte{1}
 	var tags []Tag
 	for i := 0; i < 5; i++ {
@@ -197,7 +200,7 @@ func TestVerifierWindowSnapshotRestore(t *testing.T) {
 	if len(win) != 5 {
 		t.Fatalf("Window() = %d entries, want 5", len(win))
 	}
-	restored := NewVerifier(key, 8)
+	restored := NewVerifier(key)
 	restored.RestoreWindow(win)
 	for i, tag := range tags {
 		if got := restored.Verify(tag, payload); got != VerdictDuplicated {
@@ -242,7 +245,7 @@ func TestTagEncodeDecodeRoundTrip(t *testing.T) {
 func TestVerifyBitsEndToEnd(t *testing.T) {
 	key := DeriveKey(77)
 	s := NewStamper(key)
-	v := NewVerifier(key, 0)
+	v := NewVerifier(key)
 	payload := []byte{1, 0, 1}
 	bits := EncodeTag(s.Stamp(4, payload))
 	if got := v.VerifyBits(bits, payload); got != VerdictOK {

@@ -19,7 +19,7 @@ func FuzzProvenance(f *testing.F) {
 			payload[i] &= 1
 		}
 		key := DeriveKey(seed)
-		v := NewVerifier(key, 16)
+		v := NewVerifier(key)
 
 		// Byte soup never panics, and never verifies unless it happens
 		// to decode to a correctly keyed tag — check the claim rather

@@ -158,28 +158,22 @@ func (v Verdict) String() string {
 	}
 }
 
-// DefaultWindow is the dedup window capacity the pool verifies with:
-// large enough to cover several rounds of a full fabric, small enough
-// that the window — which rides every checkpoint — stays O(1) in the
-// session length.
+// DefaultWindow is the dedup window capacity: large enough to cover
+// several rounds of a full fabric, small enough that the window —
+// which rides every checkpoint — stays O(1) in the session length.
 const DefaultWindow = 1024
 
 // Verifier is the receiving edge: it re-derives keyed sums and slides
-// a bounded dedup window over accepted (epoch, seq) pairs.
+// a dedup window of DefaultWindow accepted (epoch, seq) pairs.
 type Verifier struct {
 	key   uint64
-	cap   int
 	seen  map[uint64]struct{}
 	order []uint64 // FIFO of accepted ids, oldest first
 }
 
-// NewVerifier returns a verifier keyed for the session. window ≤ 0
-// takes DefaultWindow.
-func NewVerifier(key uint64, window int) *Verifier {
-	if window <= 0 {
-		window = DefaultWindow
-	}
-	return &Verifier{key: key, cap: window, seen: make(map[uint64]struct{})}
+// NewVerifier returns a verifier keyed for the session.
+func NewVerifier(key uint64) *Verifier {
+	return &Verifier{key: key, seen: make(map[uint64]struct{})}
 }
 
 func tagID(t Tag) uint64 { return uint64(t.Epoch)<<32 | uint64(t.Seq) }
@@ -198,7 +192,7 @@ func (v *Verifier) Verify(t Tag, payload []byte) Verdict {
 	}
 	v.seen[id] = struct{}{}
 	v.order = append(v.order, id)
-	if len(v.order) > v.cap {
+	if len(v.order) > DefaultWindow {
 		delete(v.seen, v.order[0])
 		v.order = v.order[1:]
 	}
@@ -226,8 +220,8 @@ func (v *Verifier) Window() []uint64 {
 // RestoreWindow rebuilds the dedup state from a checkpointed window.
 func (v *Verifier) RestoreWindow(order []uint64) {
 	v.order = append([]uint64(nil), order...)
-	if len(v.order) > v.cap {
-		v.order = v.order[len(v.order)-v.cap:]
+	if len(v.order) > DefaultWindow {
+		v.order = v.order[len(v.order)-DefaultWindow:]
 	}
 	v.seen = make(map[uint64]struct{}, len(v.order))
 	for _, id := range v.order {

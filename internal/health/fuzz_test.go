@@ -12,59 +12,50 @@ import (
 )
 
 // FuzzFaultSessionLaw drives fault sessions with an arbitrary policy,
-// load, ack delay, backoff cap (0 or at least the ack delay), scan
-// cadence, seed, deadline (0–3), CoDel target (Resend and Buffer),
-// retry budget (Resend, with the backoff cap 0) and up to three chip
+// load, ack delay, scan cadence, seed, deadline (0–3), CoDel target
+// (Resend and Buffer), retry budget (Resend) and up to three chip
 // faults, on Revsort n=16 and Columnsort 8×4. Every run must balance
 // the conservation law Offered = Delivered + Dropped +
 // CorruptedDropped + DeadlineMissed + Shed + FinalBacklog, split
 // LatencyHistogram exactly into its first-try and retried halves, and
-// replay to identical stats.
+// replay on the same switch to identical stats.
 func FuzzFaultSessionLaw(f *testing.F) {
-	f.Add(uint8(2), uint8(230), uint8(2), uint8(0), uint8(7), true, int64(1), uint8(2), uint32(0x12345678), uint32(0x9abcdef0), uint32(0), uint8(0), uint8(0), uint8(0))
-	f.Add(uint8(3), uint8(255), uint8(1), uint8(4), uint8(0), false, int64(7), uint8(3), uint32(0x00010203), uint32(0x40506071), uint32(0xfedcba98), uint8(0), uint8(0), uint8(0))
-	f.Add(uint8(5), uint8(180), uint8(0), uint8(0), uint8(3), true, int64(1987), uint8(1), uint32(0x0f0f0f0f), uint32(0), uint32(0), uint8(0), uint8(0), uint8(0))
-	f.Add(uint8(6), uint8(200), uint8(0), uint8(0), uint8(5), false, int64(-3), uint8(0), uint32(0), uint32(0), uint32(0), uint8(0), uint8(0), uint8(0))
-	f.Add(uint8(2), uint8(240), uint8(1), uint8(0), uint8(4), true, int64(11), uint8(2), uint32(0x31415926), uint32(0x27182818), uint32(0), uint8(1), uint8(2), uint8(25))
-	f.Fuzz(func(t *testing.T, shape, load, ack, backoff, scanEvery uint8, onViolation bool, seed int64,
+	f.Add(uint8(2), uint8(230), uint8(2), uint8(7), int64(1), uint8(2), uint32(0x12345678), uint32(0x9abcdef0), uint32(0), uint8(0), uint8(0), uint8(0))
+	f.Add(uint8(3), uint8(255), uint8(1), uint8(0), int64(7), uint8(3), uint32(0x00010203), uint32(0x40506071), uint32(0xfedcba98), uint8(0), uint8(0), uint8(0))
+	f.Add(uint8(5), uint8(180), uint8(0), uint8(3), int64(1987), uint8(1), uint32(0x0f0f0f0f), uint32(0), uint32(0), uint8(0), uint8(0), uint8(0))
+	f.Add(uint8(6), uint8(200), uint8(0), uint8(5), int64(-3), uint8(0), uint32(0), uint32(0), uint32(0), uint8(0), uint8(0), uint8(0))
+	f.Add(uint8(2), uint8(240), uint8(1), uint8(4), int64(11), uint8(2), uint32(0x31415926), uint32(0x27182818), uint32(0), uint8(1), uint8(2), uint8(25))
+	f.Fuzz(func(t *testing.T, shape, load, ack, scanEvery uint8, seed int64,
 		nfaults uint8, f1, f2, f3 uint32, deadline, codelTarget, budget uint8) {
 		const rounds = 24
-		newSwitch := func() core.FaultInjectable {
-			var sw core.FaultInjectable
-			var err error
-			if shape%2 == 0 {
-				sw, err = core.NewRevsortSwitch(16, 12)
-			} else {
-				sw, err = core.NewColumnsortSwitch(8, 4, 24)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			return sw
+		var sw core.FaultInjectable
+		var err error
+		if shape%2 == 0 {
+			sw, err = core.NewRevsortSwitch(16, 12)
+		} else {
+			sw, err = core.NewColumnsortSwitch(8, 4, 24)
+		}
+		if err != nil {
+			t.Fatal(err)
 		}
 		cfg := FaultSessionConfig{
 			SessionConfig: switchsim.SessionConfig{
 				Policy: switchsim.Policy(shape / 2 % 4), Load: float64(load) / 255,
 				Rounds: rounds, PayloadBits: 2, Seed: seed,
 			},
-			ScanEvery:       int(scanEvery % 10),
-			ScanOnViolation: onViolation,
+			ScanEvery: int(scanEvery % 10),
 		}
 		cfg.Deadline = int(deadline % 4)
 		if cfg.Policy == switchsim.Resend {
 			cfg.AckDelay = int(ack % 4)
-			if b := int(backoff % 16); b >= cfg.AckDelay {
-				cfg.BackoffMax = b
-			}
 			if budget != 0 {
 				cfg.RetryBudget = &overload.RetryConfig{Budget: float64(budget) / 256}
-				cfg.BackoffMax = 0
 			}
 		}
 		if target := int(codelTarget % 4); target > 0 && (cfg.Policy == switchsim.Resend || cfg.Policy == switchsim.Buffer) {
 			cfg.CoDel = &overload.CoDelConfig{Target: target}
 		}
-		stages := newSwitch().StageChips()
+		stages := sw.StageChips()
 		for _, code := range []uint32{f1, f2, f3}[:nfaults%4] {
 			si := int(code % uint32(len(stages)))
 			st := stages[si]
@@ -78,7 +69,7 @@ func FuzzFaultSessionLaw(f *testing.F) {
 			})
 		}
 
-		st, err := RunFaultAwareSession(newSwitch(), cfg)
+		st, err := RunFaultAwareSession(sw, cfg)
 		if err != nil {
 			t.Fatalf("%+v: %v", cfg, err)
 		}
@@ -87,7 +78,7 @@ func FuzzFaultSessionLaw(f *testing.F) {
 				st.Delivered, st.Dropped, st.CorruptedDropped, st.DeadlineMissed, st.Shed, st.FinalBacklog, got, st.Offered)
 		}
 		checkLatencySplit(t, &st.SessionStats)
-		again, err := RunFaultAwareSession(newSwitch(), cfg)
+		again, err := RunFaultAwareSession(sw, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,50 +8,24 @@ import (
 	"testing"
 )
 
-func TestSlowConfigValidate(t *testing.T) {
-	good := []SlowConfig{{}, {Window: 16, Quantile: 0.95, Factor: 2, Persistence: 5, MinSamples: 4}}
-	for _, c := range good {
-		if err := c.Validate(); err != nil {
-			t.Errorf("valid config %+v rejected: %v", c, err)
-		}
-	}
-	bad := []SlowConfig{
-		{Window: -1},
-		{Quantile: math.NaN()},
-		{Quantile: -0.1},
-		{Quantile: 1.5},
-		{Factor: math.NaN()},
-		{Factor: -1},
-		{Factor: 0.5}, // would convict healthy jitter
-		{Persistence: -1},
-		{MinSamples: -1},
-		{Window: 4, MinSamples: 8},
-	}
-	for _, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Errorf("invalid config %+v accepted", c)
-		}
-		if _, err := NewSlowDetector(c, 2); err == nil {
-			t.Errorf("NewSlowDetector accepted invalid config %+v", c)
-		}
-	}
-	if _, err := NewSlowDetector(SlowConfig{}, 0); err == nil {
+func TestSlowDetectorNeedsAReplica(t *testing.T) {
+	if _, err := NewSlowDetector(0); err == nil {
 		t.Error("detector accepted zero replicas")
 	}
 }
 
 // A persistent relative outlier is convicted exactly once — after
-// Persistence consecutive sweeps — while its equally loaded peers
+// slowPersistence consecutive sweeps — while its equally loaded peers
 // never are. No absolute thresholds are involved: both scenarios use
 // the same fast/slow ratio at different absolute scales.
 func TestSlowDetectorConvictsRelativeOutlier(t *testing.T) {
 	for _, scale := range []int{1, 50} {
-		d, err := NewSlowDetector(SlowConfig{MinSamples: 4, Persistence: 3}, 3)
+		d, err := NewSlowDetector(3)
 		if err != nil {
 			t.Fatal(err)
 		}
 		convictedAt := -1
-		for sweep := 0; sweep < 10; sweep++ {
+		for sweep := 0; sweep < 20; sweep++ {
 			d.Observe(0, 1*scale)
 			d.Observe(1, 1*scale)
 			d.Observe(2, 10*scale) // 10× its peers, at any scale
@@ -65,13 +39,10 @@ func TestSlowDetectorConvictsRelativeOutlier(t *testing.T) {
 				convictedAt = sweep
 			}
 		}
-		if convictedAt < 0 {
-			t.Fatalf("scale %d: persistent 10× outlier never convicted", scale)
-		}
-		// MinSamples=4 gates the first possible over-line sweep;
-		// persistence demands 3 consecutive ones after that.
-		if convictedAt < 5 {
-			t.Fatalf("scale %d: convicted at sweep %d, before persistence could have elapsed", scale, convictedAt)
+		// slowMinSamples gates the first over-line sweep; persistence
+		// demands slowPersistence consecutive ones from there.
+		if want := slowMinSamples + slowPersistence - 2; convictedAt != want {
+			t.Fatalf("scale %d: convicted at sweep %d, want %d", scale, convictedAt, want)
 		}
 	}
 }
@@ -81,7 +52,7 @@ func TestSlowDetectorConvictsRelativeOutlier(t *testing.T) {
 // tail allowance (1−Quantile of the window), so the replica never even
 // goes over the line — persistence is the second guard, not the first.
 func TestSlowDetectorIgnoresShortPause(t *testing.T) {
-	d, err := NewSlowDetector(SlowConfig{}, 2) // Window 32, Quantile 0.9: 3 pause samples tolerated
+	d, err := NewSlowDetector(2) // window 32, quantile 0.9: 3 pause samples tolerated
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +72,7 @@ func TestSlowDetectorIgnoresShortPause(t *testing.T) {
 // Equally fast replicas never convict each other, even with integer
 // jitter: the conviction line is floored at the peer median + 1.
 func TestSlowDetectorNoConvictionWhenUniform(t *testing.T) {
-	d, err := NewSlowDetector(SlowConfig{MinSamples: 2, Persistence: 1}, 4)
+	d, err := NewSlowDetector(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,12 +87,12 @@ func TestSlowDetectorNoConvictionWhenUniform(t *testing.T) {
 }
 
 func TestSlowDetectorResetGivesFreshTrial(t *testing.T) {
-	d, err := NewSlowDetector(SlowConfig{MinSamples: 2, Persistence: 2}, 2)
+	d, err := NewSlowDetector(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	convict := func() bool {
-		for sweep := 0; sweep < 10; sweep++ {
+		for sweep := 0; sweep < 20; sweep++ {
 			d.Observe(0, 1)
 			d.Observe(1, 20)
 			if got := d.Sweep(); len(got) > 0 {
@@ -155,12 +126,12 @@ func TestSlowDetectorResetGivesFreshTrial(t *testing.T) {
 // they read: the reference Sweep's one-sort-per-window form must match.
 func refQuantile(d *SlowDetector, replica int) (int, bool) {
 	w := &d.windows[replica]
-	if w.filled < d.cfg.MinSamples {
+	if w.filled < slowMinSamples {
 		return 0, false
 	}
 	lats := append([]int(nil), w.ring[:w.filled]...)
 	sort.Ints(lats)
-	rank := int(math.Ceil(d.cfg.Quantile * float64(len(lats))))
+	rank := int(math.Ceil(slowQuantile * float64(len(lats))))
 	if rank < 1 {
 		rank = 1
 	}
@@ -197,31 +168,24 @@ func refOverLine(d *SlowDetector, replica int) bool {
 	if !ok {
 		return false
 	}
-	return float64(q) > math.Max(d.cfg.Factor*med, med+1)
+	return float64(q) > math.Max(SlowFactor*med, med+1)
 }
 
 // Sweep, Quantile and PeerMedian give the reference's answers on random
 // windows: 1–5 replicas filling at ragged rates, so windows sit on both
-// sides of MinSamples, with occasional resets and a slow replica.
+// sides of slowMinSamples and wrap, with occasional resets and a slow
+// replica.
 func TestSlowSweepMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 400; trial++ {
 		replicas := 1 + rng.Intn(5)
-		window := 2 + rng.Intn(15)
-		cfg := SlowConfig{
-			Window:      window,
-			MinSamples:  1 + rng.Intn(window),
-			Persistence: 1 + rng.Intn(3),
-			Quantile:    []float64{0, 0.5, 0.75, 1}[rng.Intn(4)],
-			Factor:      []float64{0, 1.5, 3}[rng.Intn(3)],
-		}
-		d, err := NewSlowDetector(cfg, replicas)
+		d, err := NewSlowDetector(replicas)
 		if err != nil {
 			t.Fatal(err)
 		}
 		slow := rng.Intn(replicas)
 		streaks := make([]int, replicas)
-		for sweep := 0; sweep < 16; sweep++ {
+		for sweep := 0; sweep < 48; sweep++ {
 			for i := 0; i < replicas; i++ {
 				for k := rng.Intn(3); k > 0; k-- {
 					lat := 1 + rng.Intn(3)
@@ -255,12 +219,12 @@ func TestSlowSweepMatchesReference(t *testing.T) {
 					continue
 				}
 				streaks[i]++
-				if streaks[i] == d.cfg.Persistence {
+				if streaks[i] == slowPersistence {
 					want = append(want, i)
 				}
 			}
 			if got := d.Sweep(); !slices.Equal(got, want) {
-				t.Fatalf("trial %d sweep %d (%+v, %d replicas): Sweep convicted %v, reference %v", trial, sweep, cfg, replicas, got, want)
+				t.Fatalf("trial %d sweep %d (%d replicas): Sweep convicted %v, reference %v", trial, sweep, replicas, got, want)
 			}
 			for i, w := range d.windows {
 				if w.streak != streaks[i] {
@@ -275,7 +239,7 @@ func TestSlowSweepMatchesReference(t *testing.T) {
 // against and without, and neither does the canary's PeerMedian.
 func TestSlowSweepAllocatesNothing(t *testing.T) {
 	for _, replicas := range []int{1, 3} {
-		d, err := NewSlowDetector(SlowConfig{}, replicas)
+		d, err := NewSlowDetector(replicas)
 		if err != nil {
 			t.Fatal(err)
 		}

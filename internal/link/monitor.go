@@ -5,11 +5,12 @@ import (
 	"sort"
 )
 
+// monitorAlpha is the EWMA smoothing factor: the weight of the newest
+// observation.
+const monitorAlpha = 0.25
+
 // MonitorConfig tunes the per-link corruption-rate tracker.
 type MonitorConfig struct {
-	// Alpha is the EWMA smoothing factor in (0,1]: the weight of the
-	// newest observation. 0 means the default (0.25).
-	Alpha float64
 	// Threshold is the EWMA corruption rate at which a link becomes
 	// suspect and is escalated into the health plane's BIST-scan →
 	// quarantine path. 0 means the default (0.3).
@@ -20,25 +21,15 @@ type MonitorConfig struct {
 	MinFrames int
 }
 
-func (c MonitorConfig) withDefaults() (MonitorConfig, error) {
-	if c.Alpha == 0 {
-		c.Alpha = 0.25
-	}
-	if c.Threshold == 0 {
-		c.Threshold = 0.3
-	}
-	if c.MinFrames == 0 {
-		c.MinFrames = 8
-	}
+// Validate rejects a threshold outside [0,1] and a negative MinFrames.
+func (c MonitorConfig) Validate() error {
 	switch {
-	case c.Alpha != c.Alpha || c.Alpha < 0 || c.Alpha > 1:
-		return c, fmt.Errorf("link: monitor alpha %v outside (0,1]", c.Alpha)
 	case c.Threshold != c.Threshold || c.Threshold < 0 || c.Threshold > 1:
-		return c, fmt.Errorf("link: monitor threshold %v outside (0,1]", c.Threshold)
+		return fmt.Errorf("link: monitor threshold %v outside (0,1]", c.Threshold)
 	case c.MinFrames < 0:
-		return c, fmt.Errorf("link: negative monitor MinFrames %d", c.MinFrames)
+		return fmt.Errorf("link: negative monitor MinFrames %d", c.MinFrames)
 	}
-	return c, nil
+	return nil
 }
 
 // LinkHealth is one link's observed corruption history.
@@ -63,13 +54,16 @@ type LinkMonitor struct {
 	links map[LinkAddr]*LinkHealth
 }
 
-// NewLinkMonitor builds a monitor; zero cfg fields take defaults.
-func NewLinkMonitor(cfg MonitorConfig) (*LinkMonitor, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
+// NewLinkMonitor builds a monitor for a cfg that passes Validate; zero
+// cfg fields take defaults.
+func NewLinkMonitor(cfg MonitorConfig) *LinkMonitor {
+	if cfg.Threshold == 0 {
+		cfg.Threshold = 0.3
 	}
-	return &LinkMonitor{cfg: cfg, links: make(map[LinkAddr]*LinkHealth)}, nil
+	if cfg.MinFrames == 0 {
+		cfg.MinFrames = 8
+	}
+	return &LinkMonitor{cfg: cfg, links: make(map[LinkAddr]*LinkHealth)}
 }
 
 // Config returns the effective (defaulted) configuration.
@@ -96,7 +90,7 @@ func (m *LinkMonitor) Observe(at LinkAddr, corrupted bool) {
 	if lh.Frames == 1 {
 		lh.EWMA = x
 	} else {
-		lh.EWMA = m.cfg.Alpha*x + (1-m.cfg.Alpha)*lh.EWMA
+		lh.EWMA = monitorAlpha*x + (1-monitorAlpha)*lh.EWMA
 	}
 }
 

@@ -7,24 +7,24 @@ func TestMonitorConfigValidate(t *testing.T) {
 		name string
 		cfg  MonitorConfig
 	}{
-		{"alpha above one", MonitorConfig{Alpha: 1.5}},
-		{"negative alpha", MonitorConfig{Alpha: -0.2}},
 		{"threshold above one", MonitorConfig{Threshold: 2}},
 		{"negative min frames", MonitorConfig{MinFrames: -1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := NewLinkMonitor(tc.cfg); err == nil {
+			if err := tc.cfg.Validate(); err == nil {
 				t.Errorf("accepted %+v", tc.cfg)
 			}
 		})
 	}
-	m, err := NewLinkMonitor(MonitorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := m.Config()
-	if cfg.Alpha != 0.25 || cfg.Threshold != 0.3 || cfg.MinFrames != 8 {
+	m := NewLinkMonitor(MonitorConfig{})
+	if cfg := m.Config(); cfg.Threshold != 0.3 || cfg.MinFrames != 8 {
 		t.Errorf("defaults wrong: %+v", cfg)
+	}
+	at := LinkAddr{Stage: 1, Wire: 1}
+	m.Observe(at, true)
+	m.Observe(at, false)
+	if h := m.Health(at); h.EWMA != 0.75 {
+		t.Errorf("EWMA %v after a corrupt and a clean frame, want 0.75 (the newest frame weighs 0.25)", h.EWMA)
 	}
 }
 
@@ -32,10 +32,7 @@ func TestMonitorConfigValidate(t *testing.T) {
 // MinFrames observations; a clean link never does; a recovering link's
 // EWMA decays back under the threshold.
 func TestMonitorEscalationBounds(t *testing.T) {
-	m, err := NewLinkMonitor(MonitorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := NewLinkMonitor(MonitorConfig{})
 	bad := LinkAddr{Stage: 3, Wire: 4}
 	good := LinkAddr{Stage: 3, Wire: 5}
 	for i := 0; i < m.Config().MinFrames; i++ {
@@ -86,7 +83,7 @@ func TestMonitorEscalationBounds(t *testing.T) {
 
 // Reset exonerates a link (fresh trial) but cannot un-escalate one.
 func TestMonitorReset(t *testing.T) {
-	m, _ := NewLinkMonitor(MonitorConfig{})
+	m := NewLinkMonitor(MonitorConfig{})
 	at := LinkAddr{Stage: 1, Wire: 2}
 	for i := 0; i < 10; i++ {
 		m.Observe(at, true)
@@ -109,7 +106,7 @@ func TestMonitorReset(t *testing.T) {
 }
 
 func TestMonitorSnapshot(t *testing.T) {
-	m, _ := NewLinkMonitor(MonitorConfig{})
+	m := NewLinkMonitor(MonitorConfig{})
 	m.Observe(LinkAddr{0, 1}, true)
 	m.Observe(LinkAddr{0, 2}, false)
 	snap := m.Snapshot()

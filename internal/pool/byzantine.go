@@ -78,7 +78,7 @@ func (p *Pool) ensureEdgesLocked() {
 	if p.stamper == nil {
 		key := byzantine.DeriveKey(p.cfg.Byzantine.Seed)
 		p.stamper = byzantine.NewStamper(key)
-		p.verifier = byzantine.NewVerifier(key, byzantine.DefaultWindow)
+		p.verifier = byzantine.NewVerifier(key)
 	}
 }
 

@@ -318,9 +318,7 @@ func (p *Pool) wipeLocked(r *replica) {
 func (p *Pool) coldStartLocked(r *replica) {
 	r.lat.Reset()
 	p.slow.Reset(r.ID)
-	if monitor, err := link.NewLinkMonitor(p.cfg.Monitor); err == nil {
-		r.monitor = monitor
-	}
+	r.monitor = link.NewLinkMonitor(link.MonitorConfig{})
 }
 
 // Rejoin brings a drained replica back from its checkpoint: the

@@ -616,10 +616,7 @@ func TestCheckpointReviveForgetsPlane(t *testing.T) {
 // to a replica whose link monitor can still convict a wire: the live
 // record is never nil.
 func TestCheckpointRestoreThenEscalate(t *testing.T) {
-	p := newPool(t, Config{
-		TripThreshold: 3,
-		Monitor:       link.MonitorConfig{Alpha: 0.9, Threshold: 0.5, MinFrames: 2},
-	}, 1)
+	p := newPool(t, Config{TripThreshold: 10}, 1)
 	cp := p.Snapshot()
 	cp.Replicas[0].WireFaults = nil
 	if err := p.Restore(cp); err != nil {
@@ -630,7 +627,7 @@ func TestCheckpointRestoreThenEscalate(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	for round := 0; round < 12; round++ {
+	for round := 0; round < 24; round++ {
 		if _, err := p.Run(fullMsgs(p.Threshold())); err != nil {
 			t.Fatal(err)
 		}

@@ -108,10 +108,6 @@ type Config struct {
 	// RetryAfterCap caps the retry-after rounds advertised to shed
 	// messages. 0 means the default (8).
 	RetryAfterCap int
-	// Monitor tunes each replica's receiver-side link monitor (EWMA
-	// corruption tracking over output wires). Zero fields take the
-	// link package defaults.
-	Monitor link.MonitorConfig
 	// HedgeQuantile enables hedged dispatch: a round whose serving
 	// latency exceeds this quantile of the pool's observed latency is
 	// re-offered to the next-ranked healthy replica, first completion
@@ -127,9 +123,6 @@ type Config struct {
 	// (they still count Delivered — the fabric met the ⌊α′m′⌋
 	// guarantee; the SLO is a separate ledger). 0 disables.
 	Deadline int
-	// Slow calibrates the relative-percentile slow-replica detector.
-	// Zero fields take the health package defaults.
-	Slow health.SlowConfig
 	// Overload, when non-nil, closes the admission loop: the static
 	// ⌊α′m′⌋ gate becomes AIMD on the admitted fraction (driven by
 	// per-round deadline-miss and client-backlog congestion signals),
@@ -221,9 +214,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.HedgeBudget == 0 {
 		c.HedgeBudget = 0.25
-	}
-	if err := c.Slow.Validate(); err != nil {
-		return c, err
 	}
 	if c.Overload != nil {
 		if err := c.Overload.Validate(); err != nil {
@@ -587,7 +577,7 @@ func New(cfg Config, switches ...core.FaultInjectable) (*Pool, error) {
 	}
 	p := &Pool{cfg: cfg, n: switches[0].Inputs(), m: switches[0].Outputs(), leaseHolder: -1}
 	p.susp = health.NewSuspicionClock(len(switches))
-	slow, err := health.NewSlowDetector(cfg.Slow, len(switches))
+	slow, err := health.NewSlowDetector(len(switches))
 	if err != nil {
 		return nil, fmt.Errorf("pool: %w", err)
 	}
@@ -608,16 +598,12 @@ func New(cfg Config, switches ...core.FaultInjectable) (*Pool, error) {
 				return nil, fmt.Errorf("pool: replica %d: %w", i, err)
 			}
 		}
-		monitor, err := link.NewLinkMonitor(cfg.Monitor)
-		if err != nil {
-			return nil, fmt.Errorf("pool: %w", err)
-		}
 		p.replicas = append(p.replicas, &replica{
 			ReplicaCheckpoint: ReplicaCheckpoint{
 				ID: i, ProbeAt: -1,
 				WireFaults: make(map[int]health.LocalizedFault),
 			},
-			sw: sw, stages: len(sw.StageChips()), monitor: monitor,
+			sw: sw, stages: len(sw.StageChips()), monitor: link.NewLinkMonitor(link.MonitorConfig{}),
 		})
 	}
 	return p, nil

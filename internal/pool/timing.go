@@ -3,6 +3,7 @@ package pool
 import (
 	"math"
 
+	"concentrators/internal/health"
 	"concentrators/internal/switchsim"
 	"concentrators/internal/timing"
 )
@@ -117,7 +118,7 @@ func (p *Pool) canaryPassLocked(r *replica, round int64) bool {
 	if !ok {
 		return true
 	}
-	return float64(lat) <= math.Max(p.slow.Factor()*med, med+1)
+	return float64(lat) <= math.Max(health.SlowFactor*med, med+1)
 }
 
 // sweepSlowLocked advances the slow detector one round and trips the

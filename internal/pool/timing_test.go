@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"concentrators/internal/health"
 	"concentrators/internal/link"
 	"concentrators/internal/timing"
 )
@@ -27,7 +26,6 @@ func TestPoolGrayConfigValidate(t *testing.T) {
 		{"negative hedge budget", Config{HedgeQuantile: 0.9, HedgeBudget: -0.1}},
 		{"hedge budget above 1", Config{HedgeQuantile: 0.9, HedgeBudget: 1.5}},
 		{"negative deadline", Config{Deadline: -1}},
-		{"bad slow factor", Config{Slow: health.SlowConfig{Factor: 0.5}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := New(tc.cfg, newReplicas(t, 2)...); err == nil {
@@ -172,7 +170,6 @@ func TestGCPauseNeverConvicts(t *testing.T) {
 		HedgeQuantile: 0.9,
 		HedgeBudget:   1,
 		Deadline:      5,
-		Slow:          health.SlowConfig{MinSamples: 2},
 	}, 2)
 	pause := timing.Fault{
 		Stage: 0, Wire: link.AllWires, Mode: timing.Pause,

@@ -122,10 +122,7 @@ func (c IntegrityConfig) Validate() error {
 	case c.MaxRetransmits < 0:
 		return fmt.Errorf("switchsim: negative retransmit budget %d", c.MaxRetransmits)
 	}
-	if _, err := link.NewLinkMonitor(c.Monitor); err != nil {
-		return err
-	}
-	return nil
+	return c.Monitor.Validate()
 }
 
 // IntegrityStats is the wire-integrity observability of one session.
@@ -238,10 +235,7 @@ func arqBackoff(attempt int) int { return 1 << min(attempt, 4) }
 func runIntegritySession(sw core.Concentrator, cfg SessionConfig) (*SessionStats, error) {
 	ic := cfg.Integrity.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	monitor, err := link.NewLinkMonitor(ic.Monitor)
-	if err != nil {
-		return nil, err
-	}
+	monitor := link.NewLinkMonitor(ic.Monitor)
 	n := sw.Inputs()
 	stats := newSessionStats(cfg)
 	ist := &IntegrityStats{CRC: ic.CRC, Window: ic.Window}

@@ -32,7 +32,7 @@ func TestIntegrityConfigValidate(t *testing.T) {
 		{"negative window", func(c *SessionConfig) { c.Integrity.Window = -1 }},
 		{"window past seq ambiguity", func(c *SessionConfig) { c.Integrity.Window = link.SeqSpace/2 + 1 }},
 		{"negative retransmit budget", func(c *SessionConfig) { c.Integrity.MaxRetransmits = -2 }},
-		{"bad monitor alpha", func(c *SessionConfig) { c.Integrity.Monitor.Alpha = 2 }},
+		{"bad monitor threshold", func(c *SessionConfig) { c.Integrity.Monitor.Threshold = 2 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := integrityBase()
