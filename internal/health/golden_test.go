@@ -48,10 +48,12 @@ func goldenSwitches(t *testing.T) map[string]core.FaultInjectable {
 
 // goldenFaultSets names the corpus fault sets of sw: none; every mode on
 // every stage, on the first and the last chip, with ports at 0 and at
-// the last port; and three combinations — a stuck output upstream of a
+// the last port; and four combinations — a stuck output upstream of a
 // dead chip on the phantom's line, swapped pairs on ports below the
-// column's height, and a pass-through barrel shifter (Revsort) or a
-// pass-through first stage (Columnsort) ahead of a stuck output.
+// column's height, a pass-through barrel shifter (Revsort) or a
+// pass-through first stage (Columnsort) ahead of a stuck output, and a
+// quarantined final-stage wire beside a bypassed final-stage chip, so
+// one route runs both the repair taps and the quarantine re-drive.
 func goldenFaultSets(sw core.FaultInjectable) map[string][]core.ChipFault {
 	stages := sw.StageChips()
 	sets := map[string][]core.ChipFault{"healthy": nil}
@@ -93,6 +95,10 @@ func goldenFaultSets(sw core.FaultInjectable) map[string][]core.ChipFault {
 		}
 		sets["combo/passthrough-stage"] = append(pass, core.ChipFault{Stage: 1, Chip: 0, Mode: core.ChipStuckOutput, A: 0})
 	}
+	sets["combo/quarantine-and-bypass"] = []core.ChipFault{
+		{Stage: len(stages) - 1, Chip: 0, Mode: core.ChipStuckOutput, A: 1},
+		{Stage: len(stages) - 1, Chip: final.Chips - 1, Mode: core.ChipDead},
+	}
 	return sets
 }
 
@@ -114,47 +120,71 @@ func goldenVectors(sw core.FaultInjectable) []*bitvec.Vector {
 }
 
 // TestGoldenScans replays the health corpus: every switch × fault set
-// Scan report and degraded route must hash to its recorded digest. Run
-// with -update to re-record.
+// Scan report and degraded route must hash to its recorded digest, and
+// so must one route through a degradation that a later stuck output
+// outlives. Run with -update to re-record.
 func TestGoldenScans(t *testing.T) {
 	got := map[string]string{}
-	for name, sw := range goldenSwitches(t) {
-		vs := goldenVectors(sw)
+	switches := goldenSwitches(t)
+	for name, sw := range switches {
 		for set, faults := range goldenFaultSets(sw) {
 			tag := name + "/" + set
-			p := core.NewFaultPlane()
-			for _, f := range faults {
-				p.Add(f)
+			d, digest := scanDigest(t, tag, sw, faults, nil)
+			got[tag] = digest
+			if set == "combo/quarantine-and-bypass" && (len(d.quarantined) != 1 || len(d.repairChips) != 1) {
+				t.Errorf("%s: quarantined %v, repair taps on %v; want one of each", tag, d.quarantined, d.repairChips)
 			}
-			if err := sw.SetFaultPlane(p); err != nil {
-				t.Fatalf("%s: %v", tag, err)
-			}
-			rep, err := Scan(sw)
-			if err != nil {
-				t.Fatalf("%s: Scan: %v", tag, err)
-			}
-			d, err := NewDegradedSwitch(sw, rep.Faults)
-			if err != nil {
-				t.Fatalf("%s: %v", tag, err)
-			}
-			var routes [][]int
-			for _, v := range vs {
-				out, err := d.Route(v)
-				if err != nil {
-					t.Fatalf("%s: degraded Route: %v", tag, err)
-				}
-				routes = append(routes, out)
-			}
-			js, err := json.Marshal(struct {
-				Scan     *ScanReport
-				Degraded [][]int
-			}{rep, routes})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sum := sha256.Sum256(js)
-			got[tag] = hex.EncodeToString(sum[:])
 		}
 	}
+	// A stuck output that strikes after the degradation was derived
+	// stays live through it: its phantom is attributed to an idle input,
+	// which the repair pass renumbers with the routed messages.
+	sw := switches["revsort/256"]
+	later := core.ChipFault{Stage: len(sw.StageChips()) - 1, Chip: 1, Mode: core.ChipStuckOutput, A: 0}
+	tag := "revsort/256/combo/quarantine-and-bypass/later-stuck-output"
+	_, got[tag] = scanDigest(t, tag, sw, goldenFaultSets(sw)["combo/quarantine-and-bypass"], &later)
 	replayDigests(t, scanDigests, got)
+}
+
+// scanDigest installs faults on sw, scans it, derives the degraded
+// switch from the report, adds the later fault (when non-nil) to the
+// plane, and hashes the report with the degraded routes of the corpus
+// inputs.
+func scanDigest(t *testing.T, tag string, sw core.FaultInjectable, faults []core.ChipFault, later *core.ChipFault) (*DegradedSwitch, string) {
+	t.Helper()
+	p := core.NewFaultPlane()
+	for _, f := range faults {
+		p.Add(f)
+	}
+	if err := sw.SetFaultPlane(p); err != nil {
+		t.Fatalf("%s: %v", tag, err)
+	}
+	rep, err := Scan(sw)
+	if err != nil {
+		t.Fatalf("%s: Scan: %v", tag, err)
+	}
+	d, err := NewDegradedSwitch(sw, rep.Faults)
+	if err != nil {
+		t.Fatalf("%s: %v", tag, err)
+	}
+	if later != nil {
+		p.Add(*later)
+	}
+	var routes [][]int
+	for _, v := range goldenVectors(sw) {
+		out, err := d.Route(v)
+		if err != nil {
+			t.Fatalf("%s: degraded Route: %v", tag, err)
+		}
+		routes = append(routes, out)
+	}
+	js, err := json.Marshal(struct {
+		Scan     *ScanReport
+		Degraded [][]int
+	}{rep, routes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(js)
+	return d, hex.EncodeToString(sum[:])
 }
