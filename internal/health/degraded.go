@@ -114,7 +114,12 @@ func (d *DegradedSwitch) effectivePlane() *core.FaultPlane {
 	return p
 }
 
-// Route implements core.Concentrator under the degraded contract.
+// Route implements core.Concentrator under the degraded contract. One
+// pass over the inner routing renumbers every entry on a live wire onto
+// the compacted degraded outputs and lists, in input order, the entries
+// that landed on quarantined wires. The pass visits every input, not
+// only the valid ones: a live stuck output the degradation does not
+// cover routes phantoms from idle inputs.
 func (d *DegradedSwitch) Route(valid *bitvec.Vector) ([]int, error) {
 	plane := d.effectivePlane()
 	var out []int
@@ -133,28 +138,29 @@ func (d *DegradedSwitch) Route(valid *bitvec.Vector) ([]int, error) {
 		out = o
 	}
 
-	// Occupancy of the inner output wires.
-	owner := make([]int, d.m)
-	for o := range owner {
-		owner[o] = -1
+	// The taken degraded outputs, one bit each: on the stack up to 4096
+	// outputs.
+	mp := d.Outputs()
+	var stack [64]uint64
+	taken := stack[:]
+	if mp > 64*len(stack) {
+		taken = make([]uint64, (mp+63)/64)
 	}
-	for i, o := range out {
-		if o >= 0 {
-			owner[o] = i
-		}
-	}
-
-	// Messages needing a spare output: those the inner route placed on
-	// quarantined wires, plus — via the repair taps — live messages
-	// stranded beyond the m-boundary on a bypassed final-stage chip.
 	var stranded []int
 	for i, o := range out {
-		if o >= 0 && d.remap[o] == -1 {
+		if o < 0 {
+			continue
+		}
+		if r := d.remap[o]; r >= 0 {
+			out[i] = r
+			taken[r>>6] |= uint64(1) << uint(r&63)
+		} else {
 			out[i] = -1
-			owner[o] = -1
 			stranded = append(stranded, i)
 		}
 	}
+	// Via the repair taps, live messages stranded beyond the m-boundary
+	// on a bypassed final-stage chip need a spare output too.
 	if len(d.repairChips) > 0 {
 		stages := d.inner.StageChips()
 		st := stages[len(stages)-1]
@@ -165,27 +171,22 @@ func (d *DegradedSwitch) Route(valid *bitvec.Vector) ([]int, error) {
 				}
 			}
 		}
+		sort.Ints(stranded)
 	}
-	sort.Ints(stranded)
 
-	// Re-drive stranded messages onto free, non-quarantined outputs.
+	// Re-drive each stranded message onto the lowest free degraded
+	// output. remap is strictly increasing on live wires, so that is the
+	// lowest free live inner wire, renumbered.
 	next := 0
 	for _, i := range stranded {
-		for next < d.m && (d.remap[next] == -1 || owner[next] != -1) {
+		for next < mp && taken[next>>6]&(uint64(1)<<uint(next&63)) != 0 {
 			next++
 		}
-		if next == d.m {
+		if next == mp {
 			break // no spare left: only possible beyond the degraded threshold
 		}
 		out[i] = next
-		owner[next] = i
-	}
-
-	// Renumber onto the compacted degraded output set.
-	for i, o := range out {
-		if o >= 0 {
-			out[i] = d.remap[o]
-		}
+		next++
 	}
 	return out, nil
 }

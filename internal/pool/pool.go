@@ -508,6 +508,11 @@ type Pool struct {
 	// shedStreak counts consecutive rounds that shed load, driving the
 	// advertised retry-after backoff.
 	shedStreak int
+	// batch holds a shedding round's admitted messages, reused from
+	// round to round. Every reader (serving, hedges, failovers, shadow
+	// and dark serving, witness audits) is inside Run, and a Result's
+	// payloads point into the Runner's streams, not into the batch.
+	batch []switchsim.Message
 	// scanLatency is the number of rounds a BIST probe scan takes to
 	// complete: a probe's verdict lands scanLatency rounds after it is
 	// due. Only SetScanLatency changes it.
@@ -965,7 +970,8 @@ func (p *Pool) electLocked() {
 // input, so under persistent overload every input takes its fair turn
 // at being shed, instead of a fixed input-order priority that starves
 // the high wires forever. msgs is in ascending input order, and so are
-// both lists.
+// both lists. A shedding round's admitted list is the Pool's batch,
+// valid until the next round.
 func (p *Pool) admit(msgs []switchsim.Message, thr int, round int64) (admitted []switchsim.Message, shed []ShedMessage) {
 	if len(msgs) <= thr {
 		p.shedStreak = 0
@@ -975,7 +981,7 @@ func (p *Pool) admit(msgs []switchsim.Message, thr int, round int64) (admitted [
 	retryAfter := min(1<<min(p.shedStreak-1, 10), p.cfg.RetryAfterCap)
 	offset := int(round % int64(p.n))
 	first := sort.Search(len(msgs), func(i int) bool { return msgs[i].Input >= offset })
-	admitted = make([]switchsim.Message, 0, thr)
+	admitted = p.batch[:0]
 	shed = make([]ShedMessage, 0, len(msgs)-thr)
 	for i, msg := range msgs {
 		if (i-first+len(msgs))%len(msgs) < thr {
@@ -984,6 +990,7 @@ func (p *Pool) admit(msgs []switchsim.Message, thr int, round int64) (admitted [
 			shed = append(shed, ShedMessage{Input: msg.Input, RetryAfter: retryAfter})
 		}
 	}
+	p.batch = admitted
 	p.ledger.RetryAfterTotal += retryAfter * len(shed)
 	return admitted, shed
 }
