@@ -270,11 +270,13 @@ func TestRetryDelay(t *testing.T) {
 	}
 }
 
-// TestSessionStepAllocs pins a steady-state Drop round at load 1,
-// where every input offers, at zero allocations: the offer table, the
-// blocked-sender marker, the fresh offers' records and payloads, the
-// message list and the Runner are all the Session's, reused every
-// round.
+// TestSessionStepAllocs pins a steady-state round on Revsort 256/128
+// at zero allocations under each policy: Drop at load 1, where every
+// input offers, and the backlog policies at load 0.9, where about 110
+// messages wait each round. The offer table, the blocked-sender marker,
+// the fresh offers' records and payloads, the message list, the Runner,
+// the two backlog backings and Misroute's candidate order are all the
+// Session's, reused every round.
 func TestSessionStepAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector; allocation counts vary")
@@ -283,20 +285,33 @@ func TestSessionStepAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := NewSession(sw, SessionConfig{Policy: Drop, Load: 1, Rounds: 64, PayloadBits: 8}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	step := func() {
-		if _, _, err := st.Step(sw, rng); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for range 4 {
-		step()
-	}
-	if got := testing.AllocsPerRun(20, step); got != 0 {
-		t.Errorf("steady-state Drop round allocated %v times, want 0", got)
+	for _, tc := range []struct {
+		policy Policy
+		load   float64
+	}{
+		{Drop, 1},
+		{Misroute, 0.9},
+		{Resend, 0.9},
+		{Buffer, 0.9},
+	} {
+		t.Run(tc.policy.String(), func(t *testing.T) {
+			const warmup = 32
+			st, err := NewSession(sw, SessionConfig{Policy: tc.policy, Load: tc.load, Rounds: warmup + 64, PayloadBits: 8}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(1))
+			step := func() {
+				if _, _, err := st.Step(sw, rng); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for range warmup {
+				step()
+			}
+			if got := testing.AllocsPerRun(20, step); got != 0 {
+				t.Errorf("steady-state %s round at load %v allocated %v times, want 0", tc.policy, tc.load, got)
+			}
+		})
 	}
 }
