@@ -712,9 +712,10 @@ func BenchmarkHealthScan(b *testing.B) {
 }
 
 // BenchmarkDegradedThroughput compares per-round routing cost of a
-// healthy revsort switch against its degraded configuration after a
-// final-stage chip bypass — the most expensive repair (full trace plus
-// repair-tap re-drive).
+// healthy revsort switch against two degraded configurations: a
+// final-stage chip bypass, the most expensive repair (full trace plus
+// repair-tap re-drive), and the pool's shape, a bypassed non-final
+// chip plus a quarantined final-stage wire, which reports allocations.
 func BenchmarkDegradedThroughput(b *testing.B) {
 	sw, err := core.NewRevsortSwitch(1024, 512)
 	if err != nil {
@@ -729,9 +730,11 @@ func BenchmarkDegradedThroughput(b *testing.B) {
 			}
 		}
 	})
-	b.Run("degraded", func(b *testing.B) {
+	degraded := func(b *testing.B, faults ...core.ChipFault) {
 		plane := core.NewFaultPlane()
-		plane.Add(core.ChipFault{Stage: core.RevsortStage3Columns, Chip: 1, Mode: core.ChipDead})
+		for _, f := range faults {
+			plane.Add(f)
+		}
 		if err := sw.SetFaultPlane(plane); err != nil {
 			b.Fatal(err)
 		}
@@ -754,6 +757,15 @@ func BenchmarkDegradedThroughput(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+	b.Run("degraded", func(b *testing.B) {
+		degraded(b, core.ChipFault{Stage: core.RevsortStage3Columns, Chip: 1, Mode: core.ChipDead})
+	})
+	b.Run("quarantined", func(b *testing.B) {
+		b.ReportAllocs()
+		degraded(b,
+			core.ChipFault{Stage: 0, Chip: 2, Mode: core.ChipDead},
+			core.ChipFault{Stage: core.RevsortStage3Columns, Chip: 3, Mode: core.ChipStuckOutput, A: 5})
 	})
 }
 

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"concentrators/internal/bitvec"
 	"concentrators/internal/core"
 	"concentrators/internal/link"
 	"concentrators/internal/overload"
@@ -211,6 +212,116 @@ func FuzzIntegritySessionLaw(f *testing.F) {
 		for i := 1; i < len(ist.InputsQuarantined); i++ {
 			if ist.InputsQuarantined[i] <= ist.InputsQuarantined[i-1] {
 				t.Fatalf("quarantined inputs %v not strictly ascending", ist.InputsQuarantined)
+			}
+		}
+	})
+}
+
+// FuzzDegradedRoute scans and degrades a small switch (Revsort n=16 or
+// 64, Columnsort 8×4 or 9×3) carrying one to three chip faults,
+// optionally adds a later fault the degradation does not cover, and
+// routes one valid vector (bit i of valid marks input i). The degraded
+// route is checked against the inner route under the repaired plane:
+// every output is −1 or in [0, Outputs()), no degraded output carries
+// two inputs, an input the inner route put on a live wire o sits at
+// remap[o], and every other input is −1 or sits on a degraded output
+// the inner route left free.
+func FuzzDegradedRoute(f *testing.F) {
+	// A quarantined final-stage wire beside a bypassed final-stage chip
+	// (repair taps and quarantine re-drive in one route), then a later
+	// stuck output whose phantom lands on an idle input.
+	f.Add(uint8(0), uint8(1), uint32(3|0<<4|1<<12|1<<16), uint32(3|3<<4|0<<12), uint32(0), true, uint32(3|1<<4|1<<12), uint64(0x5a5a))
+	// The pool's shape: a bypassed first-stage chip and a quarantined
+	// final-stage wire, on Columnsort 8×4.
+	f.Add(uint8(2), uint8(1), uint32(0|2<<4|0<<12), uint32(1|1<<4|1<<12|5<<16), uint32(0), false, uint32(0), uint64(0xffff00ff))
+	f.Add(uint8(1), uint8(2), uint32(1|7<<4|3<<12), uint32(2|3<<4|2<<12|4<<16|9<<24), uint32(3|2<<4|1<<12|3<<16), true, uint32(0|5<<4|1<<12), uint64(0x0123456789abcdef))
+	f.Add(uint8(3), uint8(0), uint32(1|2<<4|0<<12), uint32(0), uint32(0), false, uint32(0), uint64(0x7ffffff))
+	f.Fuzz(func(t *testing.T, shape, nfaults uint8, f1, f2, f3 uint32, addLater bool, later uint32, valid uint64) {
+		var sw core.FaultInjectable
+		var err error
+		switch shape % 4 {
+		case 0:
+			sw, err = core.NewRevsortSwitch(16, 12)
+		case 1:
+			sw, err = core.NewRevsortSwitch(64, 48)
+		case 2:
+			sw, err = core.NewColumnsortSwitch(8, 4, 24)
+		default:
+			sw, err = core.NewColumnsortSwitch(9, 3, 20)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A code packs a fault: bits 0–3 the stage, 4–11 the chip,
+		// 12–13 the mode, 16–23 port A and 24 up B's offset from A.
+		stages := sw.StageChips()
+		fault := func(code uint32) core.ChipFault {
+			si := int(code&15) % len(stages)
+			st := stages[si]
+			a := int(code>>16&255) % st.Ports
+			return core.ChipFault{
+				Stage: si, Chip: int(code>>4&255) % st.Chips, Mode: core.ChipFaultMode(code >> 12 & 3),
+				A: a, B: (a + 1 + int(code>>24)%(st.Ports-1)) % st.Ports,
+			}
+		}
+		p := core.NewFaultPlane()
+		for _, code := range []uint32{f1, f2, f3}[:1+nfaults%3] { // one to three faults
+			p.Add(fault(code))
+		}
+		if err := sw.SetFaultPlane(p); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Scan(sw)
+		if err != nil {
+			t.Fatalf("Scan: %v", err)
+		}
+		d, err := NewDegradedSwitch(sw, rep.Faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if addLater {
+			p.Add(fault(later))
+		}
+		v := bitvec.New(sw.Inputs())
+		for i := 0; i < v.Len(); i++ {
+			v.Set(i, valid>>uint(i)&1 == 1)
+		}
+		inner, err := sw.RouteWithPlane(v, d.effectivePlane())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := d.Route(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mp := d.Outputs()
+		innerTaken := make([]bool, mp)
+		for _, o := range inner {
+			if o >= 0 && d.remap[o] >= 0 {
+				innerTaken[d.remap[o]] = true
+			}
+		}
+		carrier := make(map[int]int)
+		for i, o := range out {
+			if o == -1 {
+				continue
+			}
+			if o < 0 || o >= mp {
+				t.Fatalf("%s: input %d on output %d, outside [0, %d)", d.Name(), i, o, mp)
+			}
+			if j, dup := carrier[o]; dup {
+				t.Fatalf("%s: output %d carries inputs %d and %d", d.Name(), o, j, i)
+			}
+			carrier[o] = i
+		}
+		for i, o := range inner {
+			switch {
+			case o >= 0 && d.remap[o] >= 0:
+				if out[i] != d.remap[o] {
+					t.Fatalf("%s: input %d on live wire %d sits at %d, want %d", d.Name(), i, o, out[i], d.remap[o])
+				}
+			case out[i] != -1 && innerTaken[out[i]]:
+				t.Fatalf("%s: input %d re-driven onto output %d, which the inner route took", d.Name(), i, out[i])
 			}
 		}
 	})
