@@ -13,8 +13,9 @@ func TestMain(m *testing.M) { clitest.Main(m, main) }
 
 // cliCases are the corpus command lines: the package doc's usage
 // examples, every session policy, the overload flags, crash durability,
-// fault sessions under every policy, integrity sessions, two usage
-// errors (an unknown flag among them, exit 1), and -h (exit 0).
+// fault sessions under every policy, integrity sessions, two waveform
+// prints, two usage errors (an unknown flag among them, exit 1), and -h
+// (exit 0).
 func cliCases() []string {
 	rs := "-switch revsort -n 64 -m 48 -rounds 40 -seed 7 "
 	cs := "-switch columnsort -n 64 -m 32 -beta 0.75 -rounds 60 -seed 5 "
@@ -41,6 +42,10 @@ func cliCases() []string {
 		rs + "-ber 1e-3",
 		cs + "-ber 1e-2 -crc crc8",
 		rs + "-ber 1e-3 -adaptive-rto -deadline 8",
+		// Routed and idle wires with payloads past one 8-bit word, and
+		// rows truncated at 64 cycles.
+		"-switch revsort -n 64 -m 48 -rounds 2 -seed 7 -payload 12 -wave",
+		"-switch perfect -n 16 -m 8 -payload 70 -rounds 1 -wave",
 		"-switch perfect -n 64 -m 32 -faults 2",
 		"-bogus",
 		"-h",
