@@ -150,7 +150,7 @@ func main() {
 			os.Exit(cli.ExitViolation)
 		}
 		if *wave && round == 0 {
-			if err := res.WriteWaveform(os.Stdout, 64); err != nil {
+			if err := res.WriteWaveform(os.Stdout, sw.Outputs(), 64); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(cli.ExitUsage)
 			}

@@ -54,9 +54,9 @@ func FuzzDecodePayload(f *testing.F) {
 // picks whether it sends (odd) and its payload length (the byte over
 // two, capped at what data has left); the payload is the next bytes of
 // data as they are, high bits included. Run must equal the reference
-// streaming loop and pass the guarantee check, and flipping the
-// delivered bit that flip picks must fail the check at that bit's
-// input and cycle.
+// streaming loop, its waveform must show the reference's wires, it
+// must pass the guarantee check, and flipping the delivered bit that
+// flip picks must fail the check at that bit's input and cycle.
 func FuzzRunMatchesReference(f *testing.F) {
 	f.Add([]byte(nil), uint16(0))
 	f.Add([]byte{3, 0xFF, 0x02, 0, 17, 1, 0xFE, 1, 0, 1, 1, 0, 1, 1, 0}, uint16(0))
@@ -79,7 +79,7 @@ func FuzzRunMatchesReference(f *testing.F) {
 			msgs = append(msgs, Message{Input: in, Payload: data[:k:k]})
 			data = data[k:]
 		}
-		want, err := referenceRun(sw, msgs)
+		want, wires, err := referenceRun(sw, msgs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,6 +90,7 @@ func FuzzRunMatchesReference(f *testing.F) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("Run diverges from the reference:\n%+v\n%+v", got, want)
 		}
+		checkWires(t, "fuzz", got, wires)
 		if err := CheckGuarantee(sw, msgs, got); err != nil {
 			t.Fatal(err)
 		}

@@ -13,12 +13,12 @@ import (
 // switch implementing core.RouterInto, a steady-state Run performs zero
 // heap allocations, making it the session-serving hot path.
 //
-// The Result returned by Run — and everything it references (output
-// streams, routing, delivered payload slices, valid vector) — is owned
-// by the Runner and is overwritten by the next Run call. Callers that
-// need the data across rounds must copy it out. Every output stream and
-// delivered payload is capped at its own length, so appending to one
-// reallocates instead of overwriting its neighbour.
+// The Result returned by Run — and everything it references (routing,
+// delivered payload slices, valid vector) — is owned by the Runner and
+// is overwritten by the next Run call. Callers that need the data
+// across rounds must copy it out. Every delivered payload is capped at
+// its own length, so appending to one reallocates instead of
+// overwriting its neighbour.
 //
 // A Runner is not safe for concurrent use; give each goroutine its own.
 type Runner struct {
@@ -28,17 +28,18 @@ type Runner struct {
 	valid   *bitvec.Vector
 	routing []int // RouteInto destination; unused without ri
 
-	res     Result
-	backing []byte   // flat storage behind res.OutputStream
-	streams [][]byte // reused slice headers into backing
+	res Result
+	// arena holds output o's payload bits at o·maxLen. A round writes
+	// each delivered payload over its slot and never clears the rest:
+	// nothing reads a slot past the payloads delivered on it.
+	arena []byte
 }
 
 // NewRunner builds a Runner for the given switch.
 func NewRunner(sw core.Concentrator) *Runner {
 	r := &Runner{
-		sw:      sw,
-		valid:   bitvec.New(sw.Inputs()),
-		streams: make([][]byte, sw.Outputs()),
+		sw:    sw,
+		valid: bitvec.New(sw.Inputs()),
 	}
 	if r.ri, _ = sw.(core.RouterInto); r.ri != nil {
 		r.routing = make([]int, sw.Inputs())
@@ -82,17 +83,10 @@ func (r *Runner) Run(msgs []Message) (*Result, error) {
 		}
 	}
 
-	need := m * maxLen
-	// Allocated even when need is 0: payload-free rounds still report
-	// empty, not nil, streams and payloads.
-	if r.backing == nil || cap(r.backing) < need {
-		r.backing = make([]byte, need)
-	} else {
-		r.backing = r.backing[:need]
-		clear(r.backing)
-	}
-	for o := 0; o < m; o++ {
-		r.streams[o] = r.backing[o*maxLen : (o+1)*maxLen : (o+1)*maxLen]
+	// Allocated even when it needs no room: payload-free rounds still
+	// report empty, not nil, payloads.
+	if need := m * maxLen; r.arena == nil || cap(r.arena) < need {
+		r.arena = make([]byte, need)
 	}
 
 	// Sized once for every message: a fresh Runner (one per package-level
@@ -103,7 +97,6 @@ func (r *Runner) Run(msgs []Message) (*Result, error) {
 	r.res.Delivered = r.res.Delivered[:0]
 	r.res.DroppedInputs = r.res.DroppedInputs[:0]
 	r.res.Cycles = 1 + maxLen
-	r.res.OutputStream = r.streams
 	r.res.Valid = r.valid
 	r.res.Routing = routing
 
@@ -114,13 +107,15 @@ func (r *Runner) Run(msgs []Message) (*Result, error) {
 			r.res.DroppedInputs = append(r.res.DroppedInputs, msg.Input)
 			continue
 		}
-		stream := r.streams[o]
-		streamBits(stream, msg.Payload)
-		k := len(msg.Payload)
+		// Two messages a faulted switch puts on one wire share its slot,
+		// as they share the wire's bits.
+		at, k := o*maxLen, len(msg.Payload)
+		payload := r.arena[at : at+k : at+k]
+		streamBits(payload, msg.Payload)
 		r.res.Delivered = append(r.res.Delivered, Delivery{
 			Input:   msg.Input,
 			Output:  o,
-			Payload: stream[:k:k],
+			Payload: payload,
 		})
 	}
 	return &r.res, nil

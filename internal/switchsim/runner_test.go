@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"concentrators/internal/bitvec"
@@ -12,9 +13,10 @@ import (
 )
 
 // referenceRun is the map-based setup-and-stream loop the Runner is
-// checked against: every output wire gets its own stream array, and
-// payload bits stream cycle by cycle along the established paths.
-func referenceRun(sw core.Concentrator, msgs []Message) (*Result, error) {
+// checked against: every output wire gets its own stream array, which
+// it returns as wires, and payload bits stream cycle by cycle along the
+// established paths.
+func referenceRun(sw core.Concentrator, msgs []Message) (res *Result, wires [][]byte, err error) {
 	n, m := sw.Inputs(), sw.Outputs()
 	valid := bitvec.New(n)
 	byInput := make(map[int]*Message, len(msgs))
@@ -22,10 +24,10 @@ func referenceRun(sw core.Concentrator, msgs []Message) (*Result, error) {
 	for i := range msgs {
 		msg := &msgs[i]
 		if msg.Input < 0 || msg.Input >= n {
-			return nil, fmt.Errorf("switchsim: message input %d out of range [0,%d)", msg.Input, n)
+			return nil, nil, fmt.Errorf("switchsim: message input %d out of range [0,%d)", msg.Input, n)
 		}
 		if byInput[msg.Input] != nil {
-			return nil, fmt.Errorf("switchsim: two messages on input %d", msg.Input)
+			return nil, nil, fmt.Errorf("switchsim: two messages on input %d", msg.Input)
 		}
 		byInput[msg.Input] = msg
 		valid.Set(msg.Input, true)
@@ -35,16 +37,16 @@ func referenceRun(sw core.Concentrator, msgs []Message) (*Result, error) {
 	}
 	routing, err := sw.Route(valid)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	res := &Result{
-		Cycles:       1 + maxLen,
-		OutputStream: make([][]byte, m),
-		Valid:        valid,
-		Routing:      routing,
+	res = &Result{
+		Cycles:  1 + maxLen,
+		Valid:   valid,
+		Routing: routing,
 	}
-	for o := range res.OutputStream {
-		res.OutputStream[o] = make([]byte, maxLen)
+	wires = make([][]byte, m)
+	for o := range wires {
+		wires[o] = make([]byte, maxLen)
 	}
 	for c := 0; c < maxLen; c++ {
 		for in, msg := range byInput {
@@ -52,7 +54,7 @@ func referenceRun(sw core.Concentrator, msgs []Message) (*Result, error) {
 			if o < 0 || c >= len(msg.Payload) {
 				continue
 			}
-			res.OutputStream[o][c] = msg.Payload[c] & 1
+			wires[o][c] = msg.Payload[c] & 1
 		}
 	}
 	for i := range msgs {
@@ -61,13 +63,39 @@ func referenceRun(sw core.Concentrator, msgs []Message) (*Result, error) {
 			res.Delivered = append(res.Delivered, Delivery{
 				Input:   msg.Input,
 				Output:  o,
-				Payload: res.OutputStream[o][:len(msg.Payload)],
+				Payload: wires[o][:len(msg.Payload)],
 			})
 		} else {
 			res.DroppedInputs = append(res.DroppedInputs, msg.Input)
 		}
 	}
-	return res, nil
+	return res, wires, nil
+}
+
+// waveform renders res's waveform over m output wires, every cycle.
+func waveform(t *testing.T, res *Result, m int) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := res.WriteWaveform(&sb, m, 0); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
+
+// checkWires fails unless res's waveform row for every output wire
+// shows the bits the reference left on that wire.
+func checkWires(t *testing.T, label string, res *Result, wires [][]byte) {
+	t.Helper()
+	rows := strings.Split(waveform(t, res, len(wires)), "\n")[1:]
+	for o, bits := range wires {
+		want := make([]byte, len(bits))
+		for c, b := range bits {
+			want[c] = "_1"[b]
+		}
+		if prefix := fmt.Sprintf("out %3d  %s ", o, want); !strings.HasPrefix(rows[o], prefix) {
+			t.Fatalf("%s: waveform row %q, want the wire's bits %q", label, rows[o], prefix)
+		}
+	}
 }
 
 // routeOnly hides a switch's RouteInto, as health.DegradedSwitch lacks
@@ -135,7 +163,7 @@ func mixedLengthBatch(rng *rand.Rand) []Message {
 // the guarantee holds.
 func checkRunnerRound(t *testing.T, label string, sw core.Concentrator, r *Runner, msgs []Message) {
 	t.Helper()
-	want, err := referenceRun(sw, msgs)
+	want, wires, err := referenceRun(sw, msgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,9 +195,9 @@ func checkRunnerRound(t *testing.T, label string, sw core.Concentrator, r *Runne
 	if !got.Valid.Equal(want.Valid) {
 		t.Fatalf("%s: valid diverges", label)
 	}
-	if !reflect.DeepEqual(got.OutputStream, want.OutputStream) {
-		t.Fatalf("%s: output streams diverge", label)
-	}
+	// The reused Runner never clears its arena, yet every wire shows
+	// only this round's bits.
+	checkWires(t, label, got, wires)
 	if err := CheckGuarantee(sw, msgs, got); err != nil {
 		t.Fatal(err)
 	}
@@ -187,10 +215,9 @@ func normInts(xs []int) []int {
 	return append([]int{}, xs...)
 }
 
-// TestDeliveredPayloadsOwnTheirCapacity: the Runner's output streams
-// and delivered payloads share one backing array, so appending to one
-// must reallocate rather than write into a neighbouring output's
-// stream.
+// TestDeliveredPayloadsOwnTheirCapacity: the Runner's delivered
+// payloads share one arena, so appending to one must reallocate rather
+// than write into a neighbouring output's slot.
 func TestDeliveredPayloadsOwnTheirCapacity(t *testing.T) {
 	sw, err := core.NewPerfectSwitch(8, 8)
 	if err != nil {
@@ -200,24 +227,18 @@ func TestDeliveredPayloadsOwnTheirCapacity(t *testing.T) {
 	for i := range msgs {
 		msgs[i] = Message{Input: i, Payload: []byte{0, 1, 0, 1}}
 	}
-	// A short payload leaves idle cycles at the end of its own stream.
+	// A short payload leaves idle cycles at the end of its own slot.
 	msgs[0].Payload = []byte{0, 1}
 	res, err := NewRunner(sw).Run(msgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := make([]string, len(res.OutputStream))
-	for o, s := range res.OutputStream {
-		before[o] = string(s)
-	}
+	before := waveform(t, res, 8)
 	d0 := res.Delivered[0]
-	_ = append(d0.Payload, 1, 1)
-	_ = append(res.OutputStream[d0.Output], 1, 1)
-	for o, s := range res.OutputStream {
-		if string(s) != before[o] {
-			t.Fatalf("appending to output %d's payload rewrote output %d's stream: %v, was %v",
-				d0.Output, o, []byte(s), []byte(before[o]))
-		}
+	// Long enough to run past output 0's slot into output 1's.
+	_ = append(d0.Payload, 1, 1, 1, 1)
+	if after := waveform(t, res, 8); after != before {
+		t.Fatalf("appending to output %d's payload rewrote the wires:\n%s\nwas\n%s", d0.Output, after, before)
 	}
 	for _, d := range res.Delivered[1:] {
 		if string(d.Payload) != string([]byte{0, 1, 0, 1}) {

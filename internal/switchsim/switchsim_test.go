@@ -106,24 +106,29 @@ func TestRunCongestionDropsExcess(t *testing.T) {
 	}
 }
 
+// TestIdleOutputsStayLow: a wire with no established path idles at 0,
+// even on a Runner whose previous round drove every wire high.
 func TestIdleOutputsStayLow(t *testing.T) {
 	sw, _ := core.NewPerfectSwitch(4, 4)
-	msgs := []Message{{Input: 2, Payload: []byte{1, 1, 1}}}
-	res, err := Run(sw, msgs)
+	r := NewRunner(sw)
+	high := make([]Message, 4)
+	for i := range high {
+		high[i] = Message{Input: i, Payload: []byte{1, 1, 1}}
+	}
+	if _, err := r.Run(high); err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.Run([]Message{{Input: 2, Payload: []byte{1, 1, 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for o := 1; o < 4; o++ {
-		for _, b := range res.OutputStream[o] {
-			if b != 0 {
-				t.Fatalf("idle output %d carried a 1", o)
-			}
-		}
-	}
-	for _, b := range res.OutputStream[0] {
-		if b != 1 {
-			t.Fatal("routed payload corrupted")
-		}
+	want := "setup: valid=0010  (then 3 payload cycles)\n" +
+		"out   0  111 <- input 2\n" +
+		"out   1  ___ (idle)\n" +
+		"out   2  ___ (idle)\n" +
+		"out   3  ___ (idle)\n"
+	if got := waveform(t, res, 4); got != want {
+		t.Fatalf("waveform:\n%s\nwant:\n%s", got, want)
 	}
 }
 
