@@ -291,9 +291,9 @@ const (
 )
 
 // NewSwitchPool builds a pool over the given replicas (all must share
-// the same n×m geometry); replica 0 starts as the primary. Each Run
-// round takes its messages in strictly ascending input order, as
-// RandomMessages builds them.
+// the same n×m geometry, and no two one fault plane); replica 0 starts
+// as the primary. Each Run round takes its messages in strictly
+// ascending input order, as RandomMessages builds them.
 func NewSwitchPool(cfg PoolConfig, replicas ...FaultInjectable) (*SwitchPool, error) {
 	return pool.New(cfg, replicas...)
 }
