@@ -38,6 +38,7 @@ package pool
 
 import (
 	"fmt"
+	"slices"
 
 	"concentrators/internal/bitvec"
 	"concentrators/internal/byzantine"
@@ -140,8 +141,13 @@ func (p *Pool) settleClaimsLocked(r *replica, round int64, wres *switchsim.Resul
 		rr.ForgedInjected++
 	}
 	// Only now does this round's genuine traffic enter the replay
-	// surface: a replay re-emits *prior* rounds' frames.
-	r.Recent = append(r.Recent, claims[:physical]...)
+	// surface: a replay re-emits *prior* rounds' frames. The claims that
+	// stay in the ring get their own payloads, since Run hands the
+	// Result they alias to the caller.
+	for _, c := range claims[max(0, physical-recentCap):physical] {
+		c.Payload = slices.Clone(c.Payload)
+		r.Recent = append(r.Recent, c)
+	}
 	if len(r.Recent) > recentCap {
 		r.Recent = r.Recent[len(r.Recent)-recentCap:]
 	}

@@ -55,7 +55,9 @@ func TestHonestVerifiedLedgerMatchesPhysical(t *testing.T) {
 
 // TestReplayBookedDuplicated: stale re-emissions carry genuine tags,
 // so the dedup window — not the checksum — catches them, and not one
-// reaches Delivered.
+// reaches Delivered. The caller owns each returned Result and flips
+// every delivered bit; the replay ring keeps its own copies, so a
+// replay still carries its genuine payload and is not booked Forged.
 func TestReplayBookedDuplicated(t *testing.T) {
 	p := newPool(t, Config{Byzantine: ByzantineConfig{Verify: true, Seed: 3}}, 3)
 	if err := p.InjectBehavior(bfault(byzantine.Replay, 0, 3, 2, 8)); err != nil {
@@ -69,6 +71,14 @@ func TestReplayBookedDuplicated(t *testing.T) {
 		}
 		truth += rr.TrueDelivered
 		replayed += rr.ReplayedInjected
+		if rr.Result == nil {
+			continue
+		}
+		for _, d := range rr.Result.Delivered {
+			for c := range d.Payload {
+				d.Payload[c] ^= 1
+			}
+		}
 	}
 	s := p.Stats()
 	if replayed == 0 {
