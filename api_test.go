@@ -1,7 +1,6 @@
 package concentrators
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 )
@@ -241,7 +240,7 @@ func TestPublicAPITable1(t *testing.T) {
 }
 
 func TestPublicAPIAllConstructors(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
+	stream := NewRandStream(1)
 	builders := []func() (Concentrator, error){
 		func() (Concentrator, error) { return NewPerfectSwitch(64, 32) },
 		func() (Concentrator, error) { return NewCrossbar(64, 32) },
@@ -256,7 +255,7 @@ func TestPublicAPIAllConstructors(t *testing.T) {
 		if err != nil {
 			t.Fatalf("builder %d: %v", i, err)
 		}
-		msgs := RandomMessages(rng, sw.Inputs(), 0.3, 8)
+		msgs := RandomMessages(&stream, sw.Inputs(), 0.3, 8)
 		if len(msgs) == 0 {
 			continue
 		}
@@ -291,9 +290,9 @@ func TestPublicAPIGrayFailure(t *testing.T) {
 	if err := p.InjectTimingFault(0, stall); err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(7))
+	stream := NewRandStream(7)
 	for round := 0; round < 60; round++ {
-		if _, err := p.Run(RandomMessages(rng, 64, 0.4, 4)); err != nil {
+		if _, err := p.Run(RandomMessages(&stream, 64, 0.4, 4)); err != nil {
 			t.Fatal(err)
 		}
 	}

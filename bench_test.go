@@ -33,6 +33,7 @@ import (
 	"concentrators/internal/overload"
 	"concentrators/internal/partition"
 	"concentrators/internal/pool"
+	"concentrators/internal/seedrand"
 	"concentrators/internal/seqhyper"
 	"concentrators/internal/switchsim"
 	"concentrators/internal/timing"
@@ -328,8 +329,8 @@ func BenchmarkThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(11))
-	msgs := switchsim.RandomMessages(rng, 1024, 0.4, 32)
+	stream := seedrand.NewStream(11)
+	msgs := switchsim.RandomMessages(&stream, 1024, 0.4, 32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := switchsim.Run(sw, msgs)
@@ -636,8 +637,8 @@ func BenchmarkBitSerialStreaming(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(17))
-	msgs := switchsim.RandomMessages(rng, 256, 0.5, 128)
+	stream := seedrand.NewStream(17)
+	msgs := switchsim.RandomMessages(&stream, 256, 0.5, 128)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := switchsim.Run(sw, msgs); err != nil {

@@ -22,7 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"math"
-	"math/rand"
 	"os"
 
 	"concentrators/cmd/internal/cli"
@@ -32,6 +31,7 @@ import (
 	"concentrators/internal/journal"
 	"concentrators/internal/link"
 	"concentrators/internal/overload"
+	"concentrators/internal/seedrand"
 	"concentrators/internal/switchsim"
 )
 
@@ -133,11 +133,21 @@ func main() {
 		os.Exit(cli.ExitUsage)
 	}
 
-	rng := rand.New(rand.NewSource(*seed))
+	stream := seedrand.NewStream(*seed)
 	var sent, delivered, droppedRounds, cycles int
 	for round := 0; round < *rounds; round++ {
-		msgs := switchsim.RandomMessages(rng, *n, *load, *payload)
+		msgs := switchsim.RandomMessages(&stream, *n, *load, *payload)
 		if len(msgs) == 0 {
+			if *wave && round == 0 {
+				// An empty first round still has a waveform: every wire
+				// idle after the setup cycle. It adds nothing to the tallies.
+				res, err := switchsim.Run(sw, nil)
+				if err != nil {
+					fmt.Fprintln(os.Stderr, err)
+					os.Exit(cli.ExitUsage)
+				}
+				writeWave(res, sw.Outputs())
+			}
 			continue
 		}
 		res, err := switchsim.Run(sw, msgs)
@@ -150,10 +160,7 @@ func main() {
 			os.Exit(cli.ExitViolation)
 		}
 		if *wave && round == 0 {
-			if err := res.WriteWaveform(os.Stdout, sw.Outputs(), 64); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(cli.ExitUsage)
-			}
+			writeWave(res, sw.Outputs())
 		}
 		sent += len(msgs)
 		delivered += len(res.Delivered)
@@ -179,6 +186,15 @@ func main() {
 	fmt.Printf("rounds: %d  messages sent: %d  delivered: %d (%.2f%%)  rounds with drops: %d  total cycles: %d\n",
 		*rounds, sent, delivered, 100*float64(delivered)/float64(max(sent, 1)), droppedRounds, cycles)
 	fmt.Printf("delivery guarantee (m−ε = %d per round) verified on every round\n", core.Threshold(sw))
+}
+
+// writeWave prints a round's waveforms, one row per output wire, cut
+// at 64 cycles.
+func writeWave(res *switchsim.Result, outputs int) {
+	if err := res.WriteWaveform(os.Stdout, outputs, 64); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(cli.ExitUsage)
+	}
 }
 
 func buildSwitch(kind string, n, m int, beta float64) (core.Concentrator, error) {

@@ -43,9 +43,10 @@ func cliCases() []string {
 		cs + "-ber 1e-2 -crc crc8",
 		rs + "-ber 1e-3 -adaptive-rto -deadline 8",
 		// Routed and idle wires with payloads past one 8-bit word, and
-		// rows truncated at 64 cycles.
+		// rows truncated at 64 cycles, and an empty first round.
 		"-switch revsort -n 64 -m 48 -rounds 2 -seed 7 -payload 12 -wave",
 		"-switch perfect -n 16 -m 8 -payload 70 -rounds 1 -wave",
+		"-switch perfect -n 8 -m 4 -load 0.05 -rounds 20 -wave -seed 1",
 		"-switch perfect -n 64 -m 32 -faults 2",
 		"-bogus",
 		"-h",

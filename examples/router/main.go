@@ -15,9 +15,9 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
 	"concentrators/internal/core"
+	"concentrators/internal/seedrand"
 	"concentrators/internal/switchsim"
 )
 
@@ -82,12 +82,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rng := rand.New(rand.NewSource(42))
+		stream := seedrand.NewStream(42)
 		fmt.Printf("%-32s", f.name)
 		for _, load := range loads {
 			var sent, delivered int
 			for round := 0; round < 20; round++ {
-				msgs := switchsim.RandomMessages(rng, n, load, 8)
+				msgs := switchsim.RandomMessages(&stream, n, load, 8)
 				pr, err := pipeline.Run(msgs)
 				if err != nil {
 					log.Fatal(err)

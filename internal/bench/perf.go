@@ -27,6 +27,7 @@ import (
 	"concentrators/internal/link"
 	"concentrators/internal/overload"
 	"concentrators/internal/pool"
+	"concentrators/internal/seedrand"
 	"concentrators/internal/switchsim"
 )
 
@@ -216,13 +217,13 @@ func routeKernelPerf(minTime time.Duration, out *[]PerfResult) error {
 // switchsim.Run, which runs one round of a fresh Runner — so the
 // session_legacy case times what buffer reuse saves.
 func sessionRoundPerf(minTime time.Duration, out *[]PerfResult) error {
-	rng := rand.New(rand.NewSource(72))
+	stream := seedrand.NewStream(72)
 	for _, n := range perfSizes {
 		sw, err := core.NewRevsortSwitch(n, n*3/4)
 		if err != nil {
 			return err
 		}
-		msgs := switchsim.RandomMessages(rng, n, 0.6, 16)
+		msgs := switchsim.RandomMessages(&stream, n, 0.6, 16)
 		runner := switchsim.NewRunner(sw)
 		*out = append(*out, measure(fmt.Sprintf("session_round/revsort/%d", n), n, minTime, func() {
 			res, err := runner.Run(msgs)
@@ -270,9 +271,9 @@ func failoverPool(n int) (*pool.Pool, error) {
 // poolRoundPerf measures one failover-sweep pool round. The case keeps
 // the name pool_round_seq that the committed baselines record.
 func poolRoundPerf(minTime time.Duration, out *[]PerfResult) error {
-	rng := rand.New(rand.NewSource(73))
+	stream := seedrand.NewStream(73)
 	for _, n := range perfSizes {
-		msgs := switchsim.RandomMessages(rng, n, 0.4, 8)
+		msgs := switchsim.RandomMessages(&stream, n, 0.4, 8)
 		p, err := failoverPool(n)
 		if err != nil {
 			return err

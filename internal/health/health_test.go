@@ -1,10 +1,10 @@
 package health
 
 import (
-	"math/rand"
 	"testing"
 
 	"concentrators/internal/core"
+	"concentrators/internal/seedrand"
 	"concentrators/internal/switchsim"
 )
 
@@ -117,9 +117,9 @@ func TestFaultLocalizationAndDegradedOperation(t *testing.T) {
 					t.Fatalf("%s stage %d %v: output accounting off", tc.name, si, mode)
 				}
 
-				rng := rand.New(rand.NewSource(int64(si)*16 + int64(mode) + 1))
+				stream := seedrand.NewStream(int64(si)*16 + int64(mode) + 1)
 				for round := 0; round < 200; round++ {
-					msgs := switchsim.RandomMessages(rng, sw.Inputs(), 0.08, 0)
+					msgs := switchsim.RandomMessages(&stream, sw.Inputs(), 0.08, 0)
 					if len(msgs) == 0 {
 						continue
 					}
@@ -209,10 +209,10 @@ func TestDegradedSwitchLeavesLaterFaultsActive(t *testing.T) {
 	// A second fault strikes after the degradation was derived: it must
 	// keep hurting through the degraded switch until the next scan.
 	plane.Add(core.ChipFault{Stage: 1, Chip: 2, Mode: core.ChipDead})
-	rng := rand.New(rand.NewSource(99))
+	stream := seedrand.NewStream(99)
 	// k ≤ the degraded threshold, so the contract demands every message
 	// be routed — losses to the new dead chip are a visible violation.
-	msgs := switchsim.RandomMessages(rng, sw.Inputs(), 0.15, 0)
+	msgs := switchsim.RandomMessages(&stream, sw.Inputs(), 0.15, 0)
 	if len(msgs) > core.Threshold(d) {
 		t.Fatalf("test load too high: k=%d > threshold %d", len(msgs), core.Threshold(d))
 	}

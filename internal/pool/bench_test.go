@@ -2,10 +2,10 @@ package pool
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"concentrators/internal/core"
+	"concentrators/internal/seedrand"
 	"concentrators/internal/switchsim"
 )
 
@@ -36,9 +36,9 @@ func benchPool(tb testing.TB, n int) *Pool {
 
 // BenchmarkPoolRound measures one failover-sweep pool round.
 func BenchmarkPoolRound(b *testing.B) {
-	rng := rand.New(rand.NewSource(73))
+	stream := seedrand.NewStream(73)
 	for _, n := range []int{256, 1024, 4096} {
-		msgs := switchsim.RandomMessages(rng, n, 0.4, 8)
+		msgs := switchsim.RandomMessages(&stream, n, 0.4, 8)
 		b.Run(fmt.Sprint(n), func(b *testing.B) {
 			p := benchPool(b, n)
 			b.ReportAllocs()

@@ -6,12 +6,12 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"testing"
 
 	"concentrators/internal/core"
 	"concentrators/internal/link"
+	"concentrators/internal/seedrand"
 	"concentrators/internal/switchsim"
 	"concentrators/internal/timing"
 )
@@ -39,7 +39,7 @@ var update = flag.Bool("update", false, "rewrite the golden digests from the cur
 func runScenario(t *testing.T, cfg Config, seed int64, rounds int, stallActive bool, after func(*Pool)) ([]RoundResult, Stats) {
 	t.Helper()
 	p := newPool(t, cfg, 4)
-	rng := rand.New(rand.NewSource(seed))
+	stream := seedrand.NewStream(seed)
 	var rrs []RoundResult
 	for round := 0; round < rounds; round++ {
 		switch round {
@@ -74,7 +74,7 @@ func runScenario(t *testing.T, cfg Config, seed int64, rounds int, stallActive b
 				t.Fatal(err)
 			}
 		}
-		msgs := switchsim.RandomMessages(rng, p.Inputs(), 0.6, 8)
+		msgs := switchsim.RandomMessages(&stream, p.Inputs(), 0.6, 8)
 		rr, err := p.Run(msgs)
 		if err != nil {
 			t.Fatal(err)

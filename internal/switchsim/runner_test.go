@@ -10,6 +10,7 @@ import (
 
 	"concentrators/internal/bitvec"
 	"concentrators/internal/core"
+	"concentrators/internal/seedrand"
 )
 
 // referenceRun is the map-based setup-and-stream loop the Runner is
@@ -118,10 +119,11 @@ func TestRunnerMatchesRun(t *testing.T) {
 }
 
 func testRunnerMatchesRun(t *testing.T, sw core.Concentrator) {
-	rng := rand.New(rand.NewSource(31))
+	stream := seedrand.NewStream(31)
+	rng := rand.New(&stream)
 	r := NewRunner(sw)
 	for trial := 0; trial < 25; trial++ {
-		msgs := RandomMessages(rng, 64, rng.Float64(), 16)
+		msgs := RandomMessages(&stream, 64, rng.Float64(), 16)
 		if trial%5 == 0 {
 			// Payload-free rounds, as Pool.Route sends.
 			for i := range msgs {
@@ -272,13 +274,13 @@ func TestRunnerZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector; steady-state allocs are not zero")
 	}
-	rng := rand.New(rand.NewSource(32))
+	stream := seedrand.NewStream(32)
 	sw, err := core.NewRevsortSwitch(4096, 3072)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := NewRunner(sw)
-	msgs := RandomMessages(rng, 4096, 0.6, 32)
+	msgs := RandomMessages(&stream, 4096, 0.6, 32)
 	// Warm up buffers (and the kernel's scratch pool).
 	for i := 0; i < 2; i++ {
 		if _, err := r.Run(msgs); err != nil {
