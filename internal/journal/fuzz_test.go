@@ -12,7 +12,7 @@ import (
 // increasing.
 func FuzzJournalReplay(f *testing.F) {
 	store := NewMemStore()
-	w := NewWriter(store)
+	w, _ := NewWriter(store)
 	w.Append(KindSnapshot, []byte("snapshot-state"))
 	w.Append(KindDelta, []byte("round-1"))
 	w.Append(KindDelta, []byte("round-2"))

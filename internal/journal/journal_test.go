@@ -8,7 +8,7 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	store := NewMemStore()
-	w := NewWriter(store)
+	w, _ := NewWriter(store)
 	payloads := [][]byte{[]byte("alpha"), {}, []byte("gamma-delta"), bytes.Repeat([]byte{0xFF}, 300)}
 	kinds := []byte{KindSnapshot, KindDelta, KindDelta, KindSnapshot}
 	for i, pl := range payloads {
@@ -27,6 +27,11 @@ func TestFrameRoundTrip(t *testing.T) {
 		if rec.Kind != kinds[i] || !bytes.Equal(rec.Payload, payloads[i]) || rec.LSN != uint64(i+1) {
 			t.Fatalf("record %d mismatch: %+v", i, rec)
 		}
+		// A payload views the log, capped so an append to it cannot
+		// overwrite the next frame.
+		if cap(rec.Payload) != len(rec.Payload) {
+			t.Fatalf("record %d: payload len %d cap %d, want capped", i, len(rec.Payload), cap(rec.Payload))
+		}
 	}
 	if res.SnapshotIndex != 3 {
 		t.Fatalf("snapshot index %d, want 3", res.SnapshotIndex)
@@ -39,7 +44,7 @@ func TestFrameRoundTrip(t *testing.T) {
 // of the tail.
 func TestTornTailEveryTruncation(t *testing.T) {
 	store := NewMemStore()
-	w := NewWriter(store)
+	w, _ := NewWriter(store)
 	var bounds []int // byte offset after each record
 	for i := 0; i < 8; i++ {
 		w.Append(KindDelta, bytes.Repeat([]byte{byte(i)}, 5+i*3))
@@ -70,11 +75,15 @@ func TestTornTailEveryTruncation(t *testing.T) {
 
 func TestAppendTornThenRecoverResumesLSN(t *testing.T) {
 	store := NewMemStore()
-	w := NewWriter(store)
+	w, _ := NewWriter(store)
 	w.Append(KindDelta, []byte("whole-1"))
 	w.AppendTorn(KindDelta, []byte("torn-away"), 7)
-	// The next incarnation opens the same store.
-	w2 := NewWriter(store)
+	// The next incarnation opens the same store and gets the replay it
+	// scanned, torn tail included.
+	w2, opened := NewWriter(store)
+	if len(opened.Records) != 1 || string(opened.Records[0].Payload) != "whole-1" || opened.TornBytes != 7 {
+		t.Fatalf("reopen replayed %d records, %d torn bytes; want 1 and 7", len(opened.Records), opened.TornBytes)
+	}
 	res := Replay(store.Bytes())
 	if len(res.Records) != 1 || res.TornBytes != 0 {
 		t.Fatalf("recovery: %d records, %d torn bytes (writer should have dropped the tail)", len(res.Records), res.TornBytes)
@@ -93,8 +102,9 @@ func TestAppendTornThenRecoverResumesLSN(t *testing.T) {
 // it and never sees the records appended after it.
 func TestTornFirstRecordDropped(t *testing.T) {
 	store := NewMemStore()
-	NewWriter(store).AppendTorn(KindDelta, []byte("torn-away"), 7)
-	w := NewWriter(store)
+	first, _ := NewWriter(store)
+	first.AppendTorn(KindDelta, []byte("torn-away"), 7)
+	w, _ := NewWriter(store)
 	if store.Size() != 0 {
 		t.Fatalf("recovery kept %d bytes of a torn first record", store.Size())
 	}

@@ -75,10 +75,82 @@ func (e *Encoder[T]) start() error {
 	return nil
 }
 
-// Decode reads one record into v with a fresh gob decoder.
-func Decode[T any](payload []byte, v *T) error {
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
+// Decoder reads records of type T. Its zero value is ready to use. Each
+// record decodes to what a fresh gob decoder reading it alone gives.
+//
+// A fresh gob decoder per record reads T's type definitions and
+// compiles a decode engine for them, by reflection, every time.
+// Decoder keeps one gob decoder: the first record goes to it whole,
+// and Decoder keeps that record's head, the gob messages before its
+// value message. A later record with the same head feeds it only its
+// value message, which it reads as the next value of the stream a
+// long-lived encoder writes. A record with another head starts a new
+// gob decoder, since a journal written by another process may carry
+// other type ids (see Encoder), and so does any error.
+type Decoder[T any] struct {
+	dec  *gob.Decoder
+	r    *bytes.Reader
+	head []byte
+}
+
+// Decode reads one record into v, which should hold T's zero value, as
+// for gob's Decode.
+func (d *Decoder[T]) Decode(payload []byte, v *T) error {
+	value, whole := lastMessage(payload)
+	fresh := d.dec == nil || !whole || !bytes.Equal(payload[:value], d.head)
+	if fresh {
+		d.r = bytes.NewReader(payload)
+		d.dec = gob.NewDecoder(d.r)
+	} else {
+		d.r.Reset(payload[value:])
+	}
+	if err := d.dec.Decode(v); err != nil {
+		d.dec = nil
 		return fmt.Errorf("journal: decoding %T: %w", v, err)
 	}
+	if d.r.Len() != 0 {
+		// The decoder stopped short of the record's end, so what it has
+		// read is not the head of the records after this one.
+		d.dec = nil
+	} else if fresh {
+		d.head = append(d.head[:0], payload[:value]...)
+	}
 	return nil
+}
+
+// lastMessage returns where the record's last gob message begins, and
+// whether its messages, each an unsigned byte count and that many
+// bytes, tile it exactly.
+func lastMessage(b []byte) (int, bool) {
+	last := -1
+	for off := 0; off < len(b); {
+		n, w := gobUint(b[off:])
+		if w == 0 || n > uint64(len(b)-off-w) {
+			return 0, false
+		}
+		last = off
+		off += w + int(n)
+	}
+	return last, last >= 0
+}
+
+// gobUint reads one of gob's unsigned integers: a byte below 0x80, or
+// a negated byte count and that many big-endian bytes. It returns the
+// value and its width, 0 if b does not start with one.
+func gobUint(b []byte) (uint64, int) {
+	if len(b) == 0 {
+		return 0, 0
+	}
+	if b[0] < 0x80 {
+		return uint64(b[0]), 1
+	}
+	k := -int(int8(b[0]))
+	if k > 8 || len(b) <= k {
+		return 0, 0
+	}
+	var v uint64
+	for _, c := range b[1 : 1+k] {
+		v = v<<8 | uint64(c)
+	}
+	return v, 1 + k
 }

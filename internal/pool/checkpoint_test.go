@@ -729,14 +729,47 @@ func TestCheckpointRecordsMatchFreshGob(t *testing.T) {
 				t.Fatalf("%s round %d: record differs from a fresh encoder's (%d vs %d bytes)", tc.name, round, len(got), want.Len())
 			}
 			var a, b Checkpoint
-			if err := journal.Decode(got, &a); err != nil {
+			if err := gob.NewDecoder(bytes.NewReader(got)).Decode(&a); err != nil {
 				t.Fatal(err)
 			}
-			if err := journal.Decode(want.Bytes(), &b); err != nil {
+			if err := gob.NewDecoder(&want).Decode(&b); err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(a, b) {
 				t.Fatalf("%s round %d: record decodes to %+v, want %+v", tc.name, round, a, b)
+			}
+		})
+	}
+}
+
+// TestCheckpointDecoderMatchesFreshGob reads the journal record of
+// every checkpoint runScenario's pool takes, under the legacy and the
+// lease arbiter, through one journal.Decoder per run: each must decode
+// to what a fresh gob decoder gives.
+func TestCheckpointDecoderMatchesFreshGob(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		seed int64
+	}{{"legacy", legacyScenario, 1}, {"leased", leasedScenario, 99}} {
+		var enc journal.Encoder[Checkpoint]
+		var dec journal.Decoder[Checkpoint]
+		round := 0
+		runScenario(t, tc.cfg, tc.seed, 80, true, func(p *Pool) {
+			round++
+			rec, err := enc.Encode(p.Snapshot())
+			if err != nil {
+				t.Fatalf("%s round %d: %v", tc.name, round, err)
+			}
+			var got, want Checkpoint
+			if err := dec.Decode(rec, &got); err != nil {
+				t.Fatalf("%s round %d: %v", tc.name, round, err)
+			}
+			if err := gob.NewDecoder(bytes.NewReader(rec)).Decode(&want); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s round %d: Decoder read %+v, a fresh decoder %+v", tc.name, round, got, want)
 			}
 		})
 	}

@@ -280,10 +280,13 @@ func runDurableSession(sw core.Concentrator, cfg SessionConfig, jcfg journal.Con
 	}
 	jcfg = jcfg.WithDefaults()
 
-	// One encoder per record type for the whole run; each creates its
-	// gob encoder at its type's first record (see journal.Encoder).
+	// One encoder and one decoder per record type for the whole run;
+	// each encoder creates its gob encoder at its type's first record
+	// (see journal.Encoder).
 	var snapEnc journal.Encoder[snapshotRec]
 	var deltaEnc journal.Encoder[deltaRec]
+	var snapDec journal.Decoder[snapshotRec]
+	var deltaDec journal.Decoder[deltaRec]
 	rec := &journal.RecoveryStats{Incarnations: 1}
 	// Each fault kills at most once per run (see journal.Plane).
 	var faults []journal.CrashFault
@@ -324,16 +327,16 @@ func runDurableSession(sw core.Concentrator, cfg SessionConfig, jcfg journal.Con
 		if jcfg.Unjournaled {
 			st.round = resumeRound
 		} else {
-			res := journal.Replay(store.Bytes())
+			var res *journal.ReplayResult
+			w, res = journal.NewWriter(store) // drops the torn tail, resumes the LSN sequence
 			if res.TornBytes > 0 {
 				rec.TornTails++
 				rec.TornBytesDiscarded += res.TornBytes
 			}
-			w = journal.NewWriter(store) // drops the torn tail, resumes the LSN sequence
 			start, pos := 0, uint64(0)
 			if res.SnapshotIndex >= 0 {
 				var sn snapshotRec
-				if err := journal.Decode(res.Records[res.SnapshotIndex].Payload, &sn); err != nil {
+				if err := snapDec.Decode(res.Records[res.SnapshotIndex].Payload, &sn); err != nil {
 					return nil, nil, err
 				}
 				if err := st.restoreSnapshot(&sn); err != nil {
@@ -350,7 +353,7 @@ func runDurableSession(sw core.Concentrator, cfg SessionConfig, jcfg journal.Con
 					continue
 				}
 				var d deltaRec
-				if err := journal.Decode(r.Payload, &d); err != nil {
+				if err := deltaDec.Decode(r.Payload, &d); err != nil {
 					return nil, nil, err
 				}
 				if err := st.applyDelta(&d); err != nil {

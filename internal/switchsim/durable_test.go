@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -423,7 +424,7 @@ func TestDurableRecordsMatchFreshGob(t *testing.T) {
 		case journal.KindSnapshot:
 			snaps++
 			var sn snapshotRec
-			if err := journal.Decode(r.Payload, &sn); err != nil {
+			if err := gob.NewDecoder(bytes.NewReader(r.Payload)).Decode(&sn); err != nil {
 				t.Fatalf("record %d: %v", i, err)
 			}
 			if err := gob.NewEncoder(&want).Encode(&sn); err != nil {
@@ -435,12 +436,12 @@ func TestDurableRecordsMatchFreshGob(t *testing.T) {
 			}
 			same = func() bool {
 				var back snapshotRec
-				return journal.Decode(want.Bytes(), &back) == nil && reflect.DeepEqual(back, sn)
+				return gob.NewDecoder(bytes.NewReader(want.Bytes())).Decode(&back) == nil && reflect.DeepEqual(back, sn)
 			}
 		case journal.KindDelta:
 			deltas++
 			var d deltaRec
-			if err := journal.Decode(r.Payload, &d); err != nil {
+			if err := gob.NewDecoder(bytes.NewReader(r.Payload)).Decode(&d); err != nil {
 				t.Fatalf("record %d: %v", i, err)
 			}
 			if err := gob.NewEncoder(&want).Encode(&d); err != nil {
@@ -458,5 +459,48 @@ func TestDurableRecordsMatchFreshGob(t *testing.T) {
 	}
 	if rec.Crashes == 0 || snaps == 0 || deltas == 0 {
 		t.Fatalf("journal covers %d crashes, %d snapshots, %d deltas; want each > 0", rec.Crashes, snaps, deltas)
+	}
+}
+
+// TestDurableDecoderMatchesFreshGob reads every record a crashed
+// durable session leaves in its journal through one journal.Decoder
+// per record type, as recovery does: each must decode to what a fresh
+// gob decoder gives.
+func TestDurableDecoderMatchesFreshGob(t *testing.T) {
+	cfg := durableConfigs(1)["resend-full"]
+	jcfg := journal.Config{SnapshotEvery: 8, Crash: journal.GenerateCrashSchedule(1, cfg.Rounds, 5)}
+	store := journal.NewMemStore()
+	if _, _, err := runDurableSession(smallSwitch(t), cfg, jcfg, store); err != nil {
+		t.Fatal(err)
+	}
+	var snapDec journal.Decoder[snapshotRec]
+	var deltaDec journal.Decoder[deltaRec]
+	snaps, deltas := 0, 0
+	for i, r := range journal.Replay(store.Bytes()).Records {
+		var err error
+		var got, want any
+		switch r.Kind {
+		case journal.KindSnapshot:
+			snaps++
+			var a, b snapshotRec
+			err = errors.Join(snapDec.Decode(r.Payload, &a), gob.NewDecoder(bytes.NewReader(r.Payload)).Decode(&b))
+			got, want = a, b
+		case journal.KindDelta:
+			deltas++
+			var a, b deltaRec
+			err = errors.Join(deltaDec.Decode(r.Payload, &a), gob.NewDecoder(bytes.NewReader(r.Payload)).Decode(&b))
+			got, want = a, b
+		default:
+			t.Fatalf("record %d: kind %d", i, r.Kind)
+		}
+		if err != nil {
+			t.Fatalf("record %d (kind %d): %v", i, r.Kind, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("record %d (kind %d): Decoder read %+v, a fresh decoder %+v", i, r.Kind, got, want)
+		}
+	}
+	if snaps < 2 || deltas < 2 {
+		t.Fatalf("journal holds %d snapshots and %d deltas; want at least 2 of each", snaps, deltas)
 	}
 }
