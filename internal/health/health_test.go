@@ -1,8 +1,10 @@
 package health
 
 import (
+	"slices"
 	"testing"
 
+	"concentrators/internal/bitvec"
 	"concentrators/internal/core"
 	"concentrators/internal/seedrand"
 	"concentrators/internal/switchsim"
@@ -231,5 +233,60 @@ func TestDegradedSwitchLeavesLaterFaultsActive(t *testing.T) {
 	}
 	if len(rep2.Faults) != 2 {
 		t.Fatalf("second scan localized %v, want both faults", rep2.Faults)
+	}
+}
+
+// Pass-through on Revsort's stage-2 shifter chip 0 is the one single
+// chip fault the scan never localizes, because it is no fault at all:
+// that chip rotates its row by rev(0) = 0, so passing straight through
+// is what it does when healthy. At n = 16 the 65,536 valid vectors are
+// the whole input space (routing depends only on the valid bits), and
+// every one routes exactly as on the healthy switch. Chip 1, which
+// rotates by rev(1), is the control: its pass-through must show.
+func TestShifterChip0PassThroughIsBenign(t *testing.T) {
+	healthy, err := core.NewRevsortSwitch(16, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planes := make([]*core.FaultPlane, 2)
+	for chip := range planes {
+		planes[chip] = core.NewFaultPlane()
+		planes[chip].Add(core.ChipFault{Stage: core.RevsortStage2Shifter, Chip: chip, Mode: core.ChipPassThrough})
+	}
+	differ := make([]int, len(planes))
+	v := bitvec.New(16)
+	for pat := 0; pat < 1<<16; pat++ {
+		for i := 0; i < 16; i++ {
+			v.Set(i, pat>>i&1 == 1)
+		}
+		want, err := healthy.Route(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for chip, p := range planes {
+			got, err := healthy.RouteWithPlane(v, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				differ[chip]++
+			}
+		}
+	}
+	if differ[0] != 0 {
+		t.Fatalf("shifter chip 0 pass-through changed %d of 65536 routes", differ[0])
+	}
+	if differ[1] == 0 {
+		t.Fatal("shifter chip 1 pass-through changed no route: the check cannot see a shifter fault")
+	}
+	if err := healthy.SetFaultPlane(planes[0]); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Scan(healthy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Healthy {
+		t.Fatalf("scan of the benign fault reported faults %v violations %v", rep.Faults, rep.Violations)
 	}
 }

@@ -29,18 +29,6 @@ func ReshapeCMtoRM(m *Matrix) {
 	m.bits = out
 }
 
-// ReshapeRMtoCM is the inverse of ReshapeCMtoRM (Columnsort step 4):
-// the element with row-major index x moves to column-major index x.
-func ReshapeRMtoCM(m *Matrix) {
-	r, s := m.rows, m.cols
-	out := make([]byte, r*s)
-	for x := 0; x < r*s; x++ {
-		i, j := x%r, x/r // column-major coordinates of linear index x
-		out[i*s+j] = m.bits[x]
-	}
-	m.bits = out
-}
-
 // Algorithm2 runs the paper's Algorithm 2 — the first three steps of
 // Columnsort — in place on an r×s 0/1 matrix with s | r:
 //
@@ -63,64 +51,3 @@ func Algorithm2(m *Matrix) error {
 // Algorithm2Bound returns the nearsortedness bound (s−1)² for an
 // r×s Columnsort mesh.
 func Algorithm2Bound(s int) int { return (s - 1) * (s - 1) }
-
-// FullColumnsort runs all eight Columnsort steps, fully sorting the
-// matrix into COLUMN-major nonincreasing order. Leighton's analysis
-// requires r ≥ 2(s−1)²; the function enforces it. It returns the
-// number of column-sort stages executed (4 — the unit that costs one
-// stage of hyperconcentrator chips in §6's multichip construction).
-func FullColumnsort(m *Matrix) (stages int, err error) {
-	if err := checkColumnsortShape(m); err != nil {
-		return 0, err
-	}
-	r, s := m.rows, m.cols
-	if r < 2*(s-1)*(s-1) {
-		return 0, fmt.Errorf("mesh: FullColumnsort requires r ≥ 2(s−1)²: r=%d, s=%d", r, s)
-	}
-
-	// Steps 1–3.
-	m.SortColumns()
-	ReshapeCMtoRM(m)
-	m.SortColumns()
-	// Step 4: untranspose.
-	ReshapeRMtoCM(m)
-	// Step 5.
-	m.SortColumns()
-	// Steps 6–8: shift forward by ⌊r/2⌋ in column-major order, sort the
-	// (s+1)-column padded mesh, unshift. For 0/1 values in
-	// nonincreasing order the front pad is 1s (maximal) and the back
-	// pad is 0s (minimal).
-	h := r / 2
-	padded := make([]byte, r*s+r)
-	for t := 0; t < h; t++ {
-		padded[t] = 1
-	}
-	cm := m.ColMajor()
-	for t := 0; t < r*s; t++ {
-		padded[h+t] = cm.Bit(t)
-	}
-	// View padded as r×(s+1) column-major and sort each column.
-	for j := 0; j <= s; j++ {
-		ones := 0
-		for i := 0; i < r; i++ {
-			ones += int(padded[j*r+i])
-		}
-		for i := 0; i < r; i++ {
-			if i < ones {
-				padded[j*r+i] = 1
-			} else {
-				padded[j*r+i] = 0
-			}
-		}
-	}
-	// Step 8: drop the pads and write back in column-major order.
-	for t := 0; t < r*s; t++ {
-		i, j := t%r, t/r
-		m.bits[i*s+j] = padded[h+t]
-	}
-	stages = 4 // steps 1, 3, 5, 7 each sort all columns once
-	if !m.IsColMajorSorted() {
-		return stages, fmt.Errorf("mesh: FullColumnsort produced an unsorted matrix")
-	}
-	return stages, nil
-}

@@ -28,21 +28,6 @@ func TestReshapeCMtoRM(t *testing.T) {
 	}
 }
 
-func TestReshapeRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	for trial := 0; trial < 30; trial++ {
-		r := 4 * (1 + rng.Intn(4))
-		s := 4
-		m := randomMatrix(rng, r, s)
-		orig := m.Clone()
-		ReshapeCMtoRM(m)
-		ReshapeRMtoCM(m)
-		if !m.Equal(orig) {
-			t.Fatal("reshape round trip failed")
-		}
-	}
-}
-
 func TestAlgorithm2Validation(t *testing.T) {
 	if err := Algorithm2(NewMatrix(4, 8)); err == nil {
 		t.Error("accepted s > r")
@@ -148,63 +133,6 @@ func TestAlgorithm2AdversarialPatterns(t *testing.T) {
 		}
 		if eps := m.RowMajor().Nearsortedness(); eps > bound {
 			t.Errorf("%s: nearsortedness %d > bound %d", name, eps, bound)
-		}
-	}
-}
-
-func TestFullColumnsortValidation(t *testing.T) {
-	// r ≥ 2(s−1)² required: s=4 needs r ≥ 18 → r=16 must be rejected.
-	if _, err := FullColumnsort(NewMatrix(16, 4)); err == nil {
-		t.Error("accepted r < 2(s−1)²")
-	}
-	if _, err := FullColumnsort(NewMatrix(20, 4)); err != nil {
-		t.Errorf("rejected valid 20×4: %v", err)
-	}
-}
-
-func TestFullColumnsortSortsRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(63))
-	shapes := [][2]int{{2, 1}, {4, 2}, {8, 2}, {20, 4}, {32, 4}, {104, 8}, {128, 8}}
-	for _, sh := range shapes {
-		r, s := sh[0], sh[1]
-		if r < 2*(s-1)*(s-1) || r%s != 0 {
-			t.Fatalf("bad test shape %d×%d", r, s)
-		}
-		for trial := 0; trial < 40; trial++ {
-			m := randomMatrix(rng, r, s)
-			k := m.Count()
-			stages, err := FullColumnsort(m)
-			if err != nil {
-				t.Fatalf("%d×%d: %v", r, s, err)
-			}
-			if stages != 4 {
-				t.Fatalf("%d×%d: stages = %d, want 4", r, s, stages)
-			}
-			if !m.IsColMajorSorted() {
-				t.Fatalf("%d×%d: not column-major sorted\n%s", r, s, m)
-			}
-			if m.Count() != k {
-				t.Fatalf("%d×%d: count changed", r, s)
-			}
-		}
-	}
-}
-
-func TestFullColumnsortExhaustiveSmall(t *testing.T) {
-	// 8×2: r=8 ≥ 2(s−1)²=2. All 65536 patterns.
-	r, s := 8, 2
-	for pat := 0; pat < 1<<uint(r*s); pat++ {
-		m := NewMatrix(r, s)
-		for b := 0; b < r*s; b++ {
-			if pat&(1<<uint(b)) != 0 {
-				m.Set(b/s, b%s, 1)
-			}
-		}
-		if _, err := FullColumnsort(m); err != nil {
-			t.Fatalf("pattern %04x: %v", pat, err)
-		}
-		if !m.IsColMajorSorted() {
-			t.Fatalf("pattern %04x: unsorted\n%s", pat, m)
 		}
 	}
 }

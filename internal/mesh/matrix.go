@@ -1,7 +1,10 @@
 // Package mesh implements the mesh-sorting substrate underlying both
-// multichip switch designs: 0/1 matrices with row/column sorting,
-// Schnorr–Shamir Revsort (§4 and §6), Shearsort (§6), and Leighton's
-// Columnsort (§5 and §6).
+// multichip switch designs, one byte per cell: 0/1 matrices with
+// row/column sorting, Schnorr–Shamir Revsort (Algorithm 1 of §4, and
+// the phase convergence §6 relies on), Shearsort, and Leighton's
+// Columnsort (Algorithm 2 of §5). It is the reference the experiments
+// run and core's kernel tests compare against; §6's full sorters are
+// core's FullRevsortHyper and FullColumnsortHyper.
 //
 // Per §2 of the paper, "sorted" means NONINCREASING: 1s (valid bits)
 // sort to the top of columns and to the left of rows. The 0-1 principle
@@ -257,7 +260,3 @@ func (m *Matrix) DirtyRows() int {
 // IsRowMajorSorted reports whether the row-major reading is fully
 // sorted (nonincreasing).
 func (m *Matrix) IsRowMajorSorted() bool { return m.RowMajor().IsSorted() }
-
-// IsColMajorSorted reports whether the column-major reading is fully
-// sorted (nonincreasing).
-func (m *Matrix) IsColMajorSorted() bool { return m.ColMajor().IsSorted() }

@@ -141,44 +141,3 @@ func DirtyRowsAfterPhases(m *Matrix, phases int) (int, error) {
 	c.SortColumns()
 	return c.DirtyRows(), nil
 }
-
-// FullRevsort fully sorts the matrix into row-major nonincreasing
-// order using the §6 recipe: ⌈lg lg √n⌉ Revsort phases, a column sort,
-// then Shearsort iterations to clear the (at most eight) remaining
-// dirty rows, and a final row sort. It returns the number of
-// "stages" executed, where one stage is one full-mesh row-sort or
-// column-sort pass (the unit that costs one stack of hyperconcentrator
-// chips in the multichip construction).
-func FullRevsort(m *Matrix) (stages int, err error) {
-	if m.rows != m.cols {
-		return 0, fmt.Errorf("mesh: Revsort requires a square matrix, got %d×%d", m.rows, m.cols)
-	}
-	if _, err := sideLg(m.rows); err != nil {
-		return 0, err
-	}
-	phases := RevsortPhaseCount(m.rows)
-	for p := 0; p < phases; p++ {
-		if err := RevsortPhase(m); err != nil {
-			return stages, err
-		}
-		stages += 2 // column sort + row sort (rotation is free wiring)
-	}
-	m.SortColumns()
-	stages++
-
-	// Shearsort cleanup: each iteration halves the dirty band. The §6
-	// analysis uses exactly three iterations for the ≤8 remaining dirty
-	// rows; we iterate to snake-sorted convergence (the same count on
-	// conforming inputs) so the function is total, then straighten the
-	// snake with one final row sort.
-	for iter := 0; iter < m.rows+3 && !m.snakeSorted(); iter++ {
-		ShearsortIteration(m)
-		stages += 2
-	}
-	m.SortRows()
-	stages++
-	if !m.IsRowMajorSorted() {
-		return stages, fmt.Errorf("mesh: FullRevsort failed to converge")
-	}
-	return stages, nil
-}

@@ -164,65 +164,6 @@ func TestRevsortPhaseCount(t *testing.T) {
 	}
 }
 
-func TestFullRevsortSortsRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	for _, side := range []int{2, 4, 8, 16, 32} {
-		for trial := 0; trial < 50; trial++ {
-			m := randomMatrix(rng, side, side)
-			k := m.Count()
-			stages, err := FullRevsort(m)
-			if err != nil {
-				t.Fatalf("side %d: %v", side, err)
-			}
-			if !m.IsRowMajorSorted() {
-				t.Fatalf("side %d: not sorted after FullRevsort\n%s", side, m)
-			}
-			if m.Count() != k {
-				t.Fatalf("side %d: count changed", side)
-			}
-			if stages < 3 {
-				t.Fatalf("side %d: implausible stage count %d", side, stages)
-			}
-		}
-	}
-}
-
-func TestFullRevsortExhaustive4x4(t *testing.T) {
-	maxStages := 0
-	for pat := 0; pat < 1<<16; pat++ {
-		m := NewMatrix(4, 4)
-		for b := 0; b < 16; b++ {
-			if pat&(1<<uint(b)) != 0 {
-				m.Set(b/4, b%4, 1)
-			}
-		}
-		stages, err := FullRevsort(m)
-		if err != nil {
-			t.Fatalf("pattern %04x: %v", pat, err)
-		}
-		if !m.IsRowMajorSorted() {
-			t.Fatalf("pattern %04x: unsorted", pat)
-		}
-		if stages > maxStages {
-			maxStages = stages
-		}
-	}
-	// §6 delay budget for side 4 (phases=1): 2·phases + 1 + shearsort
-	// cleanup + 1. The cleanup must stay small.
-	if maxStages > 12 {
-		t.Errorf("worst stage count %d is larger than the §6 budget suggests", maxStages)
-	}
-}
-
-func TestFullRevsortValidation(t *testing.T) {
-	if _, err := FullRevsort(NewMatrix(4, 8)); err == nil {
-		t.Error("FullRevsort accepted non-square")
-	}
-	if _, err := FullRevsort(NewMatrix(5, 5)); err == nil {
-		t.Error("FullRevsort accepted non-power-of-two side")
-	}
-}
-
 func TestShearsortSortsRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
 	for _, dims := range [][2]int{{4, 4}, {8, 8}, {16, 16}, {8, 4}, {6, 6}} {

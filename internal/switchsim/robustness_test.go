@@ -1,69 +1,10 @@
 package switchsim
 
 import (
-	"math/rand"
 	"testing"
 
-	"concentrators/internal/bitvec"
 	"concentrators/internal/core"
-	"concentrators/internal/nearsort"
 )
-
-// Regression: RandomFault on a single-output switch used to draw
-// FaultSwapOutputs, which needs two distinct outputs and spun forever
-// looking for a second one.
-func TestRandomFaultSingleOutputSwitch(t *testing.T) {
-	sw, err := core.NewCrossbar(4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seed := int64(0); seed < 100; seed++ {
-		fs, err := RandomFault(rand.New(rand.NewSource(seed)), sw)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if fs.Kind == FaultSwapOutputs {
-			t.Fatalf("seed %d: drew a swap fault on m=1", seed)
-		}
-		if fs.A != 0 {
-			t.Fatalf("seed %d: fault output %d out of range for m=1", seed, fs.A)
-		}
-	}
-}
-
-// Regression: FaultStuckOutput at full load had no invalid input to
-// attribute the phantom to and silently vanished; the oracle must still
-// see the stuck driver's bus contention.
-func TestStuckOutputObservableAtFullLoad(t *testing.T) {
-	sw, err := core.NewPerfectSwitch(8, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, err := NewFaultySwitch(sw, FaultStuckOutput, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := bitvec.New(8)
-	for i := 0; i < 8; i++ {
-		v.Set(i, true)
-	}
-	out, err := fs.Route(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := nearsort.CheckPartialConcentration(v, out, fs.Outputs(), fs.EpsilonBound()); err == nil {
-		t.Fatal("oracle accepted a stuck output at full load")
-	}
-	// With an invalid input present the phantom is attributed instead.
-	v.Set(7, false)
-	out, err = fs.Route(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := nearsort.CheckPartialConcentration(v, out, fs.Outputs(), fs.EpsilonBound()); err == nil {
-		t.Fatal("oracle accepted a stuck output at partial load")
-	}
-}
 
 // MaxBacklog counts messages waiting for a future round, not the peak
 // round offer (which MaxOffered now carries).
