@@ -111,7 +111,6 @@ func (p *Pool) escalateLinksLocked(r *replica) {
 		r.WireFaults[at.Wire] = lf
 		if err := p.rebuildContractLocked(r); err != nil {
 			delete(r.WireFaults, at.Wire)
-			_ = p.rebuildContractLocked(r) // restore the previous contract
 			r.monitor.Escalate(at)
 			continue
 		}
