@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"io"
 	"strings"
 	"testing"
 )
@@ -88,13 +87,4 @@ func TestExperimentOutputsContainKeyRows(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestDuplicateRegistrationPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration did not panic")
-		}
-	}()
-	register(Experiment{ID: "T1", Title: "dup", Run: func(io.Writer) error { return nil }})
 }

@@ -16,27 +16,6 @@ import (
 	"concentrators/internal/workload"
 )
 
-func init() {
-	register(Experiment{ID: "T1", Title: "Table 1: resource measures, Revsort vs Columnsort β∈{1/2,5/8,3/4}", Run: runTable1})
-	register(Experiment{ID: "F1", Title: "Fig. 1 / Lemma 1: ε-nearsorted sequence structure", Run: runLemma1})
-	register(Experiment{ID: "F2", Title: "Fig. 2: converse of the key lemma fails", Run: runFig2})
-	register(Experiment{ID: "F3", Title: "Fig. 3: 2D Revsort layout, n=64 m=28, 24 messages", Run: runFig3})
-	register(Experiment{ID: "F4", Title: "Fig. 4: 3D Revsort packaging and Θ(n^{3/2}) volume", Run: runFig4})
-	register(Experiment{ID: "F5", Title: "§4 substrate: Algorithm 1 dirty rows ≤ 2⌈n^{1/4}⌉−1", Run: runDirtyRows})
-	register(Experiment{ID: "F6", Title: "Fig. 6: 2D Columnsort layout, r=8 s=4 m=18, 14 messages", Run: runFig6})
-	register(Experiment{ID: "F7", Title: "Fig. 7: 3D Columnsort packaging and Θ(n^{1+β}) volume", Run: runFig7})
-	register(Experiment{ID: "F8", Title: "Fig. 8: wire transposer volume Θ(w²)", Run: runFig8})
-	register(Experiment{ID: "T3", Title: "Theorem 3: Revsort switch load ratio 1−O(n^{3/4}/m)", Run: runTheorem3})
-	register(Experiment{ID: "T4", Title: "Theorem 4: Columnsort switch load ratio 1−(s−1)²/m", Run: runTheorem4})
-	register(Experiment{ID: "D1", Title: "Delay claims: 2 lg n, 3 lg n + O(1), 4β lg n + O(1)", Run: runDelays})
-	register(Experiment{ID: "S6a", Title: "§6: full-Revsort multichip hyperconcentrator", Run: runFullRevsort})
-	register(Experiment{ID: "S6b", Title: "§6: full-Columnsort multichip hyperconcentrator", Run: runFullColumnsort})
-	register(Experiment{ID: "X1", Title: "Ablation: rev(i) rotation vs identity/constant/random", Run: runRotationAblation})
-	register(Experiment{ID: "X2", Title: "Ablation: β continuum tradeoff", Run: runBetaSweep})
-	register(Experiment{ID: "X3", Title: "Throughput: delivered fraction vs offered load", Run: runLoadSweep})
-	register(Experiment{ID: "X4", Title: "§6 open question: two-stage reach f(p)", Run: runTwoStageReach})
-}
-
 // --- T1 ---------------------------------------------------------------------
 
 func runTable1(w io.Writer) error {

@@ -15,12 +15,6 @@ import (
 	"concentrators/internal/workload"
 )
 
-func init() {
-	register(Experiment{ID: "D2", Title: "Gate-level composition: flat switch netlists and the hardwired barrel shifter", Run: runGateLevel})
-	register(Experiment{ID: "X5", Title: "Price of oblivious control: switch vs omniscient (max-flow) routing", Run: runObliviousPrice})
-	register(Experiment{ID: "X6", Title: "§1 baseline: sequential prefix+butterfly hyperconcentrator", Run: runSeqHyper})
-}
-
 // --- D2 -----------------------------------------------------------------------
 
 func runGateLevel(w io.Writer) error {

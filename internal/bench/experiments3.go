@@ -10,10 +10,6 @@ import (
 	"concentrators/internal/workload"
 )
 
-func init() {
-	register(Experiment{ID: "X7", Title: "Design-choice ablation: bitonic sorting network vs CL86 hyperconcentrator chip", Run: runBitonicBaseline})
-}
-
 func runBitonicBaseline(w io.Writer) error {
 	section(w, "X7", "bitonic baseline vs CL86 chip")
 	fmt.Fprintln(w, "the pre-CL86 way to build a hyperconcentrator is a sorting network on the valid")

@@ -10,11 +10,6 @@ import (
 	"concentrators/internal/switchsim"
 )
 
-func init() {
-	register(Experiment{ID: "X8", Title: "§1 congestion control: drop vs resend vs buffer vs misroute under rising load", Run: runCongestionPolicies})
-	register(Experiment{ID: "X9", Title: "§2 lineage: graph concentrators (Pinsker) vs constructive switches", Run: runGraphConcentrators})
-}
-
 // --- X8 -------------------------------------------------------------------------
 
 func runCongestionPolicies(w io.Writer) error {

@@ -8,10 +8,6 @@ import (
 	"concentrators/internal/core"
 )
 
-func init() {
-	register(Experiment{ID: "X10", Title: "§6 closing question: Lemma 2 applied to a non-mesh ε-nearsorter (truncated bitonic)", Run: runTruncatedNearsorter})
-}
-
 func runTruncatedNearsorter(w io.Writer) error {
 	section(w, "X10", "truncated-bitonic nearsorters")
 	fmt.Fprintln(w, `§6 asks: "There may be ε-nearsorters based on networks other than the`)

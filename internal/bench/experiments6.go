@@ -9,10 +9,6 @@ import (
 	"concentrators/internal/shifter"
 )
 
-func init() {
-	register(Experiment{ID: "D3", Title: "Formal verification: BDD proofs of the chip netlist and optimizer", Run: runFormal})
-}
-
 func runFormal(w io.Writer) error {
 	section(w, "D3", "formal verification (BDDs)")
 	fmt.Fprintln(w, "reduced ordered BDDs make the circuit claims PROOFS over all inputs at once")

@@ -5,12 +5,7 @@ import (
 	"io"
 
 	"concentrators/internal/core"
-	"concentrators/internal/layout"
 )
-
-func init() {
-	register(Experiment{ID: "X11", Title: "§1 motivation: naive hyperconcentrator partitioning Ω((n/p)²) vs partial concentrators Θ(n/p)", Run: runPartitioningCost})
-}
 
 // naivePartitionChips is §1's lower bound made concrete: partitioning
 // the Θ(n²)-component single-chip hyperconcentrator among p-pin chips
@@ -42,8 +37,6 @@ func runPartitioningCost(w io.Writer) error {
 		fmt.Fprintf(w, "%8d %6d | %14d %14d %16d %14.1f\n",
 			n, p, naive, rev.ChipCount(), col.ChipCount(), float64(naive)/float64(rev.ChipCount()))
 	}
-	// The asymptotic check: naive/partial chip ratio grows like n/p ~ √n.
-	_ = layout.VolumeExponent
 	fmt.Fprintln(w, "the gap widens as √n — the whole reason the paper trades perfection for ε.")
 	return nil
 }

@@ -9,10 +9,6 @@ import (
 	"concentrators/internal/knockout"
 )
 
-func init() {
-	register(Experiment{ID: "X12", Title: "Application: Knockout switch — per-output N-to-L concentrators, loss vs L", Run: runKnockout})
-}
-
 func runKnockout(w io.Writer) error {
 	section(w, "X12", "knockout switch application")
 	fmt.Fprintln(w, "the canonical 1987 application of concentrators: an N×N packet switch whose")
