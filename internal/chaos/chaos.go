@@ -958,19 +958,13 @@ func Run(build func() (core.FaultInjectable, error), events []Event, cfg Config)
 		store = journal.NewMemStore()
 		w, _ = journal.NewWriter(store)
 	}
-	// Client-backlog feedback, crash schedules only: shed clients wait
-	// out their retry-after before giving up and report the queue depth
-	// through NoteBacklog — controller state with real loss semantics
-	// when the process dies. Non-crash schedules keep the historical
-	// open-loop client model.
-	clientFeedback := cfg.Crashes > 0
+	// Client backlog: shed clients wait out their retry-after before
+	// giving up and report the queue depth through NoteBacklog —
+	// controller state with real loss semantics when the process dies.
 	waiting := 0
 	// expiring[r] counts the shed clients whose retry-after runs out at
 	// round r; a client whose wait outlasts the run stays waiting.
-	var expiring []int
-	if clientFeedback {
-		expiring = make([]int, cfg.Rounds)
-	}
+	expiring := make([]int, cfg.Rounds)
 	for round := 0; round < cfg.Rounds; round++ {
 		var fired []Event
 		for next < len(events) && events[next].Round <= round {
@@ -1141,16 +1135,14 @@ func Run(build func() (core.FaultInjectable, error), events []Event, cfg Config)
 		if err != nil {
 			return nil, fmt.Errorf("chaos: round %d: %w", round, err)
 		}
-		if clientFeedback {
-			waiting -= expiring[round]
-			for _, s := range rr.Shed {
-				if at := round + 1 + max(s.RetryAfter, 1); at < cfg.Rounds {
-					expiring[at]++
-				}
-				waiting++
+		waiting -= expiring[round]
+		for _, s := range rr.Shed {
+			if at := round + 1 + max(s.RetryAfter, 1); at < cfg.Rounds {
+				expiring[at]++
 			}
-			p.NoteBacklog(waiting)
+			waiting++
 		}
+		p.NoteBacklog(waiting)
 		rec := RoundRecord{
 			Round: round, Offered: len(msgs), Shed: len(rr.Shed),
 			Admitted: len(msgs) - len(rr.Shed), Threshold: rr.Threshold,
